@@ -5,13 +5,18 @@ subgroups of a finite group are index sets into the ambient table.  Rotations
 are kept in axis/planar form while possible and normalised to matrices on the
 first mixed composition, with re-orthonormalisation once numerical drift
 exceeds ``ORTHO_TOL``.
+
+Samplers draw an ``ElementBatch``: one parameter array for all draws (support
+positions, angles or a matrix stack), applied to feature rows and tested for
+subgroup membership as a whole.  The scalar element classes remain for
+composition, inverses, generators and single draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -212,7 +217,7 @@ class AxisRotation:
         object.__setattr__(self, "axis", axis)
 
     def matrix(self) -> np.ndarray:
-        return rotation_about_axis(self.axis, self.angle)
+        return _axis_rotations(self.axis, np.array([self.angle]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +229,16 @@ class RotationMatrix:
         m = _readonly(self.matrix)
         if m.shape != (3, 3):
             raise InvalidGroupError("rotation matrix must be 3x3")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > ORTHO_TOL:
-            raise InvalidGroupError("matrix is not orthogonal within tolerance")
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL:
-            raise InvalidGroupError("matrix determinant must be 1")
+        _check_rotations(m)
         object.__setattr__(self, "matrix", m)
+
+
+def _check_rotations(m: np.ndarray) -> None:
+    """Raise unless every 3x3 matrix in ``m`` is orthogonal with determinant 1."""
+    if not np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)) <= ORTHO_TOL):
+        raise InvalidGroupError("matrix is not orthogonal within tolerance")
+    if not np.all(np.abs(np.linalg.det(m) - 1.0) <= DET_TOL):
+        raise InvalidGroupError("matrix determinant must be 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,13 +278,15 @@ class Permutation:
 
 GroupElement = Union[FiniteElement, PlanarRotation, AxisRotation,
                      RotationMatrix, SpecialLinear, Translation, Permutation]
+_MATRIX_ELEMENTS = (AxisRotation, RotationMatrix, SpecialLinear)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues' formula."""
+def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula for each angle: an (m, 3, 3) stack."""
     ux, uy, uz = axis
     k = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    s, c = np.sin(angles)[:, None, None], (1.0 - np.cos(angles))[:, None, None]
+    return np.eye(3) + s * k + c * (k @ k)
 
 
 def planar_rotation_matrix(angle: float, plane: tuple[int, int], dim: int) -> np.ndarray:
@@ -418,8 +430,6 @@ SL3 = "sl3"
 TRANSLATION = "translation"
 PERMUTATION_GROUP = "permutation"
 
-_CONTINUOUS_KINDS = (S1_AXIS, S1_PLANE, SO3, SL3, TRANSLATION)
-
 
 @dataclass(frozen=True, eq=False)
 class GroupDescriptor:
@@ -549,10 +559,8 @@ class GroupDescriptor:
             if isinstance(g, FiniteElement) and g.table is self.table:
                 return g.index in self.members
             if action is not None:
-                for i in sorted(self.members):
-                    if _realizations_match(action, FiniteElement(self.table, i), g, tol):
-                        return True
-                return False
+                return any(_realizations_match(action, FiniteElement(self.table, i), g, tol)
+                           for i in sorted(self.members))
             raise IncompatibleElementsError(
                 "membership of a non-table element in a finite group needs the ambient action")
         if self.kind == S1_AXIS:
@@ -561,30 +569,22 @@ class GroupDescriptor:
                     return True
                 return abs(abs(float(np.dot(g.axis, self.axis))) - 1.0) <= 1e-9
             if isinstance(g, (RotationMatrix, SpecialLinear)):
-                m = g.matrix if isinstance(g, SpecialLinear) else g.matrix
+                m = g.matrix
                 if np.max(np.abs(m.T @ m - np.eye(3))) > tol or abs(np.linalg.det(m) - 1.0) > tol:
                     return False
                 return bool(np.linalg.norm(m @ self.axis - self.axis) <= tol)
             return False
         if self.kind == S1_PLANE:
-            if isinstance(g, PlanarRotation):
-                return g.plane == self.plane or _angle_distance(g.angle, 0.0) <= tol
-            return False
+            return isinstance(g, PlanarRotation) and (
+                g.plane == self.plane or _angle_distance(g.angle, 0.0) <= tol)
         if self.kind == SO3:
-            if isinstance(g, (AxisRotation, RotationMatrix)):
-                return True
             if isinstance(g, SpecialLinear):
-                m = g.matrix
-                return bool(np.max(np.abs(m.T @ m - np.eye(3))) <= tol)
-            return False
+                return bool(np.max(np.abs(g.matrix.T @ g.matrix - np.eye(3))) <= tol)
+            return isinstance(g, (AxisRotation, RotationMatrix))
         if self.kind == SL3:
-            if isinstance(g, (AxisRotation, RotationMatrix, SpecialLinear)):
-                return True
-            return False
+            return isinstance(g, _MATRIX_ELEMENTS)
         if self.kind == PERMUTATION_GROUP:
-            if not isinstance(g, Permutation):
-                return False
-            return _in_generated_finite(self, g)
+            return isinstance(g, Permutation) and _in_generated_finite(self, g)
         if self.kind == TRANSLATION:
             return isinstance(g, Translation)
         return False
@@ -781,52 +781,13 @@ def apply_to_rows(action: GroupAction, g: GroupElement, rows: np.ndarray) -> np.
     return rows @ m.T
 
 
-def _rotate_plane(rows: np.ndarray, angle: float, plane: tuple[int, int]) -> np.ndarray:
+def _rotate_plane(rows: np.ndarray, angle, plane: tuple[int, int]) -> np.ndarray:
+    """Rotate every row in ``plane`` by ``angle``, or row k by ``angle[k]``."""
     i, j = plane
     out = rows.copy()
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = np.cos(angle), np.sin(angle)
     out[:, i] = c * rows[:, i] - s * rows[:, j]
     out[:, j] = s * rows[:, i] + c * rows[:, j]
-    return out
-
-
-_element_index = attrgetter("index")
-
-
-def apply_elements(action: GroupAction, elements: Sequence[GroupElement],
-                   rows: np.ndarray) -> np.ndarray:
-    """Apply ``elements[k]`` to ``rows[k]`` for each k (the sampling hot path)."""
-    rows = np.asarray(rows, dtype=float)
-    m = len(elements)
-    if rows.shape[0] != m:
-        raise DimensionMismatchError("one element per row is required")
-    if m == 0:
-        return rows.copy()
-    kinds = set(map(type, elements))
-    if kinds == {FiniteElement}:
-        out = np.empty_like(rows)
-        idx = np.fromiter(map(_element_index, elements), dtype=np.int64, count=m)
-        for k in np.flatnonzero(np.bincount(idx)):
-            sel = idx == k
-            out[sel] = apply_to_rows(action, elements[int(sel.argmax())], rows[sel])
-        return out
-    if kinds == {PlanarRotation}:
-        plane = elements[0].plane
-        if any(g.plane != plane for g in elements):
-            raise IncompatibleElementsError("mixed coordinate planes in one batch")
-        i, j = plane
-        ang = np.fromiter((g.angle for g in elements), dtype=float, count=m)
-        c, s = np.cos(ang), np.sin(ang)
-        out = rows.copy()
-        out[:, i] = c * rows[:, i] - s * rows[:, j]
-        out[:, j] = s * rows[:, i] + c * rows[:, j]
-        return out
-    if kinds <= {AxisRotation, RotationMatrix, SpecialLinear} and action.dim == 3:
-        mats = np.stack([_realize_matrix(action, g) for g in elements])
-        return np.einsum("kij,kj->ki", mats, rows)
-    out = np.empty_like(rows)
-    for k, g in enumerate(elements):
-        out[k] = apply_to_rows(action, g, rows[k:k + 1])[0]
     return out
 
 
@@ -843,7 +804,11 @@ POINT_MASS = "point-mass"
 
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
-    """A distribution over group elements; the random source is caller-owned."""
+    """A distribution over group elements; the random source is caller-owned.
+
+    ``elements`` is the support of a uniform or point-mass sampler (a point
+    mass's one ``element``) and empty for the other kinds.
+    """
 
     kind: str
     elements: tuple[GroupElement, ...] = ()
@@ -859,6 +824,7 @@ class SamplerSpec:
         elif self.kind == POINT_MASS:
             if self.element is None:
                 raise InvalidGroupError("point-mass sampler needs an element")
+            object.__setattr__(self, "elements", (self.element,))
         elif self.kind in (HAAR_CIRCLE, GAUSSIAN_ANGLE):
             if self.axis is None and self.plane is None:
                 raise InvalidGroupError(f"{self.kind} sampler needs an axis or a plane")
@@ -922,64 +888,137 @@ def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def finite_support(spec: "SamplerSpec | MixtureSampler") -> tuple[GroupElement, ...] | None:
-    """The elements a uniform or point-mass sampler draws from; None for any other."""
-    if isinstance(spec, SamplerSpec):
-        if spec.kind == UNIFORM:
-            return spec.elements
-        if spec.kind == POINT_MASS:
-            return (spec.element,)
-    return None
+@dataclass(frozen=True, eq=False)
+class ElementBatch(Sequence):
+    """Draws of one sampler as one parameter array.
 
-
-def sample_support_positions(spec: SamplerSpec, rng: np.random.Generator,
-                             m: int) -> np.ndarray:
-    """Positions in ``finite_support(spec)`` of ``m`` draws.
-
-    Uses ``rng`` exactly as ``sample_elements`` does, so the two calls draw
-    the same elements from the same stream.
+    ``params`` holds positions in the support of a uniform or point-mass
+    sampler, angles of a circle sampler (about its axis, or in its plane
+    modulo 2 pi), the ``(m, 3, 3)`` stack of a ``haar-so3`` sampler, or a
+    mixture's component picks, with one batch per component in ``parts``.
+    Indexing or iterating builds the scalar elements, once, on first use.
     """
-    if spec.kind == POINT_MASS:
-        return np.zeros(m, dtype=np.int64)
-    return rng.integers(0, len(spec.elements), size=m)
+
+    spec: "SamplerSpec | MixtureSampler"
+    params: np.ndarray
+    parts: tuple["ElementBatch", ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, k):
+        return self._drawn[k]
+
+    @cached_property
+    def _drawn(self) -> list[GroupElement]:
+        spec, p = self.spec, self.params
+        if isinstance(spec, MixtureSampler):
+            parts = [iter(part._drawn) for part in self.parts]
+            return [next(parts[c]) for c in p.tolist()]
+        if spec.elements:
+            return [spec.elements[i] for i in p.tolist()]
+        if spec.kind == HAAR_SO3:
+            return [RotationMatrix(x) for x in p]
+        if spec.axis is not None:
+            return [AxisRotation(spec.axis, t) for t in p.tolist()]
+        return [PlanarRotation(t, spec.plane) for t in p.tolist()]
+
+    def _per_part(self, out: np.ndarray, fill) -> np.ndarray:
+        """``out`` with mixture component c's draws set to ``fill(c, sel)``."""
+        for c in range(len(self.parts)):
+            sel = self.params == c
+            out[sel] = fill(c, sel)
+        return out
+
+    def _table_index(self) -> np.ndarray | None:
+        """Each draw's Cayley-table index, if every draw is a finite element."""
+        if isinstance(self.spec, MixtureSampler):
+            index = [part._table_index() for part in self.parts]
+            if any(i is None for i in index):
+                return None
+            return self._per_part(np.empty(len(self), dtype=np.int64), lambda c, _: index[c])
+        if self.spec.elements and all(isinstance(g, FiniteElement) for g in self.spec.elements):
+            return np.array([g.index for g in self.spec.elements], dtype=np.int64)[self.params]
+        return None
+
+    def contains_mask(self, group: "GroupDescriptor | None",
+                      action: GroupAction | None = None) -> np.ndarray:
+        """Whether each draw lies in ``group``; a ``None`` group keeps every draw.
+
+        ``group.contains`` runs once per support element of a uniform or
+        point-mass sampler and once per draw of the other kinds.
+        """
+        if group is None:
+            return np.ones(len(self), dtype=bool)
+        if isinstance(self.spec, MixtureSampler):
+            return self._per_part(np.empty(len(self), dtype=bool),
+                                  lambda c, _: self.parts[c].contains_mask(group, action))
+        if self.spec.elements:
+            member = [group.contains(g, action=action) for g in self.spec.elements]
+            return np.array(member, dtype=bool)[self.params]
+        return np.array([group.contains(g, action=action) for g in self._drawn], dtype=bool)
+
+
+def apply_elements(action: GroupAction, elements: ElementBatch,
+                   rows: np.ndarray) -> np.ndarray:
+    """Apply ``elements[k]`` to ``rows[k]`` for each k (the sampling hot path).
+
+    Finite elements act through ``apply_to_rows`` once per table index, other
+    non-3x3 support elements once per position, planar angles through the
+    rotation formula, and 3x3 matrices through one einsum.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] != len(elements):
+        raise DimensionMismatchError("one element per row is required")
+    spec, keys = elements.spec, elements._table_index()
+    if keys is None and isinstance(spec, SamplerSpec) and not all(
+            isinstance(g, _MATRIX_ELEMENTS) for g in spec.elements):
+        keys = elements.params
+    if keys is not None:
+        out = np.empty_like(rows)
+        for key in np.unique(keys):
+            sel = keys == key
+            out[sel] = apply_to_rows(action, elements[int(sel.argmax())], rows[sel])
+        return out
+    if isinstance(spec, MixtureSampler):
+        return elements._per_part(np.empty_like(rows), lambda c, sel: apply_elements(
+            action, elements.parts[c], rows[sel]))
+    if spec.kind in (HAAR_CIRCLE, GAUSSIAN_ANGLE) and spec.axis is None:
+        return _rotate_plane(rows, elements.params, spec.plane)
+    if action.dim != 3:
+        raise DimensionMismatchError("3x3 matrix element in a non-3d action")
+    if spec.elements:
+        mats = np.stack([_realize_matrix(action, g) for g in spec.elements])[elements.params]
+    else:
+        mats = elements.params if spec.kind == HAAR_SO3 else \
+            _axis_rotations(spec.axis, elements.params)
+    return np.einsum("kij,kj->ki", mats, rows)
 
 
 def sample_elements(spec: "SamplerSpec | MixtureSampler", rng: np.random.Generator,
-                    m: int) -> list[GroupElement]:
-    """Draw ``m`` elements.  All randomness flows through ``rng`` in a fixed
-    order, so a seed pins the whole stream."""
+                    m: int) -> ElementBatch:
+    """Draw ``m`` elements as one batch.  All randomness flows through ``rng``
+    in a fixed order, so a seed pins the whole stream."""
     if m < 0:
         raise InvalidGroupError("sample count must be non-negative")
     if isinstance(spec, MixtureSampler):
         picks = rng.integers(0, len(spec.components), size=m)
-        out: list[GroupElement | None] = [None] * m
-        for c, comp in enumerate(spec.components):
-            positions = np.flatnonzero(picks == c)
-            if positions.size:
-                drawn = sample_elements(comp, rng, int(positions.size))
-                for pos, g in zip(positions, drawn):
-                    out[int(pos)] = g
-        return out  # type: ignore[return-value]
-    support = finite_support(spec)
-    if support is not None:
-        picks = sample_support_positions(spec, rng, m)
-        return list(map(support.__getitem__, picks.tolist()))
-    if spec.kind == HAAR_CIRCLE:
-        thetas = rng.uniform(0.0, TWO_PI, size=m)
-        if spec.axis is not None:
-            return [AxisRotation(spec.axis, float(t)) for t in thetas]
-        return [PlanarRotation(float(t) % TWO_PI, spec.plane) for t in thetas]
-    if spec.kind == GAUSSIAN_ANGLE:
-        thetas = rng.normal(0.0, spec.std, size=m)
-        if spec.axis is not None:
-            return [AxisRotation(spec.axis, float(t)) for t in thetas]
-        return [PlanarRotation(float(t) % TWO_PI, spec.plane) for t in thetas]
+        return ElementBatch(spec, picks, tuple(
+            sample_elements(comp, rng, int(np.count_nonzero(picks == c)))
+            for c, comp in enumerate(spec.components)))
+    if spec.elements:   # a point mass's one-position range consumes no randomness
+        return ElementBatch(spec, rng.integers(0, len(spec.elements), size=m))
     if spec.kind == HAAR_SO3:
         q = rng.normal(size=(m, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         mats = _quaternions_to_matrices(q)
-        return [RotationMatrix(mats[k]) for k in range(m)]
-    raise InvalidGroupError(f"unknown sampler kind {spec.kind!r}")
+        _check_rotations(mats)
+        return ElementBatch(spec, mats)
+    if spec.kind == HAAR_CIRCLE:
+        thetas = rng.uniform(0.0, TWO_PI, size=m)
+    else:
+        thetas = rng.normal(0.0, spec.std, size=m)
+    return ElementBatch(spec, thetas if spec.axis is not None else thetas % TWO_PI)
 
 
 def sample(spec: SamplerSpec, rng: np.random.Generator) -> GroupElement:

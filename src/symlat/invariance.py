@@ -13,10 +13,10 @@ identity, approximating the p-value by the proportion of transform replicates
 whose quantile falls at or below the identity one.
 
 Batch variants share one sampled stream across several subgroups and filter
-it per node by membership, so testing a lattice level costs one draw.  With a
-single node equal to the sampler's whole group the filter keeps everything
-and the batch outcome is bit-identical to the direct test under the same
-seed.
+it per node by membership, so testing a lattice level costs one draw.  A
+direct test is the batch test with one node whose group is ``None``, which
+keeps every draw; a node equal to the sampler's whole group also keeps every
+draw, so its outcome is bit-identical to the direct test under the same seed.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ from .errors import DegenerateMetricError, SymlatError
 from .groups import (
     GroupAction,
     GroupDescriptor,
-    GroupElement,
     SamplerSpec,
     apply_elements,
     apply_to_rows,
-    finite_support,
     sample_elements,
-    sample_support_positions,
 )
 
 ACCEPT = 1
@@ -201,9 +198,7 @@ class NoiseModel:
         if self.kind == GAUSSIAN:
             if self.sigma == 0.0:
                 return 0.0
-            raw = (2.0 * self.sigma / t) * math.exp(-t * t / (4.0 * self.sigma ** 2)) \
-                / math.sqrt(2.0 * math.pi)
-            return min(1.0, raw)
+            return min(1.0, self._uncapped(t))
         idx = np.searchsorted(self.ts, t, side="right") - 1
         if idx < 0:
             return 1.0
@@ -317,46 +312,22 @@ def write_diagnostics(outcome: TestOutcome, path) -> None:
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------
 
-def _validate_thresholds(thresholds) -> np.ndarray:
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size == 0:
-        raise SymlatError("threshold grid must be non-empty")
-    if np.any(thresholds <= 0) or np.any(np.diff(thresholds) <= 0):
-        raise SymlatError("thresholds must be positive and strictly increasing")
-    return thresholds
-
-
-def _draw_excesses(data: RegressionDataset, index: NeighborIndex, action: GroupAction,
-                   sampler: SamplerSpec, bound: VariationBound, m: int,
-                   rng: np.random.Generator) -> tuple[list[GroupElement], np.ndarray]:
-    elements = sample_elements(sampler, rng, m)
-    picks = rng.integers(0, data.n, size=m)
-    gx = apply_elements(action, elements, data.X[picks])
-    nbrs = index.query_many(gx)
-    excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
-    return elements, excess
-
-
 def _exceedance_outcome(excess: np.ndarray, thresholds: np.ndarray,
-                        noise: NoiseModel, alpha: float,
-                        extra_warnings: tuple[str, ...] = ()) -> TestOutcome:
+                        noise: NoiseModel, alpha: float) -> TestOutcome:
     m_eff = excess.size
-    warnings = tuple(extra_warnings)
     if m_eff == 0:
         return _finish(1.0, alpha, effective_m=0, statistics=excess,
                        thresholds=thresholds,
                        exceed_counts=np.zeros(len(thresholds), dtype=np.int64),
                        threshold_p=np.ones(len(thresholds)),
-                       warnings=warnings + ("insufficient-sample",))
+                       warnings=("insufficient-sample",))
     pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
     counts = np.array([(excess >= t).sum() for t in thresholds], dtype=np.int64)
     pvals = np.array([binom_tail(m_eff, int(c), float(p))
                       for c, p in zip(counts, pts)])
-    if np.all(pts >= 1.0):
-        warnings = warnings + ("all-thresholds-vacuous",)
     return _finish(float(pvals.min()), alpha, effective_m=m_eff, statistics=excess,
                    thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
-                   warnings=warnings)
+                   warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())
 
 
 def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
@@ -370,38 +341,39 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     of ``|Y_i - Y_j| - V(g . X_i, X_j)`` to a binomial tail under the noise
     concentration bound; the reported p-value is the minimum over the grid.
     """
-    if m < 1:
-        raise SymlatError("sample count m must be >= 1")
-    if bound.kind == ORDER_ONLY:
-        raise SymlatError("the exceedance test needs a fully known bound")
-    thresholds = _validate_thresholds(
-        noise.default_thresholds() if thresholds is None else thresholds)
-    if index is None:
-        index = NeighborIndex.from_dataset(data)
-    _, excess = _draw_excesses(data, index, action, sampler, bound, m, rng)
-    return _exceedance_outcome(excess, thresholds, noise, alpha)
+    outcomes = batch_exceedance_test(data, action, [(0, None)], sampler, bound, noise,
+                                     rng, m, alpha=alpha, thresholds=thresholds, index=index)
+    return outcomes[0]
 
 
 def batch_exceedance_test(data: RegressionDataset, action: GroupAction,
-                          nodes: Sequence[tuple[int, GroupDescriptor]],
+                          nodes: Sequence[tuple[int, GroupDescriptor | None]],
                           sampler: SamplerSpec, bound: VariationBound,
                           noise: NoiseModel, rng: np.random.Generator, m: int,
                           alpha: float = 0.05, thresholds=None,
                           index: NeighborIndex | None = None) -> dict[int, TestOutcome]:
-    """One shared sampled stream, filtered per node by group membership."""
+    """One shared sampled stream, filtered per node by group membership
+    (a ``None`` group keeps every draw)."""
     if m < 1:
         raise SymlatError("sample count m must be >= 1")
-    thresholds = _validate_thresholds(
-        noise.default_thresholds() if thresholds is None else thresholds)
+    if bound.kind == ORDER_ONLY:
+        raise SymlatError("the exceedance test needs a fully known bound")
+    thresholds = np.asarray(
+        noise.default_thresholds() if thresholds is None else thresholds, dtype=float)
+    if thresholds.size == 0:
+        raise SymlatError("threshold grid must be non-empty")
+    if np.any(thresholds <= 0) or np.any(np.diff(thresholds) <= 0):
+        raise SymlatError("thresholds must be positive and strictly increasing")
     if index is None:
         index = NeighborIndex.from_dataset(data)
-    elements, excess = _draw_excesses(data, index, action, sampler, bound, m, rng)
-    out = {}
-    for key, group in nodes:
-        mask = np.fromiter((group.contains(g, action=action) for g in elements),
-                           dtype=bool, count=m)
-        out[key] = _exceedance_outcome(excess[mask], thresholds, noise, alpha)
-    return out
+    elements = sample_elements(sampler, rng, m)
+    picks = rng.integers(0, data.n, size=m)
+    gx = apply_elements(action, elements, data.X[picks])
+    nbrs = index.query_many(gx)
+    excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
+    return {key: _exceedance_outcome(excess[elements.contains_mask(group, action)],
+                                     thresholds, noise, alpha)
+            for key, group in nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +399,9 @@ class _RatioDraws:
     Pairs come from ranked neighbour lists over all rows
     (``NeighborIndex.ranked``): the first list entry in the reference half.
     The rows' own lists are ranked once per test, and so are the images of
-    the rows under each element of a finite sampler with at most ``B / 2``
-    elements, so those replicates gather their pairs instead of searching.
+    the rows under each element of a uniform or point-mass sampler with at
+    most ``B / 2`` elements, so those replicates gather their pairs at the
+    drawn support positions instead of searching.
     """
 
     def __init__(self, data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
@@ -436,29 +409,29 @@ class _RatioDraws:
         self.data, self.action, self.sampler, self.bound = data, action, sampler, bound
         self.index = NeighborIndex.from_dataset(data)
         self.lists = self.index.ranked(data.X, _RANKED)
-        self.support = finite_support(sampler)
+        support = sampler.elements if isinstance(sampler, SamplerSpec) else ()
         self.images = self.image_lists = None
-        if self.support is not None and 2 * len(self.support) <= B:
-            self.images = np.stack([apply_to_rows(action, g, data.X) for g in self.support])
+        if support and 2 * len(support) <= B:
+            self.images = np.stack([apply_to_rows(action, g, data.X) for g in support])
             self.image_lists = np.stack([self.index.ranked(x, _RANKED) for x in self.images])
-        self._support_members: dict[int, np.ndarray] = {}
 
     def draw(self, rng: np.random.Generator, m: int, transform: bool):
-        """One replicate: its rows' elements (or support positions), the
-        kept rows, their ratios, and the m drawn positions among them."""
+        """One replicate: its rows' elements, the kept rows, their ratios,
+        and the m drawn positions among them."""
         X, Y, n = self.data.X, self.data.Y, self.data.n
         order = rng.permutation(n)
         in_ref = np.zeros(n + 1, dtype=bool)   # the last slot stands for -1
         in_ref[order[:n // 2]] = True
         pool = order[n // 2:]
-        if self.images is not None:
-            labels = sample_support_positions(self.sampler, rng, pool.size)
-            points = self.images[labels, pool] if transform else X[pool]
-            lists = self.image_lists[labels, pool] if transform else self.lists[pool]
+        elements = sample_elements(self.sampler, rng, pool.size)
+        if not transform:
+            points, lists = X[pool], self.lists[pool]
+        elif self.images is not None:
+            points = self.images[elements.params, pool]
+            lists = self.image_lists[elements.params, pool]
         else:
-            labels = sample_elements(self.sampler, rng, pool.size)
-            points = apply_elements(self.action, labels, X[pool]) if transform else X[pool]
-            lists = self.index.ranked(points, _RANKED) if transform else self.lists[pool]
+            points = apply_elements(self.action, elements, X[pool])
+            lists = self.index.ranked(points, _RANKED)
         nbr = lists[np.arange(pool.size), in_ref[lists].argmax(axis=1)]
         missing = np.flatnonzero(~in_ref[nbr])
         if missing.size:
@@ -471,46 +444,33 @@ class _RatioDraws:
             raise DegenerateMetricError(
                 "variation bound is zero for every query row and its nearest reference row")
         ratios = np.abs(Y[pool[live]] - Y[nbr[live]]) / den
-        return labels, live, ratios, rng.integers(0, live.size, size=m)
+        return elements, live, ratios, rng.integers(0, live.size, size=m)
 
     def kept_quantile(self, drawn, group: GroupDescriptor | None,
                       q: float) -> tuple[float, int]:
         """q-quantile of a replicate's draws whose element lies in ``group``
         (nan if there are none), and their count."""
-        labels, live, ratios, picks = drawn
+        elements, live, ratios, picks = drawn
         if group is not None:
-            picks = picks[self._members(group, labels, live)[picks]]
+            picks = picks[elements.contains_mask(group, self.action)[live[picks]]]
         if picks.size == 0:
             return math.nan, 0
         return quantile(ratios[picks], q), picks.size
 
-    def _members(self, group: GroupDescriptor, labels, live: np.ndarray) -> np.ndarray:
-        if self.images is None:
-            return np.fromiter((group.contains(labels[i], action=self.action) for i in live),
-                               dtype=bool, count=live.size)
-        member = self._support_members.get(id(group))
-        if member is None:
-            member = np.fromiter((group.contains(g, action=self.action) for g in self.support),
-                                 dtype=bool, count=len(self.support))
-            self._support_members[id(group)] = member
-        return member[labels[live]]
-
 
 def _perm_outcome(rep_quantiles: np.ndarray, rep_m: np.ndarray, baseline: float,
-                  alpha: float, m_eff: int) -> TestOutcome:
+                  m_eff: int, alpha: float) -> TestOutcome:
     valid = rep_m > 0
-    warnings: tuple[str, ...] = ()
     if not valid.any() or math.isnan(baseline):
         return _finish(1.0, alpha, effective_m=0,
                        statistics=rep_quantiles, replicate_quantiles=rep_quantiles,
                        replicate_m=rep_m, baseline_quantile=baseline,
                        warnings=("insufficient-sample",))
-    if not valid.all():
-        warnings = ("insufficient-sample-replicates",)
     p = float(np.sum(rep_quantiles[valid] <= baseline)) / float(valid.sum())
     return _finish(p, alpha, effective_m=m_eff, statistics=rep_quantiles,
                    replicate_quantiles=rep_quantiles, replicate_m=rep_m,
-                   baseline_quantile=baseline, warnings=warnings)
+                   baseline_quantile=baseline,
+                   warnings=() if valid.all() else ("insufficient-sample-replicates",))
 
 
 def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
@@ -558,6 +518,6 @@ def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
         for key, group in nodes:
             rep_quantiles[key][k], rep_m[key][k] = draws.kept_quantile(drawn, group, q)
     drawn = draws.draw(rng, m, transform=False)
-    baselines = {key: draws.kept_quantile(drawn, group, q)[0] for key, group in nodes}
-    return {key: _perm_outcome(rep_quantiles[key], rep_m[key], baselines[key], alpha, m)
+    baselines = {key: draws.kept_quantile(drawn, group, q) for key, group in nodes}
+    return {key: _perm_outcome(rep_quantiles[key], rep_m[key], *baselines[key], alpha)
             for key in keys}

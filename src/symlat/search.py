@@ -131,9 +131,7 @@ class ExceedanceTester:
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
-        if node.sampler is None:
-            raise SymlatError(f"node {node.label!r} carries no sampler")
-        return exceedance_test(self.data, lattice.action, node.sampler, self.bound,
+        return exceedance_test(self.data, lattice.action, _require_sampler(node), self.bound,
                                self.noise, rng, self.m, alpha=alpha,
                                thresholds=self.thresholds, index=self.index)
 
@@ -159,9 +157,7 @@ class PermutationTester:
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
-        if node.sampler is None:
-            raise SymlatError(f"node {node.label!r} carries no sampler")
-        return ratio_permutation_test(self.data, lattice.action, node.sampler,
+        return ratio_permutation_test(self.data, lattice.action, _require_sampler(node),
                                       self.bound, rng, self.m, self.B,
                                       q=self.q, alpha=alpha)
 

@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from symlat.builders import d4_action, d4_table, D4_LABELS
+from symlat.builders import (
+    D4_LABELS,
+    cyclic_chain_lattice,
+    d4_action,
+    d4_lattice,
+    d4_pixel_lattice,
+    d4_table,
+    icosahedral_axes,
+    sl3_extended_lattice,
+)
 from symlat.errors import (
     IncompatibleElementsError,
     InvalidGroupError,
@@ -23,12 +34,15 @@ from symlat.groups import (
     SpecialLinear,
     act,
     apply_elements,
+    apply_to_rows,
     compose,
     cyclic_table,
+    default_sl3_generators,
     direct_product_table,
     elements_equal,
     elements_of,
     inverse,
+    non_identity_sampler,
     point_mass_sampler,
     sample,
     sample_elements,
@@ -232,7 +246,7 @@ def test_finite_action_is_faithful():
     probes = np.array([[1.0, 0.3], [0.2, -1.0], [0.5, 0.7]])
     for i in range(1, 8):
         g = FiniteElement(table, i)
-        moved = apply_elements(action, [g] * len(probes), probes)
+        moved = apply_to_rows(action, g, probes)
         assert np.max(np.abs(moved - probes)) > 1e-9
 
 
@@ -386,3 +400,56 @@ def test_single_sample_matches_stream_head():
     one = sample(spec, np.random.default_rng(9))
     first = sample_elements(spec, np.random.default_rng(9), 3)[0]
     assert elements_equal(one, first, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# element batches against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _batch_cases():
+    """(lattice, sampler) for every sampler kind; membership is checked
+    against every node group of the lattice."""
+    d4, pixels = d4_lattice(2), d4_pixel_lattice(3)
+    chain, sl3 = cyclic_chain_lattice([1, 2, 4]), sl3_extended_lattice()
+    axis = icosahedral_axes()[1]
+    plane = SamplerSpec("haar-circle", plane=(0, 1))
+    s1, so3, sl = (sl3.node_by_label(label).sampler for label in ("S1_u1", "SO3", "SL3"))
+    return {
+        "uniform-matrix": (d4, non_identity_sampler(d4.node(d4.top).group)),
+        "uniform-planar": (chain, non_identity_sampler(chain.node(chain.top).group)),
+        "uniform-permutation": (pixels, non_identity_sampler(pixels.node(pixels.top).group)),
+        "point-mass": (d4, point_mass_sampler(FiniteElement(d4.action.group.table, 2))),
+        "haar-circle-axis": (sl3, SamplerSpec("haar-circle", axis=axis)),
+        "haar-circle-plane": (chain, plane),
+        "gaussian-angle": (sl3, SamplerSpec("gaussian-angle", axis=axis, std=0.7)),
+        "haar-so3": (sl3, SamplerSpec("haar-so3")),
+        "uniform-sl3": (sl3, uniform_sampler(default_sl3_generators())),
+        "mixture-finite": (chain, MixtureSampler(
+            tuple(non_identity_sampler(node.group) for node in chain.nodes))),
+        "mixture-finite-circle": (chain, MixtureSampler(
+            (non_identity_sampler(chain.node_by_label("C2").group), plane))),
+        "mixture-s1-so3-sl3": (sl3, MixtureSampler((s1, so3, sl))),
+    }
+
+
+BATCH_CASES = _batch_cases()
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 40))
+def test_element_batch_matches_scalar_reference(case, seed, m):
+    lattice, sampler = BATCH_CASES[case]
+    action = lattice.action
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch, again = sample_elements(sampler, rng, m), sample_elements(sampler, twin, m)
+    assert len(batch) == m and np.array_equal(batch.params, again.params)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    rows = np.random.default_rng(seed + 1).normal(size=(m, action.dim))
+    moved = apply_elements(action, batch, rows)
+    for k in range(m):
+        want = apply_to_rows(action, batch[k], rows[k:k + 1])
+        assert np.max(np.abs(moved[k:k + 1] - want)) <= 1e-12
+    for node in lattice.nodes:
+        mask = batch.contains_mask(node.group, action)
+        assert mask.tolist() == [node.group.contains(g, action=action) for g in batch]

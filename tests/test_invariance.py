@@ -268,6 +268,19 @@ def test_exceedance_validation_errors():
         exceedance_test(data, rotation, sampler, order_bound(), noise, rng, m=10)
 
 
+def test_batch_exceedance_rejects_order_only_bound():
+    chain = cyclic_chain_lattice([1, 2, 4])
+    table = chain.nodes[0].group.table
+    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
+    data = _toy_invariant_data(np.random.default_rng(0))
+    nodes = [(n.node_id, n.group) for n in chain.nodes]
+    batch_exceedance_test(data, chain.action, nodes, sampler, known_bound(1.0),
+                          gaussian_noise(0.05), np.random.default_rng(0), m=10)
+    with pytest.raises(SymlatError, match="fully known bound"):
+        batch_exceedance_test(data, chain.action, nodes, sampler, order_bound(),
+                              gaussian_noise(0.05), np.random.default_rng(0), m=10)
+
+
 def test_vacuous_threshold_warning():
     rng = np.random.default_rng(0)
     data = _toy_invariant_data(rng)
@@ -495,6 +508,32 @@ def test_batch_whole_group_is_bit_identical_to_direct():
     assert p_direct.p_value == p_batch.p_value
     assert np.array_equal(p_direct.replicate_quantiles, p_batch.replicate_quantiles)
     assert p_direct.baseline_quantile == p_batch.baseline_quantile
+
+
+def test_batch_perm_effective_m_counts_kept_identity_draws():
+    # a C2 node under the C4 sampler keeps only the draws of r180.  On smooth
+    # data every query row is paired, so replaying the stream (reference
+    # split, one element per query row, m picks among them) gives each
+    # replicate's kept count; the last replicate is the identity one
+    chain = cyclic_chain_lattice([1, 2, 4])
+    table = chain.nodes[0].group.table
+    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
+    data = _toy_invariant_data(np.random.default_rng(4), sigma=0.05)
+    c2 = chain.node_by_label("C2")
+    m, B = 90, 20
+    out = batch_ratio_permutation_test(data, chain.action, [(c2.node_id, c2.group), (-1, None)],
+                                       sampler, order_bound(), np.random.default_rng(12),
+                                       m=m, B=B)
+    rng = np.random.default_rng(12)
+    kept = []
+    for _ in range(B + 1):
+        rng.permutation(data.n)
+        elements = sample_elements(sampler, rng, data.n - data.n // 2)
+        picks = rng.integers(0, len(elements), size=m)
+        kept.append([elements[i].index for i in picks].count(2))
+    assert out[c2.node_id].replicate_m.tolist() == kept[:B]
+    assert out[c2.node_id].effective_m == kept[B] < m
+    assert out[-1].effective_m == m
 
 
 def test_batch_perm_insufficient_node():
