@@ -1,8 +1,10 @@
-"""Time the numba kernels against the pure-numpy fallback.
+"""Time the kernel-regression kernels at three problem sizes.
 
 Run:  python benchmarks/bench_kernels.py
-The active package backend follows SYMLAT_DISABLE_NUMBA; this script imports
-both implementations directly, so one run compares them side by side.
+
+``nw_predict`` is timed at one bandwidth vector; ``loo_cv_sse`` is timed for
+one whole bandwidth grid, the work of one ``select_bandwidth`` call.  Each
+figure is the fastest of several repeats after one warm-up call.
 """
 
 import time
@@ -10,10 +12,11 @@ import time
 import numpy as np
 
 from symlat import _kernels
+from symlat.regression import BANDWIDTH_GRID_SIZE, BANDWIDTH_SCALE_HI, BANDWIDTH_SCALE_LO
 
 
-def bench(fn, *args, repeat=20):
-    fn(*args)  # warm-up (JIT compile on the numba path)
+def bench(fn, *args, repeat=10):
+    fn(*args)
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -24,34 +27,18 @@ def bench(fn, *args, repeat=20):
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"package backend: {_kernels.BACKEND}")
-    print(f"{'kernel':<28} {'size':<18} {'numpy':>10} {'numba':>10} {'speedup':>8}")
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    print(f"{'kernel':<28} {'size':<18} {'time':>10}")
     for n, q, d in ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5)):
         xt = rng.normal(size=(n, d))
         yt = rng.normal(size=n)
         xq = rng.normal(size=(q, d))
-        h = np.full(d, 0.5)
-        t_np = bench(_kernels.nw_predict_numpy, xt, yt, xq, h)
-        if _kernels.HAVE_NUMBA:
-            t_nb = bench(_kernels._nw_predict_numba, xt, yt, xq, h)
-            a = _kernels.nw_predict_numpy(xt, yt, xq, h)
-            b = _kernels._nw_predict_numba(xt, yt, xq, h)
-            assert np.allclose(a, b, rtol=1e-10), "backends disagree"
-            print(f"{'nw_predict':<28} {f'n={n} q={q} d={d}':<18} "
-                  f"{t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>7.1f}x")
-        else:
-            print(f"{'nw_predict':<28} {f'n={n} q={q} d={d}':<18} "
-                  f"{t_np * 1e3:>8.2f}ms {'n/a':>10} {'':>8}")
-        t_np = bench(_kernels.loo_cv_sse_numpy, xt, yt, h)
-        if _kernels.HAVE_NUMBA:
-            t_nb = bench(_kernels._loo_cv_sse_numba, xt, yt, h)
-            assert np.isclose(_kernels.loo_cv_sse_numpy(xt, yt, h),
-                              _kernels._loo_cv_sse_numba(xt, yt, h), rtol=1e-8)
-            print(f"{'loo_cv_sse':<28} {f'n={n} d={d}':<18} "
-                  f"{t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms {t_np / t_nb:>7.1f}x")
-        else:
-            print(f"{'loo_cv_sse':<28} {f'n={n} d={d}':<18} "
-                  f"{t_np * 1e3:>8.2f}ms {'n/a':>10} {'':>8}")
+        scales = np.ones(d)
+        t = bench(_kernels.nw_predict, xt, yt, xq, np.full(d, 0.5))
+        print(f"{'nw_predict':<28} {f'n={n} q={q} d={d}':<18} {t * 1e3:>8.2f}ms")
+        t = bench(_kernels.loo_cv_sse, xt, yt, scales, cs, repeat=3)
+        print(f"{f'loo_cv_sse ({cs.size}-point grid)':<28} {f'n={n} d={d}':<18} "
+              f"{t * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 invariance hypotheses over a subgroup lattice, and exploit the estimate in
 nonparametric regression."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .data import NeighborIndex, RegressionDataset
 from .groups import (
     CayleyTable,
@@ -54,3 +53,4 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "numpy"

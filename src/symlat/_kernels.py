@@ -1,129 +1,78 @@
-"""Hot numeric kernels for kernel regression, in numba and pure numpy.
+"""Numeric kernels of the Gaussian local-constant regressor, in numpy.
 
-The numba path is used when available; set ``SYMLAT_DISABLE_NUMBA=1`` to force
-the pure-numpy fallback.  Both backends implement the same contract (the
-numba loops may differ from numpy reductions by float rounding only).
-``benchmarks/bench_kernels.py`` times the two side by side.
+``benchmarks/bench_kernels.py`` times them at three problem sizes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("SYMLAT_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
+# Query rows evaluated together by ``nw_predict``: its working arrays hold
+# PREDICT_CHUNK_ROWS x n x d differences, whatever the number of queries.
+PREDICT_CHUNK_ROWS = 256
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by SYMLAT_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
+# LOO exponents are raised to this floor before exponentiation.  Every row
+# holds a weight of 1 (its shifted minimum), so a weight of exp(-700) ~ 1e-304
+# is lost in its sums as an exact 0 would be, while np.exp takes a scalar
+# path, up to 90 times slower, for results in or below the subnormal range.
+_MIN_EXPONENT = -700.0
 
 
-# ---------------------------------------------------------------------------
-# Pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def nw_predict_numpy(xt: np.ndarray, yt: np.ndarray, xq: np.ndarray,
-                     h: np.ndarray) -> np.ndarray:
+def nw_predict(xt: np.ndarray, yt: np.ndarray, xq: np.ndarray,
+               h: np.ndarray) -> np.ndarray:
     """Gaussian-kernel locally-constant prediction.
 
     Per query the quadratic exponents are shifted by their row minimum before
     exponentiation; the common factor cancels in the weight ratio, and when
     every other weight underflows the prediction degrades to the nearest
-    training response instead of 0/0.
+    training response instead of 0/0.  Queries are taken PREDICT_CHUNK_ROWS
+    at a time; each row's arithmetic does not depend on the others.
     """
-    diffs = (xq[:, None, :] - xt[None, :, :]) / h
-    q = 0.5 * np.einsum("qnd,qnd->qn", diffs, diffs)
-    q -= q.min(axis=1, keepdims=True)
-    w = np.exp(-q)
-    return (w @ yt) / w.sum(axis=1)
+    out = np.empty(xq.shape[0])
+    for start in range(0, xq.shape[0], PREDICT_CHUNK_ROWS):
+        block = xq[start:start + PREDICT_CHUNK_ROWS]
+        diffs = block[:, None, :] - xt[None, :, :]
+        diffs /= h
+        w = np.einsum("qnd,qnd->qn", diffs, diffs)
+        w *= 0.5
+        w -= w.min(axis=1, keepdims=True)
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        out[start:start + block.shape[0]] = (w @ yt) / w.sum(axis=1)
+    return out
 
 
-def loo_cv_sse_numpy(xt: np.ndarray, yt: np.ndarray, h: np.ndarray) -> float:
-    """Leave-one-out squared-error sum for one bandwidth vector."""
-    diffs = (xt[:, None, :] - xt[None, :, :]) / h
-    q = 0.5 * np.einsum("qnd,qnd->qn", diffs, diffs)
-    np.fill_diagonal(q, np.inf)
-    q -= q.min(axis=1, keepdims=True)
-    w = np.exp(-q)
-    preds = (w @ yt) / w.sum(axis=1)
-    resid = preds - yt
-    return float(resid @ resid)
+def loo_cv_sse(xt: np.ndarray, yt: np.ndarray, scales: np.ndarray,
+               cs: np.ndarray) -> np.ndarray:
+    """Leave-one-out squared-error sums for the bandwidths ``c * scales``,
+    one per multiplier ``c`` in ``cs``.
 
-
-# ---------------------------------------------------------------------------
-# Numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nw_predict_numba(xt, yt, xq, h):
-        nq = xq.shape[0]
-        n = xt.shape[0]
-        d = xt.shape[1]
-        out = np.empty(nq)
-        q = np.empty(n)
-        for i in range(nq):
-            qmin = np.inf
-            for j in range(n):
-                acc = 0.0
-                for k in range(d):
-                    t = (xq[i, k] - xt[j, k]) / h[k]
-                    acc += t * t
-                q[j] = 0.5 * acc
-                if q[j] < qmin:
-                    qmin = q[j]
-            s0 = 0.0
-            s1 = 0.0
-            for j in range(n):
-                w = np.exp(-(q[j] - qmin))
-                s0 += w
-                s1 += w * yt[j]
-            out[i] = s1 / s0
-        return out
-
-    @njit(cache=True)
-    def _loo_cv_sse_numba(xt, yt, h):
-        n = xt.shape[0]
-        d = xt.shape[1]
-        sse = 0.0
-        q = np.empty(n)
-        for i in range(n):
-            qmin = np.inf
-            for j in range(n):
-                if j == i:
-                    q[j] = np.inf
-                    continue
-                acc = 0.0
-                for k in range(d):
-                    t = (xt[i, k] - xt[j, k]) / h[k]
-                    acc += t * t
-                q[j] = 0.5 * acc
-                if q[j] < qmin:
-                    qmin = q[j]
-            s0 = 0.0
-            s1 = 0.0
-            for j in range(n):
-                if j == i:
-                    continue
-                w = np.exp(-(q[j] - qmin))
-                s0 += w
-                s1 += w * yt[j]
-            r = s1 / s0 - yt[i]
-            sse += r * r
-        return sse
-
-    nw_predict = _nw_predict_numba
-    loo_cv_sse = _loo_cv_sse_numba
-    BACKEND = "numba"
-else:
-    nw_predict = nw_predict_numpy
-    loo_cv_sse = loo_cv_sse_numpy
-    BACKEND = "numpy"
+    With ``D = 1/2 sum_k ((x_ik - x_jk) / s_k)^2`` the exponent at multiplier
+    ``c`` is ``D / c^2``, so ``D`` is built once (from per-dimension
+    differences, which round more tightly than the Gram expansion).  Its
+    diagonal is set to infinity, which leaves each row out of its own fit, and
+    each row is shifted by its minimum: the row minimum scales with ``1/c^2``
+    too, so one shift serves every grid point, with the same nearest-response
+    fallback as ``nw_predict``.
+    """
+    n, d = xt.shape
+    dist = np.zeros((n, n))
+    step = np.empty((n, n))
+    for k in range(d):
+        np.subtract.outer(xt[:, k], xt[:, k], out=step)
+        step /= scales[k]
+        step *= step
+        dist += step
+    dist *= 0.5
+    np.fill_diagonal(dist, np.inf)
+    dist -= dist.min(axis=1, keepdims=True)
+    w = step  # the difference buffer holds each grid point's weights
+    sse = np.empty(len(cs))
+    for i, c in enumerate(cs):
+        np.divide(dist, -(c * c), out=w)
+        np.maximum(w, _MIN_EXPONENT, out=w)
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 0.0)  # the floor gave each row's own weight exp(-700)
+        resid = (w @ yt) / w.sum(axis=1) - yt
+        sse[i] = resid @ resid
+    return sse

@@ -27,7 +27,7 @@ from math import comb, fsum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .data import NeighborIndex, RegressionDataset
 from .errors import DegenerateMetricError, SymlatError
@@ -75,7 +75,18 @@ def binom_tail(m: int, k: int, p: float) -> float:
     js = np.arange(k, m + 1, dtype=np.float64)
     logs = (gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
             + js * math.log(p) + (m - js) * math.log1p(-p))
-    return float(min(1.0, math.exp(logsumexp(logs))))
+    return float(min(1.0, math.exp(_logsumexp(logs))))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a finite 1-d array, in scipy.special.logsumexp's
+    arithmetic (every maximum is separated out of the shifted sum), without
+    the cost of its array-API wrapper."""
+    a_max = a.max()
+    at_max = a == a_max
+    count = np.count_nonzero(at_max)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
+    return np.log1p(s) + np.log(count) + a_max
 
 
 def quantile(values: Sequence[float], q: float) -> float:

@@ -69,7 +69,7 @@ def select_bandwidth(X: np.ndarray, Y: np.ndarray,
         raise SymlatError("bandwidth selection needs at least two rows")
     scales = _feature_scales(X)
     cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, grid_size)
-    errors = np.array([_kernels.loo_cv_sse(X, Y, c * scales) for c in cs])
+    errors = _kernels.loo_cv_sse(X, Y, scales, cs)
     return cs[int(np.argmin(errors))] * scales
 
 

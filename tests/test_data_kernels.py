@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlat import _kernels
 from symlat.data import NeighborIndex, RegressionDataset
 from symlat.errors import DataError
+from symlat.regression import (
+    BANDWIDTH_GRID_SIZE,
+    BANDWIDTH_SCALE_HI,
+    BANDWIDTH_SCALE_LO,
+    _feature_scales,
+    select_bandwidth,
+)
 
 
 def brute_nearest(points, queries):
@@ -91,20 +98,77 @@ def test_neighbor_index_property(n, d, seed):
 
 
 # ---------------------------------------------------------------------------
-# regression kernels (numba and numpy backends agree)
+# regression kernels against a row-by-row reference
 # ---------------------------------------------------------------------------
 
-def test_backends_agree():
-    rng = np.random.default_rng(1)
-    xt = rng.normal(size=(60, 3))
-    yt = rng.normal(size=60)
-    xq = rng.normal(size=(25, 3))
-    h = np.array([0.5, 1.0, 2.0])
-    ref = _kernels.nw_predict_numpy(xt, yt, xq, h)
-    out = _kernels.nw_predict(xt, yt, xq, h)
-    assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
-    assert np.isclose(_kernels.loo_cv_sse(xt, yt, h),
-                      _kernels.loo_cv_sse_numpy(xt, yt, h), rtol=1e-10)
+def ref_nw_weights(x, xt, h, skip=None):
+    """Shifted Gaussian weights of one query, by direct evaluation."""
+    q = 0.5 * (((x - xt) / h) ** 2).sum(axis=1)
+    if skip is not None:
+        q[skip] = np.inf
+    return np.exp(-(q - q.min()))
+
+
+def ref_nw_predict(xt, yt, xq, h):
+    out = np.empty(len(xq))
+    for r, x in enumerate(xq):
+        w = ref_nw_weights(x, xt, h)
+        out[r] = (w @ yt) / w.sum()
+    return out
+
+
+def ref_loo_sse(xt, yt, h):
+    sse = 0.0
+    for i, x in enumerate(xt):
+        w = ref_nw_weights(x, xt, h, skip=i)
+        sse += ((w @ yt) / w.sum() - yt[i]) ** 2
+    return sse
+
+
+@st.composite
+def regression_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=25))
+    d = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31 - 1)))
+    xt = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    if draw(st.booleans()):  # duplicated rows
+        xt[rng.integers(0, n, size=n // 2)] = xt[0]
+    if draw(st.booleans()):  # a constant feature column
+        xt[:, rng.integers(0, d)] = 1.5
+    yt = rng.normal(size=n)
+    return xt, yt, rng.normal(size=(7, d)) * 3.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(regression_problems())
+@example((np.array([[0.0, 1.0], [2.0, 1.0]]), np.array([1.0, -0.5]),
+          np.array([[0.5, 1.0], [9.0, -3.0]])))
+@example((np.array([[1.0], [1.0], [1.0], [4.0]]), np.array([0.3, 2.0, -1.0, 0.7]),
+          np.array([[1.0], [2.0]])))
+def test_kernels_match_row_reference(problem):
+    xt, yt, xq = problem
+    scales = _feature_scales(xt)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    ref = np.array([ref_loo_sse(xt, yt, c * scales) for c in cs])
+    assert np.allclose(_kernels.loo_cv_sse(xt, yt, scales, cs), ref, rtol=1e-12, atol=0.0)
+    best, second = np.sort(ref)[:2]
+    if second - best > 1e-9 * second:
+        chosen = select_bandwidth(xt, yt)
+        assert np.array_equal(chosen, cs[np.argmin(ref)] * scales)
+    for c in cs[::4]:
+        assert np.allclose(_kernels.nw_predict(xt, yt, xq, c * scales),
+                           ref_nw_predict(xt, yt, xq, c * scales), rtol=1e-12, atol=1e-12)
+
+
+def test_predict_chunks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    xt = rng.normal(size=(40, 3))
+    yt = rng.normal(size=40)
+    xq = rng.normal(size=(2 * _kernels.PREDICT_CHUNK_ROWS + 37, 3))
+    h = np.array([0.4, 0.9, 1.7])
+    chunked = _kernels.nw_predict(xt, yt, xq, h)
+    monkeypatch.setattr(_kernels, "PREDICT_CHUNK_ROWS", len(xq))
+    assert np.array_equal(chunked, _kernels.nw_predict(xt, yt, xq, h))
 
 
 def test_predict_limits():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, logsumexp
 
 from symlat.builders import cyclic_chain_lattice
 from symlat.data import RegressionDataset
@@ -33,6 +34,7 @@ from symlat.invariance import (
     ratio_permutation_test,
     table_noise,
     write_diagnostics,
+    _logsumexp,
     _perm_outcome,
 )
 from symlat.scenarios import make_scenario, quarter_turn_actions
@@ -85,6 +87,26 @@ def test_binom_tail_matches_exact_rational(args):
         # a double is spaced 2^-1074 apart below the normal range, and
         # rounds to 0.0 below that, so no relative bound can hold there
         assert abs(Fraction(got) - want) <= Fraction(2) ** -1074
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=501, max_value=5000), st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=1e-9, max_value=1.0 - 1e-9, exclude_max=True))
+def test_log_space_tail_matches_scipy_logsumexp(m, k_frac, p):
+    # m above the exact-sum limit: binom_tail sums in log space
+    k = max(1, round(k_frac * m))
+    js = np.arange(k, m + 1, dtype=np.float64)
+    logs = (gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+            + js * math.log(p) + (m - js) * math.log1p(-p))
+    want = logsumexp(logs)
+    assert _logsumexp(logs) == want
+    assert binom_tail(m, k, p) == min(1.0, math.exp(want))
+
+
+def test_logsumexp_tied_maxima():
+    for a in (np.array([-3.0, 2.0, 2.0, 0.5, 2.0]), np.full(7, -800.0),
+              np.array([1e3]), np.array([-1e3, 5.0, -2.5, 5.0])):
+        assert _logsumexp(a) == logsumexp(a)
 
 
 def test_binom_tail_underflows_to_zero():
