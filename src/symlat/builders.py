@@ -19,13 +19,13 @@ from .groups import (
     ACTION_PERMUTATION,
     ACTION_PLANAR,
     CayleyTable,
-    FiniteElement,
     GroupAction,
     GroupDescriptor,
     SamplerSpec,
     cyclic_table,
     default_sl3_generators,
     direct_product_table,
+    elements_of,
     non_identity_sampler,
     point_mass_sampler,
     uniform_sampler,
@@ -129,10 +129,6 @@ def d4_pixel_action(side: int, table: CayleyTable | None = None) -> GroupAction:
 # Brute-force subgroup lattices
 # ---------------------------------------------------------------------------
 
-def _member_elements(group: GroupDescriptor):
-    return [FiniteElement(group.table, i) for i in sorted(group.members)]
-
-
 def _subgroup_label(table: CayleyTable, members: frozenset[int], top_label: str) -> str:
     ids = sorted(members)
     if members == frozenset({table.identity}):
@@ -158,7 +154,7 @@ def full_subgroup_lattice(table: CayleyTable, action: GroupAction,
     groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
               for s, lbl in zip(subs, labels)]
     samplers = [non_identity_sampler(g) for g in groups]
-    projections = [orbit_canonical_projection(action, _member_elements(g))
+    projections = [orbit_canonical_projection(action, elements_of(g))
                    for g in groups]
     return lattice_from_member_sets(table, subs, labels, action,
                                     samplers=samplers, projections=projections)
@@ -209,7 +205,7 @@ def d4_lattice(dim: int = 2, action: GroupAction | None = None) -> Lattice:
     nodes = [SubgroupNode(i, g, g.label,
                           sampler=non_identity_sampler(g),
                           projection=orbit_canonical_projection(
-                              action, _member_elements(g)))
+                              action, elements_of(g)))
              for i, g in enumerate(groups)]
     return Lattice(nodes, leq, action)
 
@@ -244,7 +240,7 @@ def cyclic_chain_lattice(orders: Sequence[int], dim: int = 2,
     groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
               for s, lbl in zip(member_sets, labels)]
     samplers = [non_identity_sampler(g) for g in groups]
-    projections = [orbit_canonical_projection(action, _member_elements(g))
+    projections = [orbit_canonical_projection(action, elements_of(g))
                    for g in groups]
     return lattice_from_member_sets(table, member_sets, labels, action,
                                     samplers=samplers, projections=projections)
@@ -258,15 +254,7 @@ def c2xc2_lattice(dim: int = 2) -> Lattice:
     flips = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     mats = _embed_matrices(np.stack([np.diag(f) for f in flips]), dim)
     action = GroupAction(group, dim, ACTION_MATRIX, matrices=mats)
-    subs = table.subgroups()
-    labels = [_subgroup_label(table, s, "C2xC2") for s in subs]
-    groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
-              for s, lbl in zip(subs, labels)]
-    samplers = [non_identity_sampler(g) for g in groups]
-    projections = [orbit_canonical_projection(action, _member_elements(g))
-                   for g in groups]
-    return lattice_from_member_sets(table, subs, labels, action,
-                                    samplers=samplers, projections=projections)
+    return full_subgroup_lattice(table, action, "C2xC2")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +331,6 @@ def sl3_extended_lattice(axes: np.ndarray | None = None,
     if axes is None:
         axes = icosahedral_axes()
     base = so3_axes_lattice(axes, include_top=True, angle_std=angle_std)
-    sl3_group = GroupDescriptor(SL3, "SL3",
-                                generator_elements=default_sl3_generators())
-    return add_top(base, sl3_group, label="SL3",
+    return add_top(base, GroupDescriptor(SL3, "SL3"), label="SL3",
                    sampler=uniform_sampler(default_sl3_generators()),
                    projection=nonzero_projection(3))

@@ -81,6 +81,24 @@ def _exceedance_thresholds(cfg: ExperimentConfig, noise):
     return noise.default_thresholds(cfg.test.grid_size)
 
 
+def _tester(cfg: ExperimentConfig, test_name: str, data: RegressionDataset, noise,
+            thresholds=None):
+    """The configured invariance test bound to ``data``.  The exceedance test
+    builds its threshold grid unless the caller shares one across testers."""
+    if test_name == "permutation":
+        return PermutationTester(data, order_bound(cfg.test.exponent),
+                                 m=cfg.test.perm_m_for(data.n), B=cfg.test.B, q=cfg.test.q)
+    if thresholds is None:
+        thresholds = _exceedance_thresholds(cfg, noise)
+    return ExceedanceTester(data, known_bound(cfg.test.lipschitz, cfg.test.exponent),
+                            noise, m=cfg.test.m_for(data.n), thresholds=thresholds)
+
+
+def _search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
+    return SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
+                        tie_rule=cfg.search.tie_rule, seed=seed, batch=cfg.search.batch)
+
+
 # ---------------------------------------------------------------------------
 # Power curve
 # ---------------------------------------------------------------------------
@@ -162,18 +180,8 @@ def _recovery_task(args) -> int:
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     data = scenario.sample_train(rng, n)
     lattice = build_lattice(cfg.lattice)
-    noise = gaussian_noise(_noise_sigma(cfg, scenario))
-    if test_name == "exceedance":
-        tester = ExceedanceTester(data, known_bound(cfg.test.lipschitz, cfg.test.exponent),
-                                  noise, m=cfg.test.m_for(n),
-                                  thresholds=_exceedance_thresholds(cfg, noise))
-    else:
-        tester = PermutationTester(data, order_bound(cfg.test.exponent),
-                                   m=cfg.test.perm_m_for(n), B=cfg.test.B, q=cfg.test.q)
-    search_cfg = SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
-                              tie_rule=cfg.search.tie_rule, seed=_child_seed(rng),
-                              batch=cfg.search.batch)
-    return run_search(lattice, tester, search_cfg).estimate
+    tester = _tester(cfg, test_name, data, gaussian_noise(_noise_sigma(cfg, scenario)))
+    return run_search(lattice, tester, _search_config(cfg, _child_seed(rng))).estimate
 
 
 def run_group_recovery(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
@@ -240,26 +248,15 @@ def _estimator_task(args):
     thresholds = _exceedance_thresholds(cfg, noise)
 
     def factory(data: RegressionDataset):
-        if cfg.search.test == "permutation":
-            return PermutationTester(data, order_bound(cfg.test.exponent),
-                                     m=cfg.test.perm_m_for(data.n),
-                                     B=cfg.test.B, q=cfg.test.q)
-        return ExceedanceTester(data, known_bound(cfg.test.lipschitz, cfg.test.exponent),
-                                noise, m=cfg.test.m_for(data.n), thresholds=thresholds)
+        return _tester(cfg, cfg.search.test, data, noise, thresholds)
 
     plain = fit_lce(train)
     seed_full = _child_seed(rng)
     seed_split = _child_seed(rng)
-    full = symmetrized_estimator(
-        train, lattice, factory,
-        SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
-                     tie_rule=cfg.search.tie_rule, seed=seed_full,
-                     batch=cfg.search.batch), variant="full")
-    split = symmetrized_estimator(
-        train, lattice, factory,
-        SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
-                     tie_rule=cfg.search.tie_rule, seed=seed_split,
-                     batch=cfg.search.batch), variant="split")
+    full = symmetrized_estimator(train, lattice, factory,
+                                 _search_config(cfg, seed_full), variant="full")
+    split = symmetrized_estimator(train, lattice, factory,
+                                  _search_config(cfg, seed_split), variant="split")
     return (mspe(plain, held_out), mspe(full, held_out), mspe(split, held_out),
             lattice.node(full.node_id).label, lattice.node(split.node_id).label)
 
@@ -340,21 +337,11 @@ def run_single_search(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     if cfg.search.test != "oracle" and data.dim != lattice.action.dim:
         raise DataError(f"dataset dimension {data.dim} does not match the lattice's "
                         f"ambient action dimension {lattice.action.dim}")
-    noise = gaussian_noise(sigma)
     if cfg.search.test == "oracle":
         tester = OracleTester.reject_labels(cfg.search.oracle_reject)
-    elif cfg.search.test == "permutation":
-        tester = PermutationTester(data, order_bound(cfg.test.exponent),
-                                   m=cfg.test.perm_m_for(data.n),
-                                   B=cfg.test.B, q=cfg.test.q)
     else:
-        tester = ExceedanceTester(data, known_bound(cfg.test.lipschitz, cfg.test.exponent),
-                                  noise, m=cfg.test.m_for(data.n),
-                                  thresholds=_exceedance_thresholds(cfg, noise))
-    search_cfg = SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
-                              tie_rule=cfg.search.tie_rule, seed=_child_seed(rng),
-                              batch=cfg.search.batch)
-    result = run_search(lattice, tester, search_cfg)
+        tester = _tester(cfg, cfg.search.test, data, gaussian_noise(sigma))
+    result = run_search(lattice, tester, _search_config(cfg, _child_seed(rng)))
     csv_path = out_dir / "search_result.csv"
     write_result_csv(result, lattice, csv_path)
     annotation_path = out_dir / "hasse_annotation.txt"

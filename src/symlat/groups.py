@@ -34,10 +34,6 @@ AXIS_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
-# An irrational fraction of the circle; powers of this rotation are dense, so
-# it topologically generates the circle group it lives in.
-IRRATIONAL_ANGLE = TWO_PI * (math.sqrt(2.0) - 1.0)
-
 
 # ---------------------------------------------------------------------------
 # Cayley tables
@@ -256,15 +252,6 @@ class SpecialLinear:
 
 
 @dataclass(frozen=True, eq=False)
-class Translation:
-    """Translation of R^d by ``vector``."""
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _readonly(self.vector))
-
-
-@dataclass(frozen=True, eq=False)
 class Permutation:
     """Coordinate permutation: ``(g . x)_i = x_{perm[i]}``."""
     perm: tuple[int, ...]
@@ -277,7 +264,7 @@ class Permutation:
 
 
 GroupElement = Union[FiniteElement, PlanarRotation, AxisRotation,
-                     RotationMatrix, SpecialLinear, Translation, Permutation]
+                     RotationMatrix, SpecialLinear, Permutation]
 _MATRIX_ELEMENTS = (AxisRotation, RotationMatrix, SpecialLinear)
 
 
@@ -362,10 +349,6 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
         if abs(np.linalg.det(m) - 1.0) > DET_TOL:
             m = _renormalize_det(m)
         return SpecialLinear(m)
-    if isinstance(a, Translation) and isinstance(b, Translation):
-        if a.vector.shape != b.vector.shape:
-            raise DimensionMismatchError("translations of different dimensions")
-        return Translation(a.vector + b.vector)
     if isinstance(a, Permutation) and isinstance(b, Permutation):
         if len(a.perm) != len(b.perm):
             raise DimensionMismatchError("permutations of different lengths")
@@ -387,8 +370,6 @@ def inverse(g: GroupElement) -> GroupElement:
         return RotationMatrix(g.matrix.T)
     if isinstance(g, SpecialLinear):
         return SpecialLinear(np.linalg.inv(g.matrix))
-    if isinstance(g, Translation):
-        return Translation(-g.vector)
     if isinstance(g, Permutation):
         inv = [0] * len(g.perm)
         for i, p in enumerate(g.perm):
@@ -411,8 +392,6 @@ def elements_equal(a: GroupElement, b: GroupElement, tol: float = MEMBERSHIP_TOL
         return bool(np.max(np.abs(_as_rotation_matrix(a) - _as_rotation_matrix(b))) <= tol)
     if isinstance(a, SpecialLinear) and isinstance(b, SpecialLinear):
         return bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
-    if isinstance(a, Translation) and isinstance(b, Translation):
-        return a.vector.shape == b.vector.shape and bool(np.max(np.abs(a.vector - b.vector)) <= tol)
     if isinstance(a, Permutation) and isinstance(b, Permutation):
         return a.perm == b.perm
     return False
@@ -427,15 +406,13 @@ S1_AXIS = "s1-axis"
 S1_PLANE = "s1-plane"
 SO3 = "so3"
 SL3 = "sl3"
-TRANSLATION = "translation"
-PERMUTATION_GROUP = "permutation"
 
 
 @dataclass(frozen=True, eq=False)
 class GroupDescriptor:
     """A (sub)group: either a member set of a Cayley table or a parametrised
     continuous family (circle group about an axis or in a coordinate plane,
-    SO(3), SL(3), translation or permutation groups given by generators)."""
+    SO(3) or SL(3))."""
 
     kind: str
     label: str
@@ -443,7 +420,6 @@ class GroupDescriptor:
     members: frozenset[int] | None = None
     axis: np.ndarray | None = None
     plane: tuple[int, int] | None = None
-    generator_elements: tuple[GroupElement, ...] = ()
 
     def __post_init__(self):
         if self.kind == FINITE:
@@ -458,34 +434,18 @@ class GroupDescriptor:
                     raise InvalidGroupError(
                         f"member set {sorted(members)} is not a subgroup of {self.label!r}")
             object.__setattr__(self, "members", members)
-        elif self.kind in (S1_AXIS,):
+        elif self.kind == S1_AXIS:
             if self.axis is None:
                 raise InvalidGroupError("s1-axis descriptor requires an axis")
             axis = _readonly(self.axis)
             if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
                 raise InvalidGroupError("circle-group axis must be a unit vector")
             object.__setattr__(self, "axis", axis)
-        elif self.kind in (S1_PLANE,):
+        elif self.kind == S1_PLANE:
             if self.plane is None:
                 raise InvalidGroupError("s1-plane descriptor requires a coordinate plane")
-        elif self.kind in (SO3, SL3):
-            pass
-        elif self.kind in (TRANSLATION, PERMUTATION_GROUP):
-            if not self.generator_elements:
-                raise InvalidGroupError(f"{self.kind} descriptor requires explicit generators")
-        else:
+        elif self.kind not in (SO3, SL3):
             raise InvalidGroupError(f"unknown group kind {self.kind!r}")
-        if self.generator_elements and self.kind == FINITE:
-            for g in self.generator_elements:
-                if not (isinstance(g, FiniteElement) and g.table is self.table
-                        and g.index in self.members):
-                    raise InvalidGroupError(
-                        f"generator {g!r} lies outside {self.label!r}")
-        elif self.generator_elements and self.kind in (S1_AXIS, S1_PLANE, SO3, SL3):
-            for g in self.generator_elements:
-                if not self.contains(g):
-                    raise InvalidGroupError(
-                        f"generator {g!r} lies outside {self.label!r}")
 
     # -- basic structure ----------------------------------------------------
 
@@ -508,41 +468,7 @@ class GroupDescriptor:
             return PlanarRotation(0.0, self.plane)
         if self.kind == SO3:
             return RotationMatrix(np.eye(3))
-        if self.kind == SL3:
-            return SpecialLinear(np.eye(3))
-        g0 = self.generator_elements[0]
-        if isinstance(g0, Translation):
-            return Translation(np.zeros_like(g0.vector))
-        if isinstance(g0, Permutation):
-            return Permutation(tuple(range(len(g0.perm))))
-        raise InvalidGroupError("cannot build identity element")
-
-    @property
-    def generators(self) -> tuple[GroupElement, ...]:
-        """A non-empty generating set.
-
-        Finite groups default to all non-identity members (the trivial group
-        generates itself via its identity); circle groups use a single
-        irrational-angle rotation, which topologically generates them; SO(3)
-        uses two irrational rotations about distinct coordinate axes.
-        """
-        if self.generator_elements:
-            return self.generator_elements
-        if self.is_finite:
-            non_identity = [i for i in sorted(self.members) if i != self.table.identity]
-            if not non_identity:
-                return (self.identity_element(),)
-            return tuple(FiniteElement(self.table, i) for i in non_identity)
-        if self.kind == S1_AXIS:
-            return (AxisRotation(self.axis, IRRATIONAL_ANGLE),)
-        if self.kind == S1_PLANE:
-            return (PlanarRotation(IRRATIONAL_ANGLE, self.plane),)
-        if self.kind == SO3:
-            return (AxisRotation(np.array([0.0, 0.0, 1.0]), IRRATIONAL_ANGLE),
-                    AxisRotation(np.array([1.0, 0.0, 0.0]), IRRATIONAL_ANGLE))
-        if self.kind == SL3:
-            return default_sl3_generators()
-        raise InvalidGroupError(f"no generator rule for kind {self.kind!r}")
+        return SpecialLinear(np.eye(3))
 
     # -- membership ----------------------------------------------------------
 
@@ -581,26 +507,7 @@ class GroupDescriptor:
             if isinstance(g, SpecialLinear):
                 return bool(np.max(np.abs(g.matrix.T @ g.matrix - np.eye(3))) <= tol)
             return isinstance(g, (AxisRotation, RotationMatrix))
-        if self.kind == SL3:
-            return isinstance(g, _MATRIX_ELEMENTS)
-        if self.kind == PERMUTATION_GROUP:
-            return isinstance(g, Permutation) and _in_generated_finite(self, g)
-        if self.kind == TRANSLATION:
-            return isinstance(g, Translation)
-        return False
-
-
-def _in_generated_finite(desc: GroupDescriptor, g: Permutation) -> bool:
-    seen = {desc.identity_element().perm}
-    frontier = [desc.identity_element()]
-    while frontier:
-        h = frontier.pop()
-        for gen in desc.generator_elements:
-            nxt = compose(h, gen)
-            if nxt.perm not in seen:
-                seen.add(nxt.perm)
-                frontier.append(nxt)
-    return g.perm in seen
+        return isinstance(g, _MATRIX_ELEMENTS)
 
 
 def default_sl3_generators() -> tuple[GroupElement, ...]:
@@ -633,7 +540,6 @@ def elements_of(group: GroupDescriptor) -> list[GroupElement]:
 ACTION_MATRIX = "matrix"
 ACTION_PLANAR = "planar"
 ACTION_PERMUTATION = "permutation"
-ACTION_TRANSLATION = "translation"
 ACTION_TRIVIAL = "trivial"
 
 
@@ -752,14 +658,6 @@ def apply_to_rows(action: GroupAction, g: GroupElement, rows: np.ndarray) -> np.
         raise DimensionMismatchError(f"expected rows of dimension {action.dim}")
     if action.kind == ACTION_TRIVIAL:
         return rows.copy()
-    if action.kind == ACTION_TRANSLATION:
-        if isinstance(g, Translation):
-            if g.vector.shape != (action.dim,):
-                raise DimensionMismatchError("translation dimension mismatch")
-            return rows + g.vector
-        if isinstance(g, FiniteElement) and g.table.size == 1:
-            return rows.copy()
-        raise IncompatibleElementsError("translation action needs translation elements")
     if action.kind == ACTION_PERMUTATION:
         p = _realize_perm(action, g)
         if p is None:

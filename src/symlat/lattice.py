@@ -46,7 +46,6 @@ class Lattice:
     def __init__(self, nodes: Sequence[SubgroupNode], leq: np.ndarray,
                  action: GroupAction,
                  generation_facts: GenerationFacts | None = None,
-                 require_trivial_bottom: bool = True,
                  require_joins: bool = True):
         leq = np.asarray(leq, dtype=bool)
         n = len(nodes)
@@ -63,10 +62,9 @@ class Lattice:
         heights = self._heights_by_longest_chain()
         self.nodes = [replace(node, node_id=i, height=int(heights[i]))
                       for i, node in enumerate(nodes)]
-        if require_trivial_bottom:
-            bot = self.nodes[self._bottom].group
-            if not (bot.is_finite and bot.order == 1):
-                raise LatticeError("lattice bottom must be the trivial group")
+        bot = self.nodes[self._bottom].group
+        if not (bot.is_finite and bot.order == 1):
+            raise LatticeError("lattice bottom must be the trivial group")
         self._validate_finite_order_consistency()
         self._meet_table, self._join_table = self._build_meet_join(require_joins)
         if require_joins:
@@ -223,27 +221,6 @@ class Lattice:
     def above(self, node_id: int) -> np.ndarray:
         """Ids of all nodes >= node_id."""
         return np.flatnonzero(self.leq[node_id])
-
-    def sublattice_above(self, node_id: int) -> "Lattice":
-        """The induced lattice on nodes >= node_id, with that node as bottom.
-
-        Returned node ids are re-indexed; ``source_ids[new_id]`` maps back.
-        """
-        keep = self.above(node_id)
-        sub_nodes = [replace(self.nodes[i], node_id=k) for k, i in enumerate(keep)]
-        sub_leq = self.leq[np.ix_(keep, keep)]
-        facts = {}
-        pos = {int(old): new for new, old in enumerate(keep)}
-        for old, fact_list in self.generation_facts.items():
-            if old in pos:
-                translated = [frozenset(pos[i] for i in fact) for fact in fact_list
-                              if all(i in pos for i in fact)]
-                if translated:
-                    facts[pos[old]] = translated
-        sub = Lattice(sub_nodes, sub_leq, self.action, facts,
-                      require_trivial_bottom=False)
-        sub.source_ids = tuple(int(i) for i in keep)
-        return sub
 
     def frontier(self, gmax: int) -> set[int]:
         """Nodes just outside the invariant region below ``gmax``: not below

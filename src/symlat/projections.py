@@ -52,16 +52,6 @@ class ProjectionMap:
         if self.kind == ORBIT_CANONICAL and (self.action is None or not self.elements):
             raise InvalidGroupError("orbit-canonical projection requires an action and elements")
 
-    @property
-    def output_dim(self) -> int:
-        if self.kind in (IDENTITY, ORBIT_CANONICAL):
-            return self.input_dim
-        if self.kind in (RADIAL, NONZERO):
-            return 1
-        if self.kind == COLATITUDE:
-            return 2
-        raise InvalidGroupError(f"unknown projection kind {self.kind!r}")
-
     def apply(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project rows of ``X``; returns ``(projected, valid_mask)``.
 

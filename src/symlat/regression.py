@@ -11,7 +11,6 @@ of the rows and fits on the rest.
 
 from __future__ import annotations
 
-import csv
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -187,26 +186,3 @@ def feature_average(base, action: GroupAction) -> AveragedPredictor:
     elements_of(action.group)  # raises NotFiniteError for continuous groups
     return AveragedPredictor(base=base, action=action)
 
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-def write_model_summary(est: SymmetrizedRegressor, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["chosen_node", "label", "bandwidths", "train_size"])
-        writer.writerow([est.node_id, est.lattice.node(est.node_id).label,
-                         " ".join(repr(float(h)) for h in est.regressor.bandwidths),
-                         est.regressor.X.shape[0]])
-
-
-def write_predictions(predictor, queries: np.ndarray, path) -> None:
-    queries = np.asarray(queries, dtype=float)
-    preds = predictor.predict(queries) if hasattr(predictor, "predict") \
-        else predictor(queries)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(queries.shape[1])] + ["prediction"])
-        for row, p in zip(queries, preds):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(p))])

@@ -97,9 +97,6 @@ class SearchResult:
     tests_performed: int
     computation_units: int
 
-    def nodes_with_status(self, status: str) -> list[int]:
-        return sorted(i for i, s in self.statuses.items() if s == status)
-
 
 # ---------------------------------------------------------------------------
 # Testers
@@ -301,43 +298,32 @@ def breadth_first_greedy_estimate(lattice: Lattice, tester,
 
 
 def depth_first_estimate(lattice: Lattice, tester, config: SearchConfig) -> SearchResult:
+    """Test the covers of the last accepted node in id order and climb to the
+    first one accepted; the estimate is the node whose covers all reject."""
     statuses = {n.node_id: UNTESTED for n in lattice.nodes}
     statuses[lattice.bottom] = ACCEPTED
     outcomes: dict[int, TestOutcome] = {}
     tests = 0
     units = 0
-
     current = lattice.bottom
-    sub = lattice
-    to_original = {n.node_id: n.node_id for n in lattice.nodes}
     level = 1
     while True:
-        levels = sub.enumerate_by_height()
-        if len(levels) < 2:
-            break
-        advanced = False
-        for v in levels[1]:
-            orig = to_original[v]
-            alpha = config.level_alpha(level)
-            outcome = tester.test_node(lattice, lattice.node(orig), alpha,
-                                       _node_rng(config.seed, orig))
-            outcomes[orig] = outcome
+        alpha = config.level_alpha(level)
+        for v in np.flatnonzero(lattice.covers[current]).tolist():
+            node = lattice.node(v)
+            outcome = tester.test_node(lattice, node, alpha, _node_rng(config.seed, v))
+            outcomes[v] = outcome
             tests += 1
-            units += _units(lattice.node(orig))
+            units += _units(node)
             if outcome.decision == ACCEPT:
-                statuses[orig] = ACCEPTED
-                sub = sub.sublattice_above(v)
-                to_original = {new: to_original[old]
-                               for new, old in enumerate(sub.source_ids)}
-                current = orig
+                statuses[v] = ACCEPTED
+                current = v
                 level += 1
-                advanced = True
                 break
-            statuses[orig] = REJECTED
-        if not advanced:
+            statuses[v] = REJECTED
+        else:
             break
-    tilde = (current,)
-    return SearchResult(estimate=current, tilde_set=tilde, statuses=statuses,
+    return SearchResult(estimate=current, tilde_set=(current,), statuses=statuses,
                         outcomes=outcomes, tests_performed=tests,
                         computation_units=units)
 

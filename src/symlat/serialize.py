@@ -69,6 +69,7 @@ from .groups import (
     GroupDescriptor,
     SamplerSpec,
     default_sl3_generators,
+    elements_of,
     non_identity_sampler,
     point_mass_sampler,
     uniform_sampler,
@@ -103,9 +104,6 @@ class _Cursor:
     def __init__(self, lines: list[str]):
         self.lines = lines
         self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
 
     def take(self) -> str:
         if self.pos >= len(self.lines):
@@ -243,15 +241,13 @@ def dumps_lattice(lat: Lattice) -> str:
 
 def _default_node(node_id: int, label: str, group: GroupDescriptor,
                   action: GroupAction) -> SubgroupNode:
-    from .groups import FiniteElement
     if group.is_finite:
         if group.order == 1 and group.table.size == 1:
             sampler = point_mass_sampler(group.identity_element())
             projection = identity_projection(action.dim)
         else:
             sampler = non_identity_sampler(group)
-            projection = orbit_canonical_projection(
-                action, [FiniteElement(group.table, i) for i in sorted(group.members)])
+            projection = orbit_canonical_projection(action, elements_of(group))
     elif group.kind == S1_AXIS:
         sampler = SamplerSpec("haar-circle", axis=group.axis)
         projection = colatitude_projection(group.axis)
@@ -328,8 +324,7 @@ def loads_lattice(text: str) -> Lattice:
     if ambient_table is not None:
         ambient_group = GroupDescriptor(FINITE, "G", table=ambient_table)
     elif any(kind == SL3 for _, _, kind, _ in node_specs):
-        ambient_group = GroupDescriptor(SL3, "SL3",
-                                        generator_elements=default_sl3_generators())
+        ambient_group = GroupDescriptor(SL3, "SL3")
     elif action_kind == ACTION_MATRIX and dim == 3:
         ambient_group = GroupDescriptor(SO3, "SO3")
     else:
@@ -354,9 +349,7 @@ def loads_lattice(text: str) -> Lattice:
             group = GroupDescriptor(S1_AXIS, label,
                                     axis=np.array([float(v) for v in payload.split()]))
         elif kind in (SO3, SL3):
-            group = (GroupDescriptor(SO3, label) if kind == SO3 else
-                     GroupDescriptor(SL3, label,
-                                     generator_elements=default_sl3_generators()))
+            group = GroupDescriptor(kind, label)
         else:
             raise SymlatError(f"unknown node kind {kind!r}")
         nodes.append(_default_node(node_id, label, group, action))

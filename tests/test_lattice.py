@@ -20,7 +20,6 @@ from symlat.groups import (
     SamplerSpec,
     act,
     cyclic_table,
-    default_sl3_generators,
 )
 from symlat.lattice import Lattice, SubgroupNode, add_top
 
@@ -138,22 +137,9 @@ def test_heights_are_topological():
         assert lat.node(lat.bottom).group.order == 1
 
 
-def test_sublattice_above():
-    lat = d4_lattice()
-    whole = lat.sublattice_above(lat.bottom)
-    assert len(whole) == len(lat)
-    r180 = lat.node_by_label("<r180>").node_id
-    above = lat.sublattice_above(r180)
-    labels = {n.label for n in above.nodes}
-    assert labels == {"<r180>", "<h,r180>", "<r90>", "<d,r180>", "D4"}
-    assert above.node(above.bottom).label == "<r180>"
-    top_only = lat.sublattice_above(lat.top)
-    assert len(top_only) == 1
-
-
 def test_add_top():
     base = so3_axes_lattice(icosahedral_axes())
-    sl3 = GroupDescriptor("sl3", "SL3", generator_elements=default_sl3_generators())
+    sl3 = GroupDescriptor("sl3", "SL3")
     extended = add_top(base, sl3)
     assert len(extended) == 9
     assert extended.node(extended.top).label == "SL3"

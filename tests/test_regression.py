@@ -34,8 +34,6 @@ from symlat.regression import (
     project_dataset,
     select_bandwidth,
     symmetrized_estimator,
-    write_model_summary,
-    write_predictions,
 )
 from symlat.scenarios import make_scenario, quarter_turn_actions
 from symlat.search import ExceedanceTester, OracleTester, SearchConfig
@@ -300,17 +298,3 @@ def test_mspe_identities():
             return np.full(len(q), Y2.mean())
 
     assert math.isclose(mspe(Mean(), data2), Y2.var(), rel_tol=1e-12)
-
-
-def test_model_exports(tmp_path):
-    chain, data = _chain_and_data()
-    est = symmetrized_estimator(data, chain, lambda d: OracleTester.accept_all(),
-                                SearchConfig(seed=1))
-    summary = tmp_path / "model.csv"
-    write_model_summary(est, summary)
-    lines = summary.read_text().strip().splitlines()
-    assert lines[0] == "chosen_node,label,bandwidths,train_size"
-    preds = tmp_path / "preds.csv"
-    write_predictions(est, np.zeros((3, 2)), preds)
-    lines = preds.read_text().strip().splitlines()
-    assert lines[0] == "x0,x1,prediction" and len(lines) == 4

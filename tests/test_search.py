@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlat.builders import (
     c2xc2_lattice,
     cyclic_chain_lattice,
     d4_lattice,
+    full_subgroup_lattice,
     sl3_extended_lattice,
     so3_axes_lattice,
     icosahedral_axes,
 )
 from symlat.errors import SymlatError
+from symlat.groups import (ACTION_MATRIX, GroupAction, GroupDescriptor, cyclic_table,
+                           direct_product_table)
 from symlat.invariance import gaussian_noise, known_bound, order_bound
 from symlat.scenarios import make_scenario
 from symlat.search import (
@@ -156,12 +161,8 @@ def test_greedy_savings_on_klein_group():
     assert plain.computation_units - greedy.computation_units >= 4
 
 
-def test_greedy_savings_on_abelian_product():
-    # C2 x C4: the two joins of single-factor subgroups (orders 4 and 8)
-    # are skipped under all-accept, saving at least 4 + 8 = 12 units
-    from symlat.groups import (ACTION_MATRIX, GroupAction, GroupDescriptor,
-                               cyclic_table, direct_product_table)
-    from symlat.builders import full_subgroup_lattice
+def c2xc4_lattice():
+    """All subgroups of C2 x C4: a sign flip times quarter turns in R^3."""
     table = direct_product_table(cyclic_table(2), cyclic_table(4))
     flips = []
     for a in range(2):
@@ -173,7 +174,13 @@ def test_greedy_savings_on_abelian_product():
             flips.append(m)
     group = GroupDescriptor("finite", "C2xC4", table=table)
     action = GroupAction(group, 3, ACTION_MATRIX, matrices=np.stack(flips))
-    lat = full_subgroup_lattice(table, action, top_label="C2xC4")
+    return full_subgroup_lattice(table, action, top_label="C2xC4")
+
+
+def test_greedy_savings_on_abelian_product():
+    # C2 x C4: the two joins of single-factor subgroups (orders 4 and 8)
+    # are skipped under all-accept, saving at least 4 + 8 = 12 units
+    lat = c2xc4_lattice()
     oracle = OracleTester.accept_all()
     plain = breadth_first_estimate(lat, oracle, SearchConfig(seed=3))
     greedy = breadth_first_greedy_estimate(lat, oracle, SearchConfig(seed=3))
@@ -211,6 +218,50 @@ def test_depth_first_examples():
     assert result.tests_performed <= len(lat)
     # terminates within the lattice height: each recursion climbs one level
     assert result.tests_performed >= 2
+
+
+DEPTH_LATTICES = {"d4": d4_lattice(), "c2xc4": c2xc4_lattice(),
+                  "sl3-extended": sl3_extended_lattice()}
+
+
+class RecordingTester(OracleTester):
+    """Oracle over a fixed accept-set that records each node's alpha."""
+
+    def __init__(self, accepted):
+        super().__init__(lambda lat, node: node.node_id in accepted)
+        self.alphas = {}
+
+    def test_node(self, lattice, node, alpha, rng):
+        self.alphas[node.node_id] = alpha
+        return super().test_node(lattice, node, alpha, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(DEPTH_LATTICES)), data=st.data(),
+       halving=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_depth_first_climbs_the_cover_relation(name, data, halving, seed):
+    lat = DEPTH_LATTICES[name]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(lat), max_size=len(lat)))
+    accepted = {v for v, ok in enumerate(flags) if ok} | {lat.bottom}
+    config = SearchConfig(algorithm="depth", seed=seed,
+                          alpha_schedule=halving_alpha_schedule(0.1) if halving else None)
+    tester = RecordingTester(accepted)
+    result = depth_first_estimate(lat, tester, config)
+
+    chain = sorted((v for v, s in result.statuses.items() if s == ACCEPTED),
+                   key=lambda v: lat.node(v).height)
+    assert chain[0] == lat.bottom and chain[-1] == result.estimate
+    assert all(lat.covers[lo, hi] for lo, hi in zip(chain, chain[1:]))
+    assert set(chain) <= accepted
+    for v in np.flatnonzero(lat.covers[result.estimate]):
+        assert v in result.outcomes and result.statuses[v] == REJECTED
+    assert result.tests_performed == len(result.outcomes) == len(tester.alphas)
+    for v, alpha in tester.alphas.items():
+        below = [k for k, u in enumerate(chain) if lat.covers[u, v]]
+        assert len(below) == 1
+        # testing the covers of chain[k] is step k + 1
+        assert alpha == config.level_alpha(below[0] + 1)
+        assert (result.statuses[v] == ACCEPTED) == (v in accepted)
 
 
 def test_resolve_tilde_rules():
