@@ -21,22 +21,15 @@ from .groups import (
     CayleyTable,
     GroupAction,
     GroupDescriptor,
-    SamplerSpec,
     cyclic_table,
-    default_sl3_generators,
     direct_product_table,
-    elements_of,
-    non_identity_sampler,
-    point_mass_sampler,
-    uniform_sampler,
 )
-from .lattice import Lattice, SubgroupNode, add_top, lattice_from_member_sets
-from .projections import (
-    colatitude_projection,
-    identity_projection,
-    nonzero_projection,
-    orbit_canonical_projection,
-    radial_projection,
+from .lattice import (
+    Lattice,
+    add_top,
+    lattice_from_member_sets,
+    order_from_covers,
+    standard_node,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -151,13 +144,7 @@ def full_subgroup_lattice(table: CayleyTable, action: GroupAction,
                            "the nodes are built from")
     subs = table.subgroups()
     labels = [_subgroup_label(table, s, top_label) for s in subs]
-    groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
-              for s, lbl in zip(subs, labels)]
-    samplers = [non_identity_sampler(g) for g in groups]
-    projections = [orbit_canonical_projection(action, elements_of(g))
-                   for g in groups]
-    return lattice_from_member_sets(table, subs, labels, action,
-                                    samplers=samplers, projections=projections)
+    return lattice_from_member_sets(table, subs, labels, action)
 
 
 def d4_lattice(dim: int = 2, action: GroupAction | None = None) -> Lattice:
@@ -194,20 +181,9 @@ def d4_lattice(dim: int = 2, action: GroupAction | None = None) -> Lattice:
               (1, 6), (2, 6), (3, 6),
               (3, 7), (3, 8), (4, 8), (5, 8),
               (6, 9), (7, 9), (8, 9)]
-    n = len(member_sets)
-    leq = np.eye(n, dtype=bool)
-    for lo, hi in covers:
-        leq[lo, hi] = True
-    for _ in range(n):
-        leq = leq | (leq @ leq)
-    groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
-              for s, lbl in zip(member_sets, labels)]
-    nodes = [SubgroupNode(i, g, g.label,
-                          sampler=non_identity_sampler(g),
-                          projection=orbit_canonical_projection(
-                              action, elements_of(g)))
-             for i, g in enumerate(groups)]
-    return Lattice(nodes, leq, action)
+    nodes = [standard_node(i, GroupDescriptor(FINITE, lbl, table=table, members=s), action)
+             for i, (s, lbl) in enumerate(zip(member_sets, labels))]
+    return Lattice(nodes, order_from_covers(len(nodes), covers), action)
 
 
 def d4_pixel_lattice(side: int) -> Lattice:
@@ -237,13 +213,7 @@ def cyclic_chain_lattice(orders: Sequence[int], dim: int = 2,
     action = GroupAction(group, dim, ACTION_PLANAR, angles=angles, plane=plane)
     member_sets = [frozenset(range(0, top, top // k)) for k in orders]
     labels = ["I" if k == 1 else f"C{k}" for k in orders]
-    groups = [GroupDescriptor(FINITE, lbl, table=table, members=s)
-              for s, lbl in zip(member_sets, labels)]
-    samplers = [non_identity_sampler(g) for g in groups]
-    projections = [orbit_canonical_projection(action, elements_of(g))
-                   for g in groups]
-    return lattice_from_member_sets(table, member_sets, labels, action,
-                                    samplers=samplers, projections=projections)
+    return lattice_from_member_sets(table, member_sets, labels, action)
 
 
 def c2xc2_lattice(dim: int = 2) -> Lattice:
@@ -271,22 +241,12 @@ def icosahedral_axes() -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _trivial_node_3d() -> SubgroupNode:
-    table = cyclic_table(1, ["e"])
-    group = GroupDescriptor(FINITE, "I", table=table)
-    return SubgroupNode(0, group, "I",
-                        sampler=point_mass_sampler(group.identity_element()),
-                        projection=identity_projection(3))
-
-
-def so3_axes_lattice(axes: np.ndarray, include_top: bool = True,
-                     angle_std: float | None = None) -> Lattice:
-    """Trivial group, one circle group per axis, and (optionally) SO(3) on top.
+def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattice:
+    """Trivial group, one circle group per axis, and SO(3) on top.
 
     ``angle_std`` switches the circle-group samplers from Haar to mean-zero
     Gaussian angles (biasing small rotations).  Axes must be unit and pairwise
-    non-collinear.  Without the top this is only a meet-semilattice when more
-    than one axis is given; it is intended as input to :func:`add_top`.
+    non-collinear.
     """
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 2 or axes.shape[1] != 3 or len(axes) == 0:
@@ -299,30 +259,16 @@ def so3_axes_lattice(axes: np.ndarray, include_top: bool = True,
             if abs(float(axes[i] @ axes[j])) > 1.0 - 1e-9:
                 raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
     k = len(axes)
-    so3_group = GroupDescriptor(SO3, "SO3")
-    action = GroupAction(so3_group, 3, ACTION_MATRIX)
-    nodes = [_trivial_node_3d()]
-    for i, u in enumerate(axes):
-        group = GroupDescriptor(S1_AXIS, f"S1_u{i + 1}", axis=u)
-        if angle_std is None:
-            sampler = SamplerSpec("haar-circle", axis=u)
-        else:
-            sampler = SamplerSpec("gaussian-angle", axis=u, std=angle_std)
-        nodes.append(SubgroupNode(i + 1, group, group.label, sampler=sampler,
-                                  projection=colatitude_projection(u)))
-    n = k + 1 + (1 if include_top else 0)
-    leq = np.eye(n, dtype=bool)
-    leq[0, :] = True
-    facts = {}
-    if include_top:
-        nodes.append(SubgroupNode(k + 1, so3_group, "SO3",
-                                  sampler=SamplerSpec("haar-so3"),
-                                  projection=radial_projection(3)))
-        leq[1:k + 1, k + 1] = True
-        facts[k + 1] = [frozenset({i, j}) for i in range(1, k + 1)
-                        for j in range(i + 1, k + 1)]
-    return Lattice(nodes, leq, action, generation_facts=facts,
-                   require_joins=include_top or k == 1)
+    so3 = GroupDescriptor(SO3, "SO3")
+    action = GroupAction(so3, 3, ACTION_MATRIX)
+    groups = ([GroupDescriptor(FINITE, "I", table=cyclic_table(1, ["e"]))]
+              + [GroupDescriptor(S1_AXIS, f"S1_u{i + 1}", axis=u) for i, u in enumerate(axes)]
+              + [so3])
+    nodes = [standard_node(i, g, action, angle_std=angle_std) for i, g in enumerate(groups)]
+    circles = range(1, k + 1)
+    covers = [(0, i) for i in circles] + [(i, k + 1) for i in circles]
+    facts = {k + 1: [frozenset({i, j}) for i in circles for j in range(i + 1, k + 1)]}
+    return Lattice(nodes, order_from_covers(k + 2, covers), action, generation_facts=facts)
 
 
 def sl3_extended_lattice(axes: np.ndarray | None = None,
@@ -330,7 +276,4 @@ def sl3_extended_lattice(axes: np.ndarray | None = None,
     """The icosahedral-axis SO(3) lattice with SL(3, R) appended on top."""
     if axes is None:
         axes = icosahedral_axes()
-    base = so3_axes_lattice(axes, include_top=True, angle_std=angle_std)
-    return add_top(base, GroupDescriptor(SL3, "SL3"), label="SL3",
-                   sampler=uniform_sampler(default_sl3_generators()),
-                   projection=nonzero_projection(3))
+    return add_top(so3_axes_lattice(axes, angle_std=angle_std), GroupDescriptor(SL3, "SL3"))

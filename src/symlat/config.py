@@ -17,9 +17,11 @@ import numpy as np
 from .builders import icosahedral_axes, c2xc2_lattice, cyclic_chain_lattice, \
     d4_lattice, d4_pixel_lattice, sl3_extended_lattice, so3_axes_lattice
 from .errors import ConfigError
+from .search import ALGORITHMS, TIE_RULES
 
 EXPERIMENT_KINDS = ("power-curve", "group-recovery", "estimator-compare", "search")
 TEST_NAMES = ("exceedance", "permutation")
+SEARCH_TESTS = TEST_NAMES + ("oracle",)
 
 
 @dataclass
@@ -52,7 +54,6 @@ class LatticeSettings:
     dim: int = 2
     side: int = 28
     axes: str | tuple[tuple[float, float, float], ...] = "icosahedral"
-    include_top: bool = True
     angle_std: float | None = None
 
 
@@ -63,6 +64,14 @@ class SearchSettings:
     test: str = "exceedance"
     batch: bool = False
     oracle_reject: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for key, allowed in (("algorithm", ALGORITHMS), ("tie_rule", TIE_RULES),
+                             ("test", SEARCH_TESTS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"[search] {key}: unknown value {value!r} "
+                                  f"(expected one of {', '.join(allowed)})")
 
 
 @dataclass
@@ -108,18 +117,6 @@ class ExperimentConfig:
         for t in self.test.types:
             if t not in TEST_NAMES:
                 raise ConfigError(f"unknown test type {t!r}")
-
-
-def _get(parser, section, key, conv, default, path):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        return conv(raw)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
 
 
 def _bool(raw: str) -> bool:
@@ -171,6 +168,50 @@ def _float_expr(raw: str) -> float:
     return float(raw)
 
 
+# Every key each section accepts, in lower case as configparser stores it,
+# with its parser.  Defaults live in the dataclasses, not here.
+_KEYS = {
+    "experiment": {"kind": str, "seed": int, "replicates": int,
+                   "sample_sizes": _ints, "test_size": int, "out": str,
+                   "jobs": int, "format": str},
+    "scenario": {"id": str, "dim": int, "noise_sigma": float},
+    "test": {"types": _words, "alpha": float, "m": _int_or_n,
+             "thresholds": _floats_or_auto, "grid_size": int,
+             "lipschitz": _float_expr, "exponent": float, "noise_sigma": float,
+             "q": float, "b": int, "perm_m": _int_or_n},
+    "lattice": {"builder": str, "orders": _ints, "dim": int, "side": int,
+                "axes": _axes, "angle_std": float},
+    "search": {"algorithm": str, "tie_rule": str, "test": str, "batch": _bool,
+               "oracle_reject": _words},
+    "data": {"source": str, "path": str, "images": str, "labels": str,
+             "response": str, "n": int},
+}
+
+# Keys whose dataclass field has another name.
+_FIELDS = {("experiment", "format"): "fmt", ("scenario", "id"): "scenario_id",
+           ("scenario", "dim"): "scenario_dim",
+           ("scenario", "noise_sigma"): "scenario_sigma", ("test", "b"): "B"}
+
+
+def _section(parser, section: str, path) -> dict:
+    """The non-empty keys of ``section``, parsed and named by their field."""
+    if not parser.has_section(section):
+        return {}
+    values = {}
+    for key, raw in parser.items(section):
+        conv = _KEYS[section].get(key)
+        if conv is None:
+            raise ConfigError(f"{path}: [{section}] unknown key {key!r}")
+        raw = raw.strip()
+        if raw == "":
+            continue
+        try:
+            values[_FIELDS.get((section, key), key)] = conv(raw)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+    return values
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -181,64 +222,20 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
     if not parser.has_section("experiment"):
         raise ConfigError(f"{path}: missing [experiment] section")
-    if not parser.has_option("experiment", "kind"):
+    top = _section(parser, "experiment", path) | _section(parser, "scenario", path)
+    if "kind" not in top:
         raise ConfigError(f"{path}: [experiment] needs 'kind'")
-    kind = parser.get("experiment", "kind").strip()
-
-    test = TestSettings(
-        types=_get(parser, "test", "types", _words, TestSettings.types, path),
-        alpha=_get(parser, "test", "alpha", float, 0.05, path),
-        m=_get(parser, "test", "m", _int_or_n, None, path),
-        thresholds=_get(parser, "test", "thresholds", _floats_or_auto, None, path),
-        grid_size=_get(parser, "test", "grid_size", int, 20, path),
-        lipschitz=_get(parser, "test", "lipschitz", _float_expr, 1.0, path),
-        exponent=_get(parser, "test", "exponent", float, 1.0, path),
-        noise_sigma=_get(parser, "test", "noise_sigma", float, None, path),
-        q=_get(parser, "test", "q", float, 0.95, path),
-        B=_get(parser, "test", "B", int, 100, path),
-        perm_m=_get(parser, "test", "perm_m", _int_or_n, None, path),
-    )
-    lattice = LatticeSettings(
-        builder=_get(parser, "lattice", "builder", str, "cyclic-chain", path),
-        orders=_get(parser, "lattice", "orders", _ints, (1, 2, 4), path),
-        dim=_get(parser, "lattice", "dim", int, 2, path),
-        side=_get(parser, "lattice", "side", int, 28, path),
-        axes=_get(parser, "lattice", "axes", _axes, "icosahedral", path),
-        include_top=_get(parser, "lattice", "include_top", _bool, True, path),
-        angle_std=_get(parser, "lattice", "angle_std", float, None, path),
-    )
-    search = SearchSettings(
-        algorithm=_get(parser, "search", "algorithm", str, "breadth", path),
-        tie_rule=_get(parser, "search", "tie_rule", str, "uniform-random", path),
-        test=_get(parser, "search", "test", str, "exceedance", path),
-        batch=_get(parser, "search", "batch", _bool, False, path),
-        oracle_reject=_get(parser, "search", "oracle_reject", _words, (), path),
-    )
-    data = DataSettings(
-        source=_get(parser, "data", "source", str, "scenario", path),
-        path=_get(parser, "data", "path", str, "", path),
-        images=_get(parser, "data", "images", str, "", path),
-        labels=_get(parser, "data", "labels", str, "", path),
-        response=_get(parser, "data", "response", str, "y", path),
-        n=_get(parser, "data", "n", int, 200, path),
-    )
+    test, lattice, search, data = (_section(parser, name, path)
+                                   for name in ("test", "lattice", "search", "data"))
     try:
-        return ExperimentConfig(
-            kind=kind,
-            seed=_get(parser, "experiment", "seed", int, 20240817, path),
-            replicates=_get(parser, "experiment", "replicates", int, 100, path),
-            sample_sizes=_get(parser, "experiment", "sample_sizes", _ints, (100,), path),
-            test_size=_get(parser, "experiment", "test_size", int, None, path),
-            out=_get(parser, "experiment", "out", str, "results", path),
-            jobs=_get(parser, "experiment", "jobs", int, 1, path),
-            fmt=_get(parser, "experiment", "format", str, "both", path),
-            scenario_id=_get(parser, "scenario", "id", str, "fd-rotation", path),
-            scenario_dim=_get(parser, "scenario", "dim", int, None, path),
-            scenario_sigma=_get(parser, "scenario", "noise_sigma", float, None, path),
-            test=test, lattice=lattice, search=search, data=data,
-        )
+        return ExperimentConfig(**top, test=TestSettings(**test),
+                                lattice=LatticeSettings(**lattice),
+                                search=SearchSettings(**search), data=DataSettings(**data))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -256,7 +253,6 @@ def build_lattice(settings: LatticeSettings):
         axes = icosahedral_axes() if settings.axes == "icosahedral" \
             else np.asarray(settings.axes, dtype=float)
         if settings.builder == "so3-axes":
-            return so3_axes_lattice(axes, include_top=settings.include_top,
-                                    angle_std=settings.angle_std)
+            return so3_axes_lattice(axes, angle_std=settings.angle_std)
         return sl3_extended_lattice(axes, angle_std=settings.angle_std)
     raise ConfigError(f"unknown lattice builder {settings.builder!r}")

@@ -1,10 +1,12 @@
 """Finite sub-lattices of the closed-subgroup lattice of a search group.
 
 A :class:`Lattice` is a validated partial order over subgroup nodes with a
-unique bottom (the trivial group) and top, precomputed meet/join tables, the
-cover relation (Hasse diagram), and height levels by longest chain from the
-bottom.  Finite-group order relations are computed from member sets;
-continuous relations are declared by the builders.
+unique bottom (the trivial group) and top (the search group), precomputed
+meet/join tables, the cover relation (Hasse diagram), and height levels by
+longest chain from the bottom.  Finite-group order relations are computed
+from member sets; continuous relations are declared by the builders.  The
+builders and the lattice loader make every node with :func:`standard_node`,
+which attaches its kind's sampler and projection map.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import LatticeError, NotASupergroupError
-from .groups import FINITE, GroupAction, GroupDescriptor, SamplerSpec
-from .projections import ProjectionMap
+from .groups import (FINITE, SL3, SO3, S1_AXIS, GroupAction, GroupDescriptor, SamplerSpec,
+                     default_sl3_generators, elements_of, non_identity_sampler,
+                     uniform_sampler)
+from .projections import (ProjectionMap, colatitude_projection, identity_projection,
+                          nonzero_projection, orbit_canonical_projection,
+                          radial_projection)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +51,7 @@ class Lattice:
 
     def __init__(self, nodes: Sequence[SubgroupNode], leq: np.ndarray,
                  action: GroupAction,
-                 generation_facts: GenerationFacts | None = None,
-                 require_joins: bool = True):
+                 generation_facts: GenerationFacts | None = None):
         leq = np.asarray(leq, dtype=bool)
         n = len(nodes)
         if leq.shape != (n, n):
@@ -57,7 +62,7 @@ class Lattice:
         self.generation_facts = {int(k): tuple(frozenset(s) for s in v)
                                  for k, v in (generation_facts or {}).items()}
         self._validate_partial_order()
-        self._bottom, self._top = self._find_extremes(require_top=require_joins)
+        self._bottom, self._top = self._find_extremes()
         self._covers = self._transitive_reduction()
         heights = self._heights_by_longest_chain()
         self.nodes = [replace(node, node_id=i, height=int(heights[i]))
@@ -66,9 +71,8 @@ class Lattice:
         if not (bot.is_finite and bot.order == 1):
             raise LatticeError("lattice bottom must be the trivial group")
         self._validate_finite_order_consistency()
-        self._meet_table, self._join_table = self._build_meet_join(require_joins)
-        if require_joins:
-            self._validate_absorption()
+        self._meet_table, self._join_table = self._build_meet_join()
+        self._validate_absorption()
         self._validate_finite_meet_join()
 
     # -- validation helpers ---------------------------------------------------
@@ -84,15 +88,13 @@ class Lattice:
         if np.any(closure & ~leq):
             raise LatticeError("leq must be transitive")
 
-    def _find_extremes(self, require_top: bool = True) -> tuple[int, int]:
+    def _find_extremes(self) -> tuple[int, int]:
         bottoms = np.flatnonzero(self.leq.all(axis=1))
         tops = np.flatnonzero(self.leq.all(axis=0))
         if len(bottoms) != 1:
             raise LatticeError(f"lattice needs a unique bottom, found {len(bottoms)}")
         if len(tops) != 1:
-            if require_top:
-                raise LatticeError(f"lattice needs a unique top, found {len(tops)}")
-            return int(bottoms[0]), -1
+            raise LatticeError(f"lattice needs a unique top, found {len(tops)}")
         return int(bottoms[0]), int(tops[0])
 
     def _transitive_reduction(self) -> np.ndarray:
@@ -121,10 +123,10 @@ class Lattice:
                             f"declared order between {a.label!r} and {b.label!r} "
                             "contradicts their member sets")
 
-    def _build_meet_join(self, require_joins: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _build_meet_join(self) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.nodes)
-        meet = np.full((n, n), -1, dtype=np.int64)
-        join = np.full((n, n), -1, dtype=np.int64)
+        meet = np.empty((n, n), dtype=np.int64)
+        join = np.empty((n, n), dtype=np.int64)
         for a in range(n):
             for b in range(n):
                 lower = np.flatnonzero(self.leq[:, a] & self.leq[:, b])
@@ -135,10 +137,8 @@ class Lattice:
                 upper = np.flatnonzero(self.leq[a] & self.leq[b])
                 least = [c for c in upper if self.leq[c, upper].all()]
                 if len(least) != 1:
-                    if require_joins:
-                        raise LatticeError(f"nodes {a} and {b} lack a unique join")
-                else:
-                    join[a, b] = least[0]
+                    raise LatticeError(f"nodes {a} and {b} lack a unique join")
+                join[a, b] = least[0]
         return meet, join
 
     def _validate_absorption(self) -> None:
@@ -160,14 +160,12 @@ class Lattice:
                 if m.members != (ga.members & gb.members):
                     raise LatticeError(
                         f"meet of {a.label!r}, {b.label!r} is not the member intersection")
-                j_id = self._join_table[a.node_id, b.node_id]
-                if j_id >= 0:
-                    j = self.nodes[j_id].group
-                    if j.is_finite and j.table is ga.table:
-                        generated = ga.table.closure(ga.members | gb.members)
-                        if j.members != generated:
-                            raise LatticeError(
-                                f"join of {a.label!r}, {b.label!r} is not the generated subgroup")
+                j = self.nodes[self._join_table[a.node_id, b.node_id]].group
+                if j.is_finite and j.table is ga.table:
+                    generated = ga.table.closure(ga.members | gb.members)
+                    if j.members != generated:
+                        raise LatticeError(
+                            f"join of {a.label!r}, {b.label!r} is not the generated subgroup")
 
     # -- queries ----------------------------------------------------------------
 
@@ -180,8 +178,6 @@ class Lattice:
 
     @property
     def top(self) -> int:
-        if self._top < 0:
-            raise LatticeError("this order has no top element (add one with add_top)")
         return self._top
 
     @property
@@ -201,10 +197,7 @@ class Lattice:
         return int(self._meet_table[a, b])
 
     def join(self, a: int, b: int) -> int:
-        j = int(self._join_table[a, b])
-        if j < 0:
-            raise LatticeError(f"nodes {a} and {b} have no join in this node set")
-        return j
+        return int(self._join_table[a, b])
 
     def enumerate_by_height(self) -> list[list[int]]:
         """Level i holds the nodes of height i, in node-id order."""
@@ -238,10 +231,52 @@ class Lattice:
         return out
 
 
-def add_top(lat: Lattice, group: GroupDescriptor, label: str | None = None,
-            sampler: SamplerSpec | None = None,
-            projection: ProjectionMap | None = None,
-            generated_by: Sequence[frozenset[int]] = ()) -> Lattice:
+def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
+                  label: str | None = None,
+                  angle_std: float | None = None) -> SubgroupNode:
+    """A node carrying its kind's sampler and projection map.
+
+    finite: uniform over the non-identity members with the orbit-canonical
+    map (the identity map when the table has one element); s1-axis: Haar
+    angles, or mean-zero Gaussian angles of spread ``angle_std``, with the
+    colatitude; so3: Haar rotations with the radius; sl3: the fixed generator
+    set with the non-zero indicator.
+    """
+    if group.is_finite:
+        sampler = non_identity_sampler(group)
+        if group.table.size == 1:
+            projection = identity_projection(action.dim)
+        else:
+            projection = orbit_canonical_projection(action, elements_of(group))
+    elif group.kind == S1_AXIS:
+        if angle_std is None:
+            sampler = SamplerSpec("haar-circle", axis=group.axis)
+        else:
+            sampler = SamplerSpec("gaussian-angle", axis=group.axis, std=angle_std)
+        projection = colatitude_projection(group.axis)
+    elif group.kind == SO3:
+        sampler = SamplerSpec("haar-so3")
+        projection = radial_projection(action.dim)
+    elif group.kind == SL3:
+        sampler = uniform_sampler(default_sl3_generators())
+        projection = nonzero_projection(action.dim)
+    else:
+        raise LatticeError(f"no standard node for group kind {group.kind!r}")
+    return SubgroupNode(node_id, group, group.label if label is None else label,
+                        sampler=sampler, projection=projection)
+
+
+def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The order on ``n`` nodes generated by ``(lower, upper)`` cover pairs."""
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        leq[lo, hi] = True
+    for _ in range(n.bit_length()):  # each squaring doubles the chain length covered
+        leq = leq | (leq @ leq)
+    return leq
+
+
+def add_top(lat: Lattice, group: GroupDescriptor, label: str | None = None) -> Lattice:
     """Append ``group`` as the unique top of ``lat``.
 
     Containment is verified for finite kinds (member supersets over a shared
@@ -254,30 +289,22 @@ def add_top(lat: Lattice, group: GroupDescriptor, label: str | None = None,
                 raise NotASupergroupError(
                     f"{group.label!r} does not contain node {node.label!r}")
     n = len(lat.nodes)
-    new_node = SubgroupNode(n, group, label or group.label,
-                            sampler=sampler, projection=projection)
     leq = np.zeros((n + 1, n + 1), dtype=bool)
     leq[:n, :n] = lat.leq
     leq[:, n] = True
-    facts = {k: list(v) for k, v in lat.generation_facts.items()}
-    if generated_by:
-        facts[n] = [frozenset(s) for s in generated_by]
-    return Lattice(list(lat.nodes) + [new_node], leq, lat.action, facts)
+    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action, label)],
+                   leq, lat.action, lat.generation_facts)
 
 
-def lattice_from_member_sets(table, member_sets, labels, action: GroupAction,
-                             samplers=None, projections=None) -> Lattice:
+def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) -> Lattice:
     """Build a finite lattice whose order is member-set inclusion."""
     n = len(member_sets)
     member_sets = [frozenset(s) for s in member_sets]
     if len(set(member_sets)) != n:
         raise LatticeError("duplicate subgroups in node list")
-    nodes = []
-    for i, (members, label) in enumerate(zip(member_sets, labels)):
-        group = GroupDescriptor(FINITE, label, table=table, members=members)
-        sampler = samplers[i] if samplers else None
-        projection = projections[i] if projections else None
-        nodes.append(SubgroupNode(i, group, label, sampler=sampler, projection=projection))
+    nodes = [standard_node(i, GroupDescriptor(FINITE, label, table=table, members=members),
+                           action)
+             for i, (members, label) in enumerate(zip(member_sets, labels))]
     leq = np.zeros((n, n), dtype=bool)
     for a in range(n):
         for b in range(n):

@@ -44,8 +44,11 @@ BREADTH = "breadth"
 BREADTH_GREEDY = "breadth-greedy"
 DEPTH = "depth"
 
+ALGORITHMS = (BREADTH, BREADTH_GREEDY, DEPTH)
+
 UNIFORM_RANDOM = "uniform-random"
 MEET_OF_MAXIMA = "meet-of-maxima"
+TIE_RULES = (UNIFORM_RANDOM, MEET_OF_MAXIMA)
 
 STATUS_COLORS = {
     ACCEPTED: "green",
@@ -63,27 +66,14 @@ class SearchConfig:
     tie_rule: str = UNIFORM_RANDOM
     seed: int = 0
     batch: bool = False
-    alpha_schedule: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if self.algorithm not in (BREADTH, BREADTH_GREEDY, DEPTH):
+        if self.algorithm not in ALGORITHMS:
             raise SymlatError(f"unknown search algorithm {self.algorithm!r}")
         if not 0.0 < self.alpha < 1.0:
             raise SymlatError("significance level must lie in (0, 1)")
-        if self.tie_rule not in (UNIFORM_RANDOM, MEET_OF_MAXIMA):
+        if self.tie_rule not in TIE_RULES:
             raise SymlatError(f"unknown tie rule {self.tie_rule!r}")
-
-    def level_alpha(self, level: int) -> float:
-        if self.alpha_schedule is None:
-            return self.alpha
-        return float(self.alpha_schedule(level))
-
-
-def halving_alpha_schedule(alpha0: float, start_level: int = 2) -> Callable[[int], float]:
-    """Halve the per-level significance from ``start_level`` upward."""
-    def schedule(level: int) -> float:
-        return alpha0 * 0.5 ** max(0, level - start_level + 1)
-    return schedule
 
 
 @dataclass
@@ -256,7 +246,6 @@ def breadth_first_estimate(lattice: Lattice, tester, config: SearchConfig,
     units = 0
     levels = lattice.enumerate_by_height()
     for level_i in range(1, len(levels)):
-        alpha = config.level_alpha(level_i)
         prev_alive = {v for v in levels[level_i - 1]
                       if statuses[v] in (ACCEPTED, SKIPPED_GREEDY)}
         candidates = [v for v in levels[level_i] if statuses[v] == UNTESTED]
@@ -268,10 +257,10 @@ def breadth_first_estimate(lattice: Lattice, tester, config: SearchConfig,
                 to_test.append(v)
         if config.batch and to_test:
             level_outcomes = tester.test_level(
-                lattice, [lattice.node(v) for v in to_test], alpha,
+                lattice, [lattice.node(v) for v in to_test], config.alpha,
                 _level_rng(config.seed, level_i))
         else:
-            level_outcomes = {v: tester.test_node(lattice, lattice.node(v), alpha,
+            level_outcomes = {v: tester.test_node(lattice, lattice.node(v), config.alpha,
                                                   _node_rng(config.seed, v))
                               for v in to_test}
         rejected_now = []
@@ -306,19 +295,17 @@ def depth_first_estimate(lattice: Lattice, tester, config: SearchConfig) -> Sear
     tests = 0
     units = 0
     current = lattice.bottom
-    level = 1
     while True:
-        alpha = config.level_alpha(level)
         for v in np.flatnonzero(lattice.covers[current]).tolist():
             node = lattice.node(v)
-            outcome = tester.test_node(lattice, node, alpha, _node_rng(config.seed, v))
+            outcome = tester.test_node(lattice, node, config.alpha,
+                                       _node_rng(config.seed, v))
             outcomes[v] = outcome
             tests += 1
             units += _units(node)
             if outcome.decision == ACCEPT:
                 statuses[v] = ACCEPTED
                 current = v
-                level += 1
                 break
             statuses[v] = REJECTED
         else:

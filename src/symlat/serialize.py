@@ -42,11 +42,9 @@ Lattice blocks::
     fact <node> <id> <id> ... # greedy generation fact
     end
 
-Samplers and projection maps are not serialized; loading reattaches the
-standard defaults for each node kind (finite: uniform over non-identity
-members and orbit-canonical projection; s1-axis: Haar angles and colatitude;
-so3: Haar rotations and the radius; sl3: the fixed generator set and the
-non-zero indicator).  Floats are written with ``repr`` and round-trip
+Samplers and projection maps are not serialized; loading reattaches each
+node kind's defaults from :func:`symlat.lattice.standard_node` (s1-axis
+nodes get Haar angles).  Floats are written with ``repr`` and round-trip
 exactly.
 """
 
@@ -67,21 +65,8 @@ from .groups import (
     CayleyTable,
     GroupAction,
     GroupDescriptor,
-    SamplerSpec,
-    default_sl3_generators,
-    elements_of,
-    non_identity_sampler,
-    point_mass_sampler,
-    uniform_sampler,
 )
-from .lattice import Lattice, SubgroupNode
-from .projections import (
-    colatitude_projection,
-    identity_projection,
-    nonzero_projection,
-    orbit_canonical_projection,
-    radial_projection,
-)
+from .lattice import Lattice, order_from_covers, standard_node
 
 _GROUP_HEADER = "symlat-group v1"
 _LATTICE_HEADER = "symlat-lattice v1"
@@ -239,29 +224,6 @@ def dumps_lattice(lat: Lattice) -> str:
     return "\n".join(out) + "\n"
 
 
-def _default_node(node_id: int, label: str, group: GroupDescriptor,
-                  action: GroupAction) -> SubgroupNode:
-    if group.is_finite:
-        if group.order == 1 and group.table.size == 1:
-            sampler = point_mass_sampler(group.identity_element())
-            projection = identity_projection(action.dim)
-        else:
-            sampler = non_identity_sampler(group)
-            projection = orbit_canonical_projection(action, elements_of(group))
-    elif group.kind == S1_AXIS:
-        sampler = SamplerSpec("haar-circle", axis=group.axis)
-        projection = colatitude_projection(group.axis)
-    elif group.kind == SO3:
-        sampler = SamplerSpec("haar-so3")
-        projection = radial_projection(action.dim)
-    elif group.kind == SL3:
-        sampler = uniform_sampler(default_sl3_generators())
-        projection = nonzero_projection(action.dim)
-    else:
-        raise SymlatError(f"no defaults for node kind {group.kind!r}")
-    return SubgroupNode(node_id, group, label, sampler=sampler, projection=projection)
-
-
 def loads_lattice(text: str) -> Lattice:
     cur = _Cursor(_clean_lines(text))
     if cur.take() != _LATTICE_HEADER:
@@ -352,12 +314,6 @@ def loads_lattice(text: str) -> Lattice:
             group = GroupDescriptor(kind, label)
         else:
             raise SymlatError(f"unknown node kind {kind!r}")
-        nodes.append(_default_node(node_id, label, group, action))
-
-    n = len(nodes)
-    leq = np.eye(n, dtype=bool)
-    for lo, hi in covers:
-        leq[lo, hi] = True
-    for _ in range(n):
-        leq = leq | (leq @ leq)
-    return Lattice(nodes, leq, action, generation_facts=facts)
+        nodes.append(standard_node(node_id, group, action))
+    return Lattice(nodes, order_from_covers(len(nodes), covers), action,
+                   generation_facts=facts)

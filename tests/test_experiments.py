@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symlat.builders import (
+    c2xc2_lattice,
     cyclic_chain_lattice,
     d4_lattice,
     sl3_extended_lattice,
@@ -14,10 +15,13 @@ from symlat.builders import (
 )
 from symlat.cli import main as cli_main
 from symlat.config import build_lattice, load_config
+from symlat.data import RegressionDataset
 from symlat.errors import ConfigError, DataError
 from symlat.experiments import plot_power_curve, run_experiment
 from symlat.ingest import ingest_csv, ingest_idx
+from symlat.invariance import gaussian_noise, known_bound
 from symlat.scenarios import make_scenario
+from symlat.search import ExceedanceTester, SearchConfig, run_search
 from symlat.serialize import dumps_group, dumps_lattice, loads_group, loads_lattice
 
 MINI_POWER = """
@@ -134,6 +138,18 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad3)
     assert "replicates" in str(err.value)
+    # unknown sections and keys are named, not dropped
+    base = "[experiment]\nkind = search\n"
+    for extra, named in (("[serach]\nalgorithm = depth\n", "unknown section [serach]"),
+                         ("[search]\nalgoritm = depth\n", "[search] unknown key 'algoritm'"),
+                         ("[lattice]\naxis = 0 0 1\n", "[lattice] unknown key 'axis'"),
+                         ("[test]\nBB = 10\n", "[test] unknown key 'bb'")):
+        with pytest.raises(ConfigError) as err:
+            load_config(_write(tmp_path, "u.ini", base + extra))
+        assert named in str(err.value)
+    # configparser lowercases keys, so upper-case spellings of known keys load
+    cfg = load_config(_write(tmp_path, "b.ini", base + "[test]\nB = 10\n"))
+    assert cfg.test.B == 10
 
 
 def test_build_lattice_from_settings(tmp_path):
@@ -414,8 +430,9 @@ def test_group_serialization_round_trip():
 
 def test_lattice_serialization_round_trip():
     from symlat.builders import d4_pixel_lattice
-    for lat in (d4_lattice(), cyclic_chain_lattice([1, 2, 4]),
-                sl3_extended_lattice(), d4_pixel_lattice(3)):
+    for lat in (d4_lattice(), cyclic_chain_lattice([1, 2, 4]), c2xc2_lattice(),
+                so3_axes_lattice(icosahedral_axes()), sl3_extended_lattice(),
+                d4_pixel_lattice(3)):
         text = dumps_lattice(lat)
         again = loads_lattice(text)
         assert dumps_lattice(again) == text
@@ -425,8 +442,24 @@ def test_lattice_serialization_round_trip():
         assert again.generation_facts == lat.generation_facts
         for a, b in zip(again.nodes, lat.nodes):
             assert a.group.kind == b.group.kind
+            assert a.sampler.kind == b.sampler.kind
+            assert a.projection.kind == b.projection.kind
             if b.group.is_finite:
                 assert a.group.members == b.group.members
+
+        # the reattached samplers draw what the built ones draw
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(60, lat.action.dim))
+        Y = np.linalg.norm(X, axis=1) + 0.3 * X[:, 0] + 0.1 * rng.normal(size=60)
+        tester = ExceedanceTester(RegressionDataset(X, Y), known_bound(1.0),
+                                  gaussian_noise(0.1), m=60)
+        for batch in (False, True):
+            config = SearchConfig(seed=21, batch=batch)
+            built = run_search(lat, tester, config)
+            loaded = run_search(again, tester, config)
+            assert (built.estimate, built.statuses) == (loaded.estimate, loaded.statuses)
+            assert {k: o.p_value for k, o in built.outcomes.items()} == \
+                {k: o.p_value for k, o in loaded.outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +479,16 @@ def test_cli_runs_and_exit_codes(tmp_path):
     # data errors -> 2
     missing_csv = tmp_path / "missing.csv"
     assert cli_main(["ingest-check", str(missing_csv), "--format", "csv"]) == 2
+
+
+def test_cli_rejects_unknown_search_choices(tmp_path, capsys):
+    for key in ("algorithm", "tie_rule", "test"):
+        cfg_path = _write(tmp_path, f"{key}.ini",
+                          f"[experiment]\nkind = search\n[search]\n{key} = permutaton\n")
+        assert cli_main(["search", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert f"[search] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -21,7 +21,7 @@ from symlat.groups import (
     act,
     cyclic_table,
 )
-from symlat.lattice import Lattice, SubgroupNode, add_top
+from symlat.lattice import Lattice, SubgroupNode, add_top, order_from_covers
 
 
 def brute_closure(table, seed):
@@ -214,18 +214,16 @@ def test_invalid_orders_rejected():
         Lattice(nodes, leq_full, nodes_action.action)
 
 
+def test_order_from_covers_closes_long_chains():
+    for n in (1, 2, 10, 17):
+        covers = [(i, i + 1) for i in reversed(range(n - 1))]
+        assert np.array_equal(order_from_covers(n, covers), np.triu(np.ones((n, n), dtype=bool)))
+
+
 def test_collinear_axes_rejected():
     axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     with pytest.raises(LatticeError):
         so3_axes_lattice(axes)
-
-
-def test_so3_without_top_is_meet_semilattice():
-    lat = so3_axes_lattice(icosahedral_axes(), include_top=False)
-    assert len(lat) == 7
-    with pytest.raises(LatticeError):
-        lat.join(1, 2)
-    assert lat.meet(1, 2) == lat.bottom
 
 
 def test_cyclic_chain_validation():

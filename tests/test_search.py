@@ -33,7 +33,6 @@ from symlat.search import (
     breadth_first_estimate,
     breadth_first_greedy_estimate,
     depth_first_estimate,
-    halving_alpha_schedule,
     resolve_tilde,
     run_search,
     write_hasse_annotation,
@@ -238,13 +237,12 @@ class RecordingTester(OracleTester):
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(DEPTH_LATTICES)), data=st.data(),
-       halving=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_depth_first_climbs_the_cover_relation(name, data, halving, seed):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_depth_first_climbs_the_cover_relation(name, data, seed):
     lat = DEPTH_LATTICES[name]
     flags = data.draw(st.lists(st.booleans(), min_size=len(lat), max_size=len(lat)))
     accepted = {v for v, ok in enumerate(flags) if ok} | {lat.bottom}
-    config = SearchConfig(algorithm="depth", seed=seed,
-                          alpha_schedule=halving_alpha_schedule(0.1) if halving else None)
+    config = SearchConfig(algorithm="depth", seed=seed)
     tester = RecordingTester(accepted)
     result = depth_first_estimate(lat, tester, config)
 
@@ -257,10 +255,8 @@ def test_depth_first_climbs_the_cover_relation(name, data, halving, seed):
         assert v in result.outcomes and result.statuses[v] == REJECTED
     assert result.tests_performed == len(result.outcomes) == len(tester.alphas)
     for v, alpha in tester.alphas.items():
-        below = [k for k, u in enumerate(chain) if lat.covers[u, v]]
-        assert len(below) == 1
-        # testing the covers of chain[k] is step k + 1
-        assert alpha == config.level_alpha(below[0] + 1)
+        assert sum(1 for u in chain if lat.covers[u, v]) == 1
+        assert alpha == config.alpha
         assert (result.statuses[v] == ACCEPTED) == (v in accepted)
 
 
@@ -327,19 +323,6 @@ def test_batch_mode_runs_and_is_deterministic():
     b = breadth_first_estimate(chain, tester, cfg)
     assert a.estimate == b.estimate and a.statuses == b.statuses
     assert chain.node(a.estimate).label == "C2"
-
-
-def test_alpha_schedule_applies():
-    schedule = halving_alpha_schedule(0.2, start_level=1)
-    assert schedule(1) == 0.1 and schedule(2) == 0.05
-    chain = cyclic_chain_lattice([1, 2, 4])
-    scen = make_scenario("fd-rotation", 2)
-    data = scen.sample_train(np.random.default_rng(8), 120)
-    tester = _toy_tester(data)
-    result = breadth_first_estimate(chain, tester,
-                                    SearchConfig(seed=4, alpha_schedule=schedule))
-    c2 = chain.node_by_label("C2").node_id
-    assert result.outcomes[c2].alpha == 0.1
 
 
 def test_run_search_dispatch_and_config_validation():
