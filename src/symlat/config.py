@@ -222,6 +222,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")

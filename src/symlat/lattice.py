@@ -232,7 +232,6 @@ class Lattice:
 
 
 def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
-                  label: str | None = None,
                   angle_std: float | None = None) -> SubgroupNode:
     """A node carrying its kind's sampler and projection map.
 
@@ -262,8 +261,7 @@ def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
         projection = nonzero_projection(action.dim)
     else:
         raise LatticeError(f"no standard node for group kind {group.kind!r}")
-    return SubgroupNode(node_id, group, group.label if label is None else label,
-                        sampler=sampler, projection=projection)
+    return SubgroupNode(node_id, group, group.label, sampler=sampler, projection=projection)
 
 
 def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -276,7 +274,7 @@ def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
     return leq
 
 
-def add_top(lat: Lattice, group: GroupDescriptor, label: str | None = None) -> Lattice:
+def add_top(lat: Lattice, group: GroupDescriptor) -> Lattice:
     """Append ``group`` as the unique top of ``lat``.
 
     Containment is verified for finite kinds (member supersets over a shared
@@ -292,7 +290,7 @@ def add_top(lat: Lattice, group: GroupDescriptor, label: str | None = None) -> L
     leq = np.zeros((n + 1, n + 1), dtype=bool)
     leq[:n, :n] = lat.leq
     leq[:, n] = True
-    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action, label)],
+    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action)],
                    leq, lat.action, lat.generation_facts)
 
 

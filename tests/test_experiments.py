@@ -141,6 +141,7 @@ def test_config_errors(tmp_path):
     # unknown sections and keys are named, not dropped
     base = "[experiment]\nkind = search\n"
     for extra, named in (("[serach]\nalgorithm = depth\n", "unknown section [serach]"),
+                         ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
                          ("[search]\nalgoritm = depth\n", "[search] unknown key 'algoritm'"),
                          ("[lattice]\naxis = 0 0 1\n", "[lattice] unknown key 'axis'"),
                          ("[test]\nBB = 10\n", "[test] unknown key 'bb'")):
