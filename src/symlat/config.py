@@ -234,6 +234,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [experiment] needs 'kind'")
     test, lattice, search, data = (_section(parser, name, path)
                                    for name in ("test", "lattice", "search", "data"))
+    kind = top["kind"]
+    if "test" in search and kind in ("power-curve", "group-recovery"):
+        raise ConfigError(f"{path}: [search] test: kind {kind!r} reads [test] types instead")
+    if search.get("test") == "oracle" and kind != "search":
+        raise ConfigError(f"{path}: [search] test: 'oracle' needs kind = search")
     try:
         return ExperimentConfig(**top, test=TestSettings(**test),
                                 lattice=LatticeSettings(**lattice),

@@ -50,32 +50,62 @@ _EXACT_TAIL_LIMIT = 500
 # Numeric primitives
 # ---------------------------------------------------------------------------
 
-def binom_tail(m: int, k: int, p: float) -> float:
-    """Upper binomial tail P(Binom(m, p) >= k).
+def binom_tail(m: int, k, p):
+    """Upper binomial tails P(Binom(m, p) >= k) for one ``m``.
 
-    Small ``m`` sums exact integer binomial coefficients with compensated
-    float summation; large ``m`` (up to ~1e6) switches to log-space terms
-    combined with log-sum-exp.
+    ``k`` and ``p`` broadcast against each other: a pair of scalars gives one
+    float, arrays give an array of tails, one per ``(k, p)`` pair.  Small
+    ``m`` sums exact integer binomial coefficients with compensated float
+    summation; large ``m`` (up to ~1e6) switches to log-space terms combined
+    with log-sum-exp.  The coefficient row depending only on ``m`` is built
+    once per call and shared by every pair.
     """
-    if not 0 <= k <= m:
-        raise SymlatError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if not 0.0 <= p <= 1.0:
-        raise SymlatError(f"probability must lie in [0, 1], got {p}")
-    if k == 0:
-        return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    # direct summation is exact to a few ulp, but individual powers underflow
-    # once m log p drops past the subnormal range; use log-space there
-    if m <= _EXACT_TAIL_LIMIT and m * math.log(min(p, 1.0 - p)) > -700.0:
-        terms = [comb(m, j) * p ** j * (1.0 - p) ** (m - j) for j in range(k, m + 1)]
-        return min(1.0, fsum(terms))
-    js = np.arange(k, m + 1, dtype=np.float64)
-    logs = (gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
-            + js * math.log(p) + (m - js) * math.log1p(-p))
-    return float(min(1.0, math.exp(_logsumexp(logs))))
+    ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
+    if ks.dtype.kind not in "iu":
+        raise SymlatError(f"tail counts must be integers, got {k!r}")
+    pairs = list(zip(ks.ravel().tolist(), ps.ravel().tolist()))
+    out = np.empty(len(pairs))
+    exact, logspace = [], []
+    for i, (kk, pp) in enumerate(pairs):
+        if not 0 <= kk <= m:
+            raise SymlatError(f"need 0 <= k <= m, got k={kk}, m={m}")
+        if not 0.0 <= pp <= 1.0:
+            raise SymlatError(f"probability must lie in [0, 1], got {pp}")
+        if kk == 0 or pp == 1.0:
+            out[i] = 1.0
+        elif pp == 0.0:
+            out[i] = 0.0
+        # direct summation is exact to a few ulp, but individual powers
+        # underflow once m log p drops past the subnormal range; use log space
+        elif m <= _EXACT_TAIL_LIMIT and m * math.log(min(pp, 1.0 - pp)) > -700.0:
+            exact.append(i)
+        else:
+            logspace.append(i)
+    if exact:
+        # float(comb(m, j)) for j >= k0 from exact integers, rounded as
+        # comb(m, j) * p ** j rounds the int
+        k0 = min(pairs[i][0] for i in exact)
+        coeffs = []
+        c = comb(m, k0)
+        for j in range(k0, m + 1):
+            coeffs.append(float(c))
+            c = c * (m - j) // (j + 1)
+        for i in exact:
+            kk, pp = pairs[i]
+            terms = [coeffs[j - k0] * pp ** j * (1.0 - pp) ** (m - j)
+                     for j in range(kk, m + 1)]
+            out[i] = min(1.0, fsum(terms))
+    if logspace:
+        k0 = min(pairs[i][0] for i in logspace)
+        js = np.arange(k0, m + 1, dtype=np.float64)
+        log_coeffs = gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+        for i in logspace:
+            kk, pp = pairs[i]
+            tail = js[kk - k0:]
+            logs = (log_coeffs[kk - k0:] + tail * math.log(pp)
+                    + (m - tail) * math.log1p(-pp))
+            out[i] = min(1.0, math.exp(_logsumexp(logs)))
+    return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -142,8 +172,8 @@ class VariationBound:
             out = np.asarray(self.func(a, b), dtype=float)
             if out.shape != (a.shape[0],):
                 raise SymlatError("custom bound must return one value per row")
-            if np.any(out < 0):
-                raise SymlatError("variation bound must be non-negative")
+            if not np.all(out >= 0):
+                raise SymlatError("variation bound must be non-negative and not NaN")
             return out
         dist = np.linalg.norm(a - b, axis=1)
         if self.exponent != 1.0:
@@ -231,10 +261,10 @@ class NoiseModel:
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self._uncapped(mid) > target:
-                lo = mid
-            else:
-                hi = mid
+            step = (mid, hi) if self._uncapped(mid) > target else (lo, mid)
+            if step == (lo, hi):
+                break  # every later step would repeat this one
+            lo, hi = step
         return 0.5 * (lo + hi)
 
     def default_thresholds(self, count: int = 20) -> np.ndarray:
@@ -334,8 +364,7 @@ def _exceedance_outcome(excess: np.ndarray, thresholds: np.ndarray,
                        warnings=("insufficient-sample",))
     pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
     counts = np.array([(excess >= t).sum() for t in thresholds], dtype=np.int64)
-    pvals = np.array([binom_tail(m_eff, int(c), float(p))
-                      for c, p in zip(counts, pts)])
+    pvals = binom_tail(m_eff, counts, pts)
     return _finish(float(pvals.min()), alpha, effective_m=m_eff, statistics=excess,
                    thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
                    warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())

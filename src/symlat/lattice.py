@@ -124,31 +124,41 @@ class Lattice:
                             "contradicts their member sets")
 
     def _build_meet_join(self) -> tuple[np.ndarray, np.ndarray]:
+        # Row a at a time.  lower[b, c] marks the common lower bounds c of a and
+        # b.  Each one's down-set lies inside that set, so the one with the
+        # largest down-set is the meet exactly when its down-set holds them all;
+        # joins are the dual, with up-sets and common upper bounds.  Every
+        # down-set holds its own node, so a non-bound (score 0) never wins, and
+        # a pair without common bounds fails the size check.
+        leq = self.leq
         n = len(self.nodes)
+        geq = np.ascontiguousarray(leq.T)
+        down = leq.sum(axis=0)
+        up = leq.sum(axis=1)
         meet = np.empty((n, n), dtype=np.int64)
         join = np.empty((n, n), dtype=np.int64)
         for a in range(n):
-            for b in range(n):
-                lower = np.flatnonzero(self.leq[:, a] & self.leq[:, b])
-                greatest = [c for c in lower if self.leq[lower, c].all()]
-                if len(greatest) != 1:
-                    raise LatticeError(f"nodes {a} and {b} lack a unique meet")
-                meet[a, b] = greatest[0]
-                upper = np.flatnonzero(self.leq[a] & self.leq[b])
-                least = [c for c in upper if self.leq[c, upper].all()]
-                if len(least) != 1:
-                    raise LatticeError(f"nodes {a} and {b} lack a unique join")
-                join[a, b] = least[0]
+            lower = geq & geq[a]
+            meet[a] = (lower * down).argmax(axis=1)
+            meet_ok = down[meet[a]] == np.count_nonzero(lower, axis=1)
+            upper = leq & leq[a]
+            join[a] = (upper * up).argmax(axis=1)
+            join_ok = up[join[a]] == np.count_nonzero(upper, axis=1)
+            bad = np.flatnonzero(~(meet_ok & join_ok))
+            if bad.size:
+                b = int(bad[0])
+                which = "meet" if not meet_ok[b] else "join"
+                raise LatticeError(f"nodes {a} and {b} lack a unique {which}")
         return meet, join
 
     def _validate_absorption(self) -> None:
-        n = len(self.nodes)
-        for a in range(n):
-            for b in range(n):
-                if self._meet_table[a, self._join_table[a, b]] != a:
-                    raise LatticeError("absorption law a ^ (a v b) = a fails")
-                if self._join_table[a, self._meet_table[a, b]] != a:
-                    raise LatticeError("absorption law a v (a ^ b) = a fails")
+        rows = np.arange(len(self.nodes))[:, None]
+        meet_fails = self._meet_table[rows, self._join_table] != rows
+        join_fails = self._join_table[rows, self._meet_table] != rows
+        first = np.flatnonzero(meet_fails | join_fails)
+        if first.size:
+            law = "a ^ (a v b) = a" if meet_fails.flat[first[0]] else "a v (a ^ b) = a"
+            raise LatticeError(f"absorption law {law} fails")
 
     def _validate_finite_meet_join(self) -> None:
         for a in self.nodes:

@@ -492,6 +492,19 @@ def test_cli_rejects_unknown_search_choices(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("estimator-compare", "oracle"),      # only kind = search runs the oracle
+    ("group-recovery", "permutation"),    # these two read [test] types
+    ("power-curve", "exceedance"),
+])
+def test_cli_rejects_search_test_the_kind_does_not_run(tmp_path, capsys, kind, value):
+    cfg_path = _write(tmp_path, "k.ini",
+                      f"[experiment]\nkind = {kind}\n[search]\ntest = {value}\n")
+    assert cli_main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "[search] test" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg_path = _write(tmp_path, "p.ini", MINI_POWER)
     out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))

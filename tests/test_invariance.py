@@ -103,6 +103,64 @@ def test_log_space_tail_matches_scipy_logsumexp(m, k_frac, p):
     assert binom_tail(m, k, p) == min(1.0, math.exp(want))
 
 
+def reference_binom_tail(m, k, p):
+    """The scalar tail formula, one call per pair, as binom_tail computed it
+    before one coefficient row was shared by every pair of a call.  The
+    shared-row version must equal it bit for bit."""
+    if not 0 <= k <= m:
+        raise SymlatError(f"need 0 <= k <= m, got k={k}, m={m}")
+    if not 0.0 <= p <= 1.0:
+        raise SymlatError(f"probability must lie in [0, 1], got {p}")
+    if k == 0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    if m <= 500 and m * math.log(min(p, 1.0 - p)) > -700.0:
+        terms = [comb(m, j) * p ** j * (1.0 - p) ** (m - j) for j in range(k, m + 1)]
+        return min(1.0, math.fsum(terms))
+    js = np.arange(k, m + 1, dtype=np.float64)
+    logs = (gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+            + js * math.log(p) + (m - js) * math.log1p(-p))
+    return float(min(1.0, math.exp(_logsumexp(logs))))
+
+
+@st.composite
+def tail_rows(draw):
+    # m <= 500 takes the exact sum unless m log p < -700; above, log space
+    m = draw(st.one_of(st.integers(1, 500), st.integers(501, 3000)))
+    pair = st.tuples(st.integers(0, m),
+                     st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]),
+                               st.floats(min_value=1e-300, max_value=1.0)))
+    return m, draw(st.lists(pair, min_size=1, max_size=25))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tail_rows())
+@example((300, [(0, 0.3), (12, 0.05), (150, 0.5), (299, 1e-300), (40, 0.0), (7, 1.0)]))
+@example((2000, [(10, 0.01), (150, 0.07), (1999, 0.99), (2000, 1e-9)]))
+def test_vector_binom_tail_is_bit_identical_to_scalar_formula(args):
+    m, pairs = args
+    ks = np.array([k for k, _ in pairs], dtype=np.int64)
+    ps = np.array([p for _, p in pairs])
+    want = [reference_binom_tail(m, k, p) for k, p in pairs]
+    got = binom_tail(m, ks, ps)
+    assert got.shape == (len(pairs),)
+    assert got.tolist() == want
+    assert [binom_tail(m, k, p) for k, p in pairs] == want
+
+
+def test_vector_binom_tail_validates_every_pair():
+    assert binom_tail(5, np.array([], dtype=np.int64), np.array([])).shape == (0,)
+    with pytest.raises(SymlatError, match="k=6"):
+        binom_tail(5, np.array([2, 6]), np.array([0.5, 0.5]))
+    with pytest.raises(SymlatError, match="1.5"):
+        binom_tail(5, np.array([2, 3]), np.array([0.5, 1.5]))
+    with pytest.raises(SymlatError, match="integers"):
+        binom_tail(5, np.array([2.0]), np.array([0.5]))
+
+
 def test_logsumexp_tied_maxima():
     for a in (np.array([-3.0, 2.0, 2.0, 0.5, 2.0]), np.full(7, -800.0),
               np.array([1e3]), np.array([-1e3, 5.0, -2.5, 5.0])):
@@ -192,6 +250,32 @@ def test_threshold_inversion():
     assert gaussian_noise(0.0).default_thresholds().tolist() == [1e-12]
 
 
+def reference_threshold(noise, target):
+    """threshold_for with all 200 bisection steps, none skipped."""
+    lo = noise.sigma * 1e-8
+    hi = noise.sigma
+    while noise._uncapped(hi) > target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if noise._uncapped(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e3),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(0.05, 0.01)
+@example(1e-6, 1e-300)
+@example(1e3, 1.0 - 1e-16)
+def test_threshold_for_equals_full_bisection(sigma, target):
+    noise = gaussian_noise(sigma)
+    assert noise.threshold_for(target) == reference_threshold(noise, target)
+
+
 def test_table_noise():
     noise = table_noise([0.1, 0.5], [0.8, 0.2])
     assert noise.p_exceed(0.05) == 1.0
@@ -222,6 +306,19 @@ def test_variation_bounds():
 def _toy_invariant_data(rng, n=80, sigma=0.0):
     scen = make_scenario("fd-rotation", 2, sigma)
     return scen.sample_train(rng, n)
+
+
+def test_nan_custom_bound_raises():
+    # NaN fails every comparison, so an unchecked NaN bound would never count
+    # an exceedance and accept any group
+    rng = np.random.default_rng(0)
+    data = _toy_invariant_data(rng, sigma=0.0)
+    rotation, _, sampler = quarter_turn_actions(2)
+    for func in (lambda x, y: np.full(x.shape[0], np.nan),
+                 lambda x, y: np.where(x[:, 0] > 0, np.nan, 1.0)):
+        with pytest.raises(SymlatError, match="NaN"):
+            exceedance_test(data, rotation, sampler, custom_bound(func),
+                            gaussian_noise(0.05), rng, m=200)
 
 
 def test_zero_noise_violation_gives_zero_pvalue():

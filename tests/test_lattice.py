@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symlat.builders import (
     c2xc2_lattice,
@@ -7,6 +9,7 @@ from symlat.builders import (
     d4_action,
     d4_lattice,
     d4_pixel_action,
+    d4_pixel_lattice,
     d4_table,
     full_subgroup_lattice,
     icosahedral_axes,
@@ -16,6 +19,7 @@ from symlat.builders import (
 from symlat.errors import LatticeError, NotASupergroupError
 from symlat.groups import (
     FiniteElement,
+    SL3,
     GroupDescriptor,
     SamplerSpec,
     act,
@@ -193,6 +197,133 @@ def test_absorption_laws_hold():
                 i, j = a.node_id, b.node_id
                 assert lat.meet(i, lat.join(i, j)) == i
                 assert lat.join(i, lat.meet(i, j)) == i
+
+
+def pairwise_meet_join(leq):
+    """Meet and join tables by the definition, one pair at a time; raises the
+    LatticeError that Lattice raises for the first pair, in row-major order,
+    without a unique meet (checked first) or join."""
+    n = len(leq)
+    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            lower = np.flatnonzero(leq[:, a] & leq[:, b])
+            greatest = [c for c in lower if leq[lower, c].all()]
+            if len(greatest) != 1:
+                raise LatticeError(f"nodes {a} and {b} lack a unique meet")
+            meet[a, b] = greatest[0]
+            upper = np.flatnonzero(leq[a] & leq[b])
+            least = [c for c in upper if leq[c, upper].all()]
+            if len(least) != 1:
+                raise LatticeError(f"nodes {a} and {b} lack a unique join")
+            join[a, b] = least[0]
+    return meet, join
+
+
+def _tables(lat):
+    n = len(lat)
+    return (np.array([[lat.meet(a, b) for b in range(n)] for a in range(n)]),
+            np.array([[lat.join(a, b) for b in range(n)] for a in range(n)]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_chain_lattice([1, 2, 4, 8]),
+    lambda: d4_lattice(),
+    lambda: d4_pixel_lattice(4),
+    lambda: c2xc2_lattice(),
+    lambda: so3_axes_lattice(icosahedral_axes()),
+    lambda: sl3_extended_lattice(),
+    lambda: (lambda t: full_subgroup_lattice(t, d4_action(table=t), top_label="D4"))(d4_table()),
+])
+def test_meet_join_tables_match_pairwise_definition(build):
+    lat = build()
+    meet, join = pairwise_meet_join(lat.leq)
+    got_meet, got_join = _tables(lat)
+    assert np.array_equal(got_meet, meet) and np.array_equal(got_join, join)
+
+
+@st.composite
+def bounded_orders(draw):
+    """A random order on inner nodes 1..k, closed, with a bottom 0 and a top
+    k + 1 added.  Covers go up in a random ranking of the inner nodes, so a
+    pair's meet or join can be the first to fail."""
+    k = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    rank = np.array(draw(st.permutations(range(k))), dtype=np.int64)
+    inner = order_from_covers(k, chosen)[np.ix_(rank, rank)]
+    leq = np.zeros((k + 2, k + 2), dtype=bool)
+    leq[1:k + 1, 1:k + 1] = inner
+    leq[0] = True
+    leq[:, k + 1] = True
+    return leq
+
+
+# a = 1 and b = 2 lie above x = 3, y = 4 and below c = 5, d = 6: the pair
+# (a, b) lacks both a meet and a join, and it is the first pair to fail
+DOUBLE_BOWTIE = order_from_covers(8, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2),
+                                      (1, 5), (1, 6), (2, 5), (2, 6), (5, 7), (6, 7)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_orders())
+@example(DOUBLE_BOWTIE)
+def test_meet_join_on_random_orders_match_pairwise_definition(leq):
+    n = len(leq)
+    bottom = GroupDescriptor("finite", "I", table=cyclic_table(1, ["e"]))
+    groups = [bottom] + [GroupDescriptor(SL3, f"G{i}") for i in range(1, n)]
+    nodes = [SubgroupNode(i, g, g.label) for i, g in enumerate(groups)]
+    action = cyclic_chain_lattice([1, 2]).action
+    try:
+        meet, join = pairwise_meet_join(leq)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as err:
+            Lattice(nodes, leq, action)
+        assert str(err.value) == str(exc)
+        return
+    lat = Lattice(nodes, leq, action)
+    got_meet, got_join = _tables(lat)
+    assert np.array_equal(got_meet, meet) and np.array_equal(got_join, join)
+
+
+def pairwise_absorption_error(meet, join):
+    """The message of the first absorption failure in row-major order, the
+    law a ^ (a v b) = a checked before a v (a ^ b) = a; None if both hold."""
+    n = len(meet)
+    for a in range(n):
+        for b in range(n):
+            if meet[a, join[a, b]] != a:
+                return "absorption law a ^ (a v b) = a fails"
+            if join[a, meet[a, b]] != a:
+                return "absorption law a v (a ^ b) = a fails"
+    return None
+
+
+def test_absorption_check_reports_the_first_failure():
+    rng = np.random.default_rng(3)
+    lat = d4_lattice()
+    n = len(lat)
+    meet, join = lat._meet_table.copy(), lat._join_table.copy()
+    cases = [(meet, np.full_like(join, lat.bottom)),   # first law fails first
+             (meet, np.full_like(join, lat.top))]      # only the second law fails
+    for _ in range(20):
+        bad_meet, bad_join = meet.copy(), join.copy()
+        for table in (bad_meet, bad_join):
+            a, b = rng.integers(0, n, size=2)
+            table[a, b] = rng.integers(0, n)
+        cases.append((bad_meet, bad_join))
+    seen = set()
+    for lat._meet_table, lat._join_table in cases:
+        want = pairwise_absorption_error(lat._meet_table, lat._join_table)
+        seen.add(want)
+        if want is None:
+            lat._validate_absorption()
+        else:
+            with pytest.raises(LatticeError) as err:
+                lat._validate_absorption()
+            assert str(err.value) == want
+    assert len(seen) == 3
 
 
 def test_invalid_orders_rejected():
