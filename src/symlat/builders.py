@@ -254,10 +254,10 @@ def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattic
     norms = np.linalg.norm(axes, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise LatticeError("axes must be unit vectors")
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            if abs(float(axes[i] @ axes[j])) > 1.0 - 1e-9:
-                raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
+    collinear = np.argwhere(np.triu(np.abs(axes @ axes.T) > 1.0 - 1e-9, k=1))
+    if len(collinear):
+        i, j = collinear[0]
+        raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
     k = len(axes)
     so3 = GroupDescriptor(SO3, "SO3")
     action = GroupAction(so3, 3, ACTION_MATRIX)
@@ -267,8 +267,7 @@ def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattic
     nodes = [standard_node(i, g, action, angle_std=angle_std) for i, g in enumerate(groups)]
     circles = range(1, k + 1)
     covers = [(0, i) for i in circles] + [(i, k + 1) for i in circles]
-    facts = {k + 1: [frozenset({i, j}) for i in circles for j in range(i + 1, k + 1)]}
-    return Lattice(nodes, order_from_covers(k + 2, covers), action, generation_facts=facts)
+    return Lattice(nodes, order_from_covers(k + 2, covers), action)
 
 
 def sl3_extended_lattice(axes: np.ndarray | None = None,

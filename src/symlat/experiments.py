@@ -19,13 +19,7 @@ from .config import ExperimentConfig, build_lattice
 from .data import RegressionDataset
 from .errors import ConfigError, DataError
 from .ingest import ingest
-from .invariance import (
-    exceedance_test,
-    gaussian_noise,
-    known_bound,
-    order_bound,
-    ratio_permutation_test,
-)
+from .invariance import gaussian_noise, known_bound, order_bound
 from .plotting import Series, write_svg
 from .regression import fit_lce, mspe, symmetrized_estimator
 from .scenarios import make_scenario, quarter_turn_actions
@@ -110,17 +104,8 @@ def _power_task(args) -> bool:
     data = scenario.sample_train(rng, n)
     rotation, half_turn, sampler = quarter_turn_actions(scenario.dim)
     action = rotation if hyp == "non-invariant" else half_turn
-    noise = gaussian_noise(_noise_sigma(cfg, scenario))
-    if test_name == "exceedance":
-        outcome = exceedance_test(
-            data, action, sampler, known_bound(cfg.test.lipschitz, cfg.test.exponent),
-            noise, rng, m=cfg.test.m_for(n), alpha=cfg.test.alpha,
-            thresholds=_exceedance_thresholds(cfg, noise))
-    else:
-        outcome = ratio_permutation_test(
-            data, action, sampler, order_bound(cfg.test.exponent), rng,
-            m=cfg.test.perm_m_for(n), B=cfg.test.B, q=cfg.test.q, alpha=cfg.test.alpha)
-    return outcome.rejected
+    tester = _tester(cfg, test_name, data, gaussian_noise(_noise_sigma(cfg, scenario)))
+    return tester.test(action, sampler, cfg.test.alpha, rng).rejected
 
 
 def run_power_curve(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:

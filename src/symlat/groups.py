@@ -541,6 +541,7 @@ ACTION_MATRIX = "matrix"
 ACTION_PLANAR = "planar"
 ACTION_PERMUTATION = "permutation"
 ACTION_TRIVIAL = "trivial"
+ACTION_KINDS = (ACTION_MATRIX, ACTION_PLANAR, ACTION_PERMUTATION, ACTION_TRIVIAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,6 +563,8 @@ class GroupAction:
     perms: np.ndarray | None = None         # (N, dim) int, permutation kind
 
     def __post_init__(self):
+        if self.kind not in ACTION_KINDS:
+            raise InvalidGroupError(f"unknown action kind {self.kind!r}")
         if self.kind == ACTION_MATRIX and self.matrices is not None:
             m = np.array(self.matrices, dtype=float)
             if m.shape != (self.group.table.size, self.dim, self.dim):

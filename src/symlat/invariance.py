@@ -301,7 +301,6 @@ class TestOutcome:
     __test__ = False  # not a pytest class, despite the name
 
     p_value: float
-    decision: int
     alpha: float
     effective_m: int
     statistics: np.ndarray
@@ -313,10 +312,9 @@ class TestOutcome:
     baseline_quantile: float | None = None
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        expected = REJECT if self.p_value <= self.alpha else ACCEPT
-        if self.decision != expected:
-            raise SymlatError("decision must be reject iff p_value <= alpha")
+    @property
+    def decision(self) -> int:
+        return REJECT if self.p_value <= self.alpha else ACCEPT
 
     @property
     def rejected(self) -> bool:
@@ -325,8 +323,7 @@ class TestOutcome:
 
 def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
     p_value = float(min(1.0, max(0.0, p_value)))
-    decision = REJECT if p_value <= alpha else ACCEPT
-    return TestOutcome(p_value=p_value, decision=decision, alpha=alpha, **kw)
+    return TestOutcome(p_value=p_value, alpha=alpha, **kw)
 
 
 def write_diagnostics(outcome: TestOutcome, path) -> None:

@@ -12,7 +12,7 @@ which attaches its kind's sampler and projection map.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +31,13 @@ class SubgroupNode:
 
     node_id: int
     group: GroupDescriptor
-    label: str
     height: int = -1
     sampler: SamplerSpec | None = None
     projection: ProjectionMap | None = None
 
-
-GenerationFacts = Mapping[int, Sequence[frozenset[int]]]
+    @property
+    def label(self) -> str:
+        return self.group.label
 
 
 class Lattice:
@@ -50,8 +50,7 @@ class Lattice:
     """
 
     def __init__(self, nodes: Sequence[SubgroupNode], leq: np.ndarray,
-                 action: GroupAction,
-                 generation_facts: GenerationFacts | None = None):
+                 action: GroupAction):
         leq = np.asarray(leq, dtype=bool)
         n = len(nodes)
         if leq.shape != (n, n):
@@ -59,8 +58,6 @@ class Lattice:
         self.leq = leq.copy()
         self.leq.setflags(write=False)
         self.action = action
-        self.generation_facts = {int(k): tuple(frozenset(s) for s in v)
-                                 for k, v in (generation_facts or {}).items()}
         self._validate_partial_order()
         self._bottom, self._top = self._find_extremes()
         self._covers = self._transitive_reduction()
@@ -113,15 +110,20 @@ class Lattice:
                 heights[v] = heights[below].max() + 1
         return heights
 
+    def _finite_pairs(self):
+        """Pairs of finite nodes on one Cayley table, in row-major order."""
+        finite = [node for node in self.nodes if node.group.is_finite]
+        for a in finite:
+            for b in finite:
+                if a.group.table is b.group.table:
+                    yield a, b
+
     def _validate_finite_order_consistency(self) -> None:
-        for a in self.nodes:
-            for b in self.nodes:
-                ga, gb = a.group, b.group
-                if ga.is_finite and gb.is_finite and ga.table is gb.table:
-                    if self.leq[a.node_id, b.node_id] != (ga.members <= gb.members):
-                        raise LatticeError(
-                            f"declared order between {a.label!r} and {b.label!r} "
-                            "contradicts their member sets")
+        for a, b in self._finite_pairs():
+            if self.leq[a.node_id, b.node_id] != (a.group.members <= b.group.members):
+                raise LatticeError(
+                    f"declared order between {a.label!r} and {b.label!r} "
+                    "contradicts their member sets")
 
     def _build_meet_join(self) -> tuple[np.ndarray, np.ndarray]:
         # Row a at a time.  lower[b, c] marks the common lower bounds c of a and
@@ -161,21 +163,18 @@ class Lattice:
             raise LatticeError(f"absorption law {law} fails")
 
     def _validate_finite_meet_join(self) -> None:
-        for a in self.nodes:
-            for b in self.nodes:
-                ga, gb = a.group, b.group
-                if not (ga.is_finite and gb.is_finite and ga.table is gb.table):
-                    continue
-                m = self.nodes[self._meet_table[a.node_id, b.node_id]].group
-                if m.members != (ga.members & gb.members):
+        for a, b in self._finite_pairs():
+            ga, gb = a.group, b.group
+            m = self.nodes[self._meet_table[a.node_id, b.node_id]].group
+            if m.members != (ga.members & gb.members):
+                raise LatticeError(
+                    f"meet of {a.label!r}, {b.label!r} is not the member intersection")
+            j = self.nodes[self._join_table[a.node_id, b.node_id]].group
+            if j.is_finite and j.table is ga.table:
+                generated = ga.table.closure(ga.members | gb.members)
+                if j.members != generated:
                     raise LatticeError(
-                        f"meet of {a.label!r}, {b.label!r} is not the member intersection")
-                j = self.nodes[self._join_table[a.node_id, b.node_id]].group
-                if j.is_finite and j.table is ga.table:
-                    generated = ga.table.closure(ga.members | gb.members)
-                    if j.members != generated:
-                        raise LatticeError(
-                            f"join of {a.label!r}, {b.label!r} is not the generated subgroup")
+                        f"join of {a.label!r}, {b.label!r} is not the generated subgroup")
 
     # -- queries ----------------------------------------------------------------
 
@@ -271,7 +270,7 @@ def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
         projection = nonzero_projection(action.dim)
     else:
         raise LatticeError(f"no standard node for group kind {group.kind!r}")
-    return SubgroupNode(node_id, group, group.label, sampler=sampler, projection=projection)
+    return SubgroupNode(node_id, group, sampler=sampler, projection=projection)
 
 
 def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -300,8 +299,7 @@ def add_top(lat: Lattice, group: GroupDescriptor) -> Lattice:
     leq = np.zeros((n + 1, n + 1), dtype=bool)
     leq[:n, :n] = lat.leq
     leq[:, n] = True
-    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action)],
-                   leq, lat.action, lat.generation_facts)
+    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action)], leq, lat.action)
 
 
 def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) -> Lattice:

@@ -2,9 +2,9 @@
 
 Three strategies share a pluggable per-node invariance test: breadth-first
 (test every surviving node level by level, deleting everything above a
-rejection), its greedy variant (skip a node generated by two or more
-surviving nodes of the previous level), and depth-first (follow the first
-acceptance upward).  Per-node random streams are spawned from the master
+rejection), its greedy variant (skip a node that is the lattice join of two
+or more surviving nodes of the previous level), and depth-first (follow the
+first acceptance upward).  Per-node random streams are spawned from the master
 seed and the node id, so outcomes are independent of test order within a
 level.
 """
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import NeighborIndex, RegressionDataset
 from .errors import SymlatError
-from .groups import MixtureSampler
+from .groups import GroupAction, MixtureSampler, SamplerSpec
 from .invariance import (
     ACCEPT,
     REJECT,
@@ -116,11 +117,15 @@ class ExceedanceTester:
         self.thresholds = thresholds
         self.index = NeighborIndex.from_dataset(data)
 
+    def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
+             rng: np.random.Generator) -> TestOutcome:
+        return exceedance_test(self.data, action, sampler, self.bound, self.noise, rng,
+                               self.m, alpha=alpha, thresholds=self.thresholds,
+                               index=self.index)
+
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
-        return exceedance_test(self.data, lattice.action, _require_sampler(node), self.bound,
-                               self.noise, rng, self.m, alpha=alpha,
-                               thresholds=self.thresholds, index=self.index)
+        return self.test(lattice.action, _require_sampler(node), alpha, rng)
 
     def test_level(self, lattice: Lattice, nodes: Sequence[SubgroupNode], alpha: float,
                    rng: np.random.Generator) -> dict[int, TestOutcome]:
@@ -142,11 +147,14 @@ class PermutationTester:
         self.B = B
         self.q = q
 
+    def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
+             rng: np.random.Generator) -> TestOutcome:
+        return ratio_permutation_test(self.data, action, sampler, self.bound, rng,
+                                      self.m, self.B, q=self.q, alpha=alpha)
+
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
-        return ratio_permutation_test(self.data, lattice.action, _require_sampler(node),
-                                      self.bound, rng, self.m, self.B,
-                                      q=self.q, alpha=alpha)
+        return self.test(lattice.action, _require_sampler(node), alpha, rng)
 
     def test_level(self, lattice: Lattice, nodes: Sequence[SubgroupNode], alpha: float,
                    rng: np.random.Generator) -> dict[int, TestOutcome]:
@@ -206,22 +214,7 @@ def _greedy_skippable(lattice: Lattice, node: SubgroupNode,
                       prev_level_alive: set[int]) -> bool:
     """True when the node is the join of >= 2 surviving previous-level nodes."""
     below = [u for u in prev_level_alive if lattice.leq[u, node.node_id]]
-    group = node.group
-    if group.is_finite:
-        finite_below = [lattice.node(u).group for u in below
-                        if lattice.node(u).group.is_finite
-                        and lattice.node(u).group.table is group.table]
-        if len(finite_below) >= 2:
-            union: set[int] = set()
-            for g in finite_below:
-                union |= g.members
-            if group.table.closure(union) == group.members:
-                return True
-        return False
-    for fact in lattice.generation_facts.get(node.node_id, ()):
-        if len(fact) >= 2 and fact <= prev_level_alive:
-            return True
-    return False
+    return len(below) >= 2 and reduce(lattice.join, below) == node.node_id
 
 
 def _resolve_and_pack(lattice: Lattice, statuses: dict[int, str],

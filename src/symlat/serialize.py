@@ -39,7 +39,6 @@ Lattice blocks::
     node <id> <label> s1-axis <x> <y> <z>
     node <id> <label> so3|sl3
     cover <lo> <hi>
-    fact <node> <id> <id> ... # greedy generation fact
     end
 
 Samplers and projection maps are not serialized; loading reattaches each
@@ -217,9 +216,6 @@ def dumps_lattice(lat: Lattice) -> str:
     rows, cols = np.nonzero(lat.covers)
     for lo, hi in zip(rows.tolist(), cols.tolist()):
         out.append(f"cover {lo} {hi}")
-    for node_id in sorted(lat.generation_facts):
-        for fact in lat.generation_facts[node_id]:
-            out.append(f"fact {node_id} " + " ".join(str(i) for i in sorted(fact)))
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -237,7 +233,6 @@ def loads_lattice(text: str) -> Lattice:
     perms = None
     node_specs: list[tuple[int, str, str, str]] = []
     covers: list[tuple[int, int]] = []
-    facts: dict[int, list[frozenset[int]]] = {}
     while True:
         line = cur.take()
         if line == "end":
@@ -277,9 +272,6 @@ def loads_lattice(text: str) -> Lattice:
         elif key == "cover":
             lo, hi = rest.split()
             covers.append((int(lo), int(hi)))
-        elif key == "fact":
-            vals = rest.split()
-            facts.setdefault(int(vals[0]), []).append(frozenset(int(v) for v in vals[1:]))
         else:
             raise SymlatError(f"unknown lattice line {line!r}")
 
@@ -315,5 +307,4 @@ def loads_lattice(text: str) -> Lattice:
         else:
             raise SymlatError(f"unknown node kind {kind!r}")
         nodes.append(standard_node(node_id, group, action))
-    return Lattice(nodes, order_from_covers(len(nodes), covers), action,
-                   generation_facts=facts)
+    return Lattice(nodes, order_from_covers(len(nodes), covers), action)

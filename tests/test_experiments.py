@@ -1,6 +1,7 @@
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from symlat.builders import (
 from symlat.cli import main as cli_main
 from symlat.config import build_lattice, load_config
 from symlat.data import RegressionDataset
-from symlat.errors import ConfigError, DataError
+from symlat.errors import ConfigError, DataError, InvalidGroupError, SymlatError
 from symlat.experiments import plot_power_curve, run_experiment
 from symlat.ingest import ingest_csv, ingest_idx
 from symlat.invariance import gaussian_noise, known_bound
@@ -440,7 +441,6 @@ def test_lattice_serialization_round_trip():
         assert len(again) == len(lat)
         assert np.array_equal(again.leq, lat.leq)
         assert [n.label for n in again.nodes] == [n.label for n in lat.nodes]
-        assert again.generation_facts == lat.generation_facts
         for a, b in zip(again.nodes, lat.nodes):
             assert a.group.kind == b.group.kind
             assert a.sampler.kind == b.sampler.kind
@@ -461,6 +461,29 @@ def test_lattice_serialization_round_trip():
             assert (built.estimate, built.statuses) == (loaded.estimate, loaded.statuses)
             assert {k: o.p_value for k, o in built.outcomes.items()} == \
                 {k: o.p_value for k, o in loaded.outcomes.items()}
+
+
+def test_lattice_loader_rejects_fact_lines():
+    text = dumps_lattice(so3_axes_lattice(icosahedral_axes()))
+    assert "\nfact " not in text
+    with pytest.raises(SymlatError, match="unknown lattice line 'fact 7 1 2'"):
+        loads_lattice(text.replace("\nend\n", "\nfact 7 1 2\nend\n"))
+
+
+def test_lattice_loader_rejects_an_unknown_action_kind():
+    text = dumps_lattice(d4_lattice())
+    assert "\naction matrix\n" in text
+    with pytest.raises(InvalidGroupError, match="unknown action kind 'bogus'"):
+        loads_lattice(text.replace("\naction matrix\n", "\naction bogus\n"))
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load_and_build(path):
+    cfg = load_config(path)
+    assert len(build_lattice(cfg.lattice)) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from symlat.groups import (
     act,
     cyclic_table,
 )
-from symlat.lattice import Lattice, SubgroupNode, add_top, order_from_covers
+from symlat.lattice import (Lattice, SubgroupNode, add_top, lattice_from_member_sets,
+                            order_from_covers)
 
 
 def brute_closure(table, seed):
@@ -156,7 +157,7 @@ def test_add_top():
     trivial = GroupDescriptor("finite", "I", table=table)
     from symlat.groups import ACTION_MATRIX, GroupAction
     action = GroupAction(GroupDescriptor("so3", "SO3"), 3, ACTION_MATRIX)
-    single = Lattice([SubgroupNode(0, trivial, "I",
+    single = Lattice([SubgroupNode(0, trivial,
                                    sampler=SamplerSpec("point-mass",
                                                        element=trivial.identity_element()))],
                      np.eye(1, dtype=bool), action)
@@ -273,7 +274,7 @@ def test_meet_join_on_random_orders_match_pairwise_definition(leq):
     n = len(leq)
     bottom = GroupDescriptor("finite", "I", table=cyclic_table(1, ["e"]))
     groups = [bottom] + [GroupDescriptor(SL3, f"G{i}") for i in range(1, n)]
-    nodes = [SubgroupNode(i, g, g.label) for i, g in enumerate(groups)]
+    nodes = [SubgroupNode(i, g) for i, g in enumerate(groups)]
     action = cyclic_chain_lattice([1, 2]).action
     try:
         meet, join = pairwise_meet_join(leq)
@@ -335,7 +336,7 @@ def test_invalid_orders_rejected():
     groups = [GroupDescriptor("finite", lbl, table=table, members=m)
               for lbl, m in (("I", frozenset({0})), ("C2", frozenset({0, 2})),
                              ("C4", frozenset(range(4))))]
-    nodes = [SubgroupNode(i, g, g.label) for i, g in enumerate(groups)]
+    nodes = [SubgroupNode(i, g) for i, g in enumerate(groups)]
     with pytest.raises(LatticeError):
         Lattice(nodes, leq, nodes_action.action)
     # order contradicting member sets
@@ -355,6 +356,31 @@ def test_collinear_axes_rejected():
     axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     with pytest.raises(LatticeError):
         so3_axes_lattice(axes)
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(LatticeError, match=r"^axes 1 and 2 are collinear \(duplicate node\)$"):
+        so3_axes_lattice(axes)
+
+
+def _d4_sub_lattice(labels):
+    """The D4 subgroups named by ``labels``, ordered by inclusion."""
+    full = d4_lattice()
+    nodes = [full.node_by_label(lbl) for lbl in labels]
+    return lattice_from_member_sets(full.nodes[0].group.table,
+                                    [n.group.members for n in nodes], labels, full.action)
+
+
+def test_finite_meet_must_be_the_member_intersection():
+    # <h,r180> and <r90> share <r180>, which the node set leaves out
+    with pytest.raises(LatticeError, match="^meet of '<h,r180>', '<r90>' is not the "
+                                           "member intersection$"):
+        _d4_sub_lattice(["I", "<h,r180>", "<r90>", "D4"])
+
+
+def test_finite_join_must_be_the_generated_subgroup():
+    # <h> and <v> generate <h,r180>, which the node set leaves out
+    with pytest.raises(LatticeError, match="^join of '<h>', '<v>' is not the "
+                                           "generated subgroup$"):
+        _d4_sub_lattice(["I", "<h>", "<v>", "D4"])
 
 
 def test_cyclic_chain_validation():

@@ -1,4 +1,5 @@
 import math
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from symlat.builders import (
     c2xc2_lattice,
     cyclic_chain_lattice,
     d4_lattice,
+    d4_pixel_lattice,
+    d4_table,
     full_subgroup_lattice,
     sl3_extended_lattice,
     so3_axes_lattice,
@@ -25,6 +28,7 @@ from symlat.search import (
     REJECTED,
     SKIPPED_GREEDY,
     UNTESTED,
+    _greedy_skippable,
     ExceedanceTester,
     OracleTester,
     PermutationTester,
@@ -187,12 +191,86 @@ def test_greedy_savings_on_abelian_product():
     assert greedy.estimate == lat.top
 
 
-def test_greedy_uses_declared_facts_for_continuous_joins():
+def test_greedy_uses_the_join_for_continuous_nodes():
     lat = so3_axes_lattice(icosahedral_axes())
     result = breadth_first_greedy_estimate(lat, OracleTester.accept_all(),
                                            SearchConfig(seed=2))
     assert result.statuses[lat.top] == SKIPPED_GREEDY
     assert result.estimate == lat.top
+
+
+def reference_greedy_skippable(lattice, node, prev_level_alive, facts):
+    """The generation-fact rule the join rule replaced: closure of the
+    surviving finite nodes below on the node's table, or a declared set of
+    >= 2 surviving nodes generating a continuous node."""
+    below = [u for u in prev_level_alive if lattice.leq[u, node.node_id]]
+    group = node.group
+    if group.is_finite:
+        finite_below = [lattice.node(u).group for u in below
+                        if lattice.node(u).group.is_finite
+                        and lattice.node(u).group.table is group.table]
+        if len(finite_below) >= 2:
+            union = set()
+            for g in finite_below:
+                union |= g.members
+            if group.table.closure(union) == group.members:
+                return True
+        return False
+    for fact in facts.get(node.node_id, ()):
+        if len(fact) >= 2 and fact <= prev_level_alive:
+            return True
+    return False
+
+
+def _abstract_lattice(table):
+    """All subgroups of ``table`` under a matrix action without realisation
+    (enough for the greedy rule, which never samples)."""
+    group = GroupDescriptor("finite", "G", table=table)
+    return full_subgroup_lattice(table, GroupAction(group, 2, ACTION_MATRIX))
+
+
+def _circle_pair_facts(k, top):
+    return {top: [frozenset({i, j}) for i in range(1, k + 1) for j in range(i + 1, k + 1)]}
+
+
+def _greedy_reference_cases():
+    c2, c3 = cyclic_table(2), cyclic_table(3)
+    ico = so3_axes_lattice(icosahedral_axes())
+    k = len(icosahedral_axes())
+    cases = [(d4_lattice(), {}), (d4_pixel_lattice(3), {}),
+             (cyclic_chain_lattice([1, 2, 4, 8]), {}),
+             (cyclic_chain_lattice([1, 3, 6, 12]), {}), (c2xc2_lattice(), {}),
+             (ico, _circle_pair_facts(k, ico.top)),
+             (sl3_extended_lattice(), _circle_pair_facts(k, k + 1))]
+    for table in (cyclic_table(12), direct_product_table(c2, cyclic_table(4)),
+                  direct_product_table(direct_product_table(c2, c2), c2),
+                  direct_product_table(c3, c3), direct_product_table(c2, cyclic_table(6)),
+                  d4_table()):
+        cases.append((_abstract_lattice(table), {}))
+    return cases
+
+
+def _alive_sets(level, rng):
+    if len(level) <= 10:
+        return [set(c) for c in chain.from_iterable(
+            combinations(level, r) for r in range(len(level) + 1))]
+    return [{v for v in level if rng.random() < 0.5} for _ in range(400)]
+
+
+def test_greedy_join_rule_matches_the_generation_rule():
+    rng = np.random.default_rng(10)
+    compared = 0
+    for lat, facts in _greedy_reference_cases():
+        levels = lat.enumerate_by_height()
+        for prev, level in zip(levels, levels[1:]):
+            for alive in _alive_sets(prev, rng):
+                for v in level:
+                    node = lat.node(v)
+                    assert (_greedy_skippable(lat, node, alive)
+                            == reference_greedy_skippable(lat, node, alive, facts)), \
+                        (node.label, sorted(alive))
+                    compared += 1
+    assert compared == 1726
 
 
 def test_depth_first_examples():
