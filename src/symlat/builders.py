@@ -181,8 +181,8 @@ def d4_lattice(dim: int = 2, action: GroupAction | None = None) -> Lattice:
               (1, 6), (2, 6), (3, 6),
               (3, 7), (3, 8), (4, 8), (5, 8),
               (6, 9), (7, 9), (8, 9)]
-    nodes = [standard_node(i, GroupDescriptor(FINITE, lbl, table=table, members=s), action)
-             for i, (s, lbl) in enumerate(zip(member_sets, labels))]
+    nodes = [standard_node(GroupDescriptor(FINITE, lbl, table=table, members=s), action)
+             for s, lbl in zip(member_sets, labels)]
     return Lattice(nodes, order_from_covers(len(nodes), covers), action)
 
 
@@ -264,7 +264,7 @@ def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattic
     groups = ([GroupDescriptor(FINITE, "I", table=cyclic_table(1, ["e"]))]
               + [GroupDescriptor(S1_AXIS, f"S1_u{i + 1}", axis=u) for i, u in enumerate(axes)]
               + [so3])
-    nodes = [standard_node(i, g, action, angle_std=angle_std) for i, g in enumerate(groups)]
+    nodes = [standard_node(g, action, angle_std=angle_std) for g in groups]
     circles = range(1, k + 1)
     covers = [(0, i) for i in circles] + [(i, k + 1) for i in circles]
     return Lattice(nodes, order_from_covers(k + 2, covers), action)

@@ -403,7 +403,6 @@ def elements_equal(a: GroupElement, b: GroupElement, tol: float = MEMBERSHIP_TOL
 
 FINITE = "finite"
 S1_AXIS = "s1-axis"
-S1_PLANE = "s1-plane"
 SO3 = "so3"
 SL3 = "sl3"
 
@@ -411,15 +410,13 @@ SL3 = "sl3"
 @dataclass(frozen=True, eq=False)
 class GroupDescriptor:
     """A (sub)group: either a member set of a Cayley table or a parametrised
-    continuous family (circle group about an axis or in a coordinate plane,
-    SO(3) or SL(3))."""
+    continuous family (circle group about an axis, SO(3) or SL(3))."""
 
     kind: str
     label: str
     table: CayleyTable | None = None
     members: frozenset[int] | None = None
     axis: np.ndarray | None = None
-    plane: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.kind == FINITE:
@@ -430,6 +427,11 @@ class GroupDescriptor:
                 members = frozenset(range(self.table.size))
             else:
                 members = frozenset(int(i) for i in members)
+                outside = [i for i in sorted(members) if not 0 <= i < self.table.size]
+                if outside:
+                    raise InvalidGroupError(
+                        f"member index {outside[0]} of {self.label!r} is outside its "
+                        f"{self.table.size}-element table")
                 if not self.table.is_subgroup(members):
                     raise InvalidGroupError(
                         f"member set {sorted(members)} is not a subgroup of {self.label!r}")
@@ -441,9 +443,6 @@ class GroupDescriptor:
             if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
                 raise InvalidGroupError("circle-group axis must be a unit vector")
             object.__setattr__(self, "axis", axis)
-        elif self.kind == S1_PLANE:
-            if self.plane is None:
-                raise InvalidGroupError("s1-plane descriptor requires a coordinate plane")
         elif self.kind not in (SO3, SL3):
             raise InvalidGroupError(f"unknown group kind {self.kind!r}")
 
@@ -464,8 +463,6 @@ class GroupDescriptor:
             return FiniteElement(self.table, self.table.identity)
         if self.kind == S1_AXIS:
             return AxisRotation(self.axis, 0.0)
-        if self.kind == S1_PLANE:
-            return PlanarRotation(0.0, self.plane)
         if self.kind == SO3:
             return RotationMatrix(np.eye(3))
         return SpecialLinear(np.eye(3))
@@ -500,9 +497,6 @@ class GroupDescriptor:
                     return False
                 return bool(np.linalg.norm(m @ self.axis - self.axis) <= tol)
             return False
-        if self.kind == S1_PLANE:
-            return isinstance(g, PlanarRotation) and (
-                g.plane == self.plane or _angle_distance(g.angle, 0.0) <= tol)
         if self.kind == SO3:
             if isinstance(g, SpecialLinear):
                 return bool(np.max(np.abs(g.matrix.T @ g.matrix - np.eye(3))) <= tol)

@@ -326,26 +326,6 @@ def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
     return TestOutcome(p_value=p_value, alpha=alpha, **kw)
 
 
-def write_diagnostics(outcome: TestOutcome, path) -> None:
-    """CSV with columns (replicate, t_or_k, statistic, count).
-
-    Exceedance tests emit one row per threshold (replicate 0, the threshold,
-    its binomial-tail p-value, and the exceedance count); permutation tests
-    emit the baseline quantile as replicate 0 and one row per replicate k
-    with its quantile and kept-sample count.
-    """
-    lines = ["replicate,t_or_k,statistic,count"]
-    if outcome.thresholds is not None:
-        for t, p, c in zip(outcome.thresholds, outcome.threshold_p, outcome.exceed_counts):
-            lines.append(f"0,{t!r},{p!r},{int(c)}")
-    if outcome.replicate_quantiles is not None:
-        lines.append(f"0,0,{outcome.baseline_quantile!r},{outcome.effective_m}")
-        for k, (a, mk) in enumerate(zip(outcome.replicate_quantiles, outcome.replicate_m), start=1):
-            lines.append(f"{k},{k},{a!r},{int(mk)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LatticeError, NotASupergroupError
-from .groups import (FINITE, SL3, SO3, S1_AXIS, GroupAction, GroupDescriptor, SamplerSpec,
+from .groups import (FINITE, SO3, S1_AXIS, GroupAction, GroupDescriptor, SamplerSpec,
                      default_sl3_generators, elements_of, non_identity_sampler,
                      uniform_sampler)
 from .projections import (ProjectionMap, colatitude_projection, identity_projection,
@@ -27,7 +27,11 @@ from .projections import (ProjectionMap, colatitude_projection, identity_project
 
 @dataclass(frozen=True, eq=False)
 class SubgroupNode:
-    """One candidate subgroup in the search order."""
+    """One candidate subgroup in the search order.
+
+    ``node_id`` and ``height`` are set by :class:`Lattice`; a node made
+    outside a lattice carries placeholders.
+    """
 
     node_id: int
     group: GroupDescriptor
@@ -43,7 +47,9 @@ class SubgroupNode:
 class Lattice:
     """A finite lattice of subgroups with its ambient action.
 
-    ``leq[i, j]`` means node ``i`` is a subgroup of node ``j``.  Construction
+    ``leq[i, j]`` means node ``i`` is a subgroup of node ``j``.  The lattice
+    alone numbers its nodes: node ``i`` gets ``node_id = i``, its position in
+    ``nodes`` and in ``leq``, whatever id it arrived with.  Construction
     validates the partial order, unique bottom/top, and that every pair has a
     unique meet and join inside the node set (for finite nodes these are also
     checked against element-set intersection and generated closure).
@@ -69,7 +75,6 @@ class Lattice:
             raise LatticeError("lattice bottom must be the trivial group")
         self._validate_finite_order_consistency()
         self._meet_table, self._join_table = self._build_meet_join()
-        self._validate_absorption()
         self._validate_finite_meet_join()
 
     # -- validation helpers ---------------------------------------------------
@@ -153,15 +158,6 @@ class Lattice:
                 raise LatticeError(f"nodes {a} and {b} lack a unique {which}")
         return meet, join
 
-    def _validate_absorption(self) -> None:
-        rows = np.arange(len(self.nodes))[:, None]
-        meet_fails = self._meet_table[rows, self._join_table] != rows
-        join_fails = self._join_table[rows, self._meet_table] != rows
-        first = np.flatnonzero(meet_fails | join_fails)
-        if first.size:
-            law = "a ^ (a v b) = a" if meet_fails.flat[first[0]] else "a v (a ^ b) = a"
-            raise LatticeError(f"absorption law {law} fails")
-
     def _validate_finite_meet_join(self) -> None:
         for a, b in self._finite_pairs():
             ga, gb = a.group, b.group
@@ -240,9 +236,10 @@ class Lattice:
         return out
 
 
-def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
+def standard_node(group: GroupDescriptor, action: GroupAction,
                   angle_std: float | None = None) -> SubgroupNode:
-    """A node carrying its kind's sampler and projection map.
+    """A node carrying its kind's sampler and projection map, for a lattice
+    to number.
 
     finite: uniform over the non-identity members with the orbit-canonical
     map (the identity map when the table has one element); s1-axis: Haar
@@ -265,12 +262,10 @@ def standard_node(node_id: int, group: GroupDescriptor, action: GroupAction,
     elif group.kind == SO3:
         sampler = SamplerSpec("haar-so3")
         projection = radial_projection(action.dim)
-    elif group.kind == SL3:
+    else:
         sampler = uniform_sampler(default_sl3_generators())
         projection = nonzero_projection(action.dim)
-    else:
-        raise LatticeError(f"no standard node for group kind {group.kind!r}")
-    return SubgroupNode(node_id, group, sampler=sampler, projection=projection)
+    return SubgroupNode(-1, group, sampler=sampler, projection=projection)
 
 
 def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -299,7 +294,7 @@ def add_top(lat: Lattice, group: GroupDescriptor) -> Lattice:
     leq = np.zeros((n + 1, n + 1), dtype=bool)
     leq[:n, :n] = lat.leq
     leq[:, n] = True
-    return Lattice(list(lat.nodes) + [standard_node(n, group, lat.action)], leq, lat.action)
+    return Lattice(list(lat.nodes) + [standard_node(group, lat.action)], leq, lat.action)
 
 
 def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) -> Lattice:
@@ -308,9 +303,8 @@ def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) ->
     member_sets = [frozenset(s) for s in member_sets]
     if len(set(member_sets)) != n:
         raise LatticeError("duplicate subgroups in node list")
-    nodes = [standard_node(i, GroupDescriptor(FINITE, label, table=table, members=members),
-                           action)
-             for i, (members, label) in enumerate(zip(member_sets, labels))]
+    nodes = [standard_node(GroupDescriptor(FINITE, label, table=table, members=members), action)
+             for members, label in zip(member_sets, labels)]
     leq = np.zeros((n, n), dtype=bool)
     for a in range(n):
         for b in range(n):

@@ -16,9 +16,8 @@ Group blocks::
 
     symlat-group v1
     label <text>
-    kind s1-axis | s1-plane | so3 | sl3
+    kind s1-axis | so3 | sl3
     axis <x> <y> <z>          # s1-axis only
-    plane <i> <j>             # s1-plane only
     end
 
 Lattice blocks::
@@ -41,6 +40,12 @@ Lattice blocks::
     cover <lo> <hi>
     end
 
+Node ids are positions: the node lines carry ids ``0..n-1`` in file order,
+and each cover names two nodes declared above it.  Every malformed block
+raises a :class:`~symlat.errors.SymlatError`; a bad id, a bad number or a
+wrong count of numbers is reported with the offending line quoted, and a
+member index outside the table with that index named.
+
 Samplers and projection maps are not serialized; loading reattaches each
 node kind's defaults from :func:`symlat.lattice.standard_node` (s1-axis
 nodes get Haar angles).  Floats are written with ``repr`` and round-trip
@@ -60,7 +65,6 @@ from .groups import (
     SL3,
     SO3,
     S1_AXIS,
-    S1_PLANE,
     CayleyTable,
     GroupAction,
     GroupDescriptor,
@@ -73,6 +77,21 @@ _LATTICE_HEADER = "symlat-lattice v1"
 
 def _floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
+
+
+def _ints(values) -> str:
+    return " ".join(str(int(v)) for v in values)
+
+
+def _numbers(line: str, fields: list[str], kind=int, count: int | None = None) -> list:
+    """``fields`` of ``line`` parsed as ``kind`` (int or float), exactly ``count``
+    of them when given; a bad field or count raises a SymlatError quoting ``line``."""
+    if count is not None and len(fields) != count:
+        raise SymlatError(f"expected {count} numbers, got {len(fields)}, in line {line!r}")
+    try:
+        return [kind(v) for v in fields]
+    except ValueError:
+        raise SymlatError(f"bad number in line {line!r}") from None
 
 
 def _clean_lines(text: str) -> list[str]:
@@ -96,6 +115,32 @@ class _Cursor:
         self.pos += 1
         return line
 
+    def rows(self, n: int, kind=int, count: int | None = None) -> list[list]:
+        """The next ``n`` lines, each a row of numbers."""
+        return [_numbers(line, line.split(), kind, count)
+                for line in (self.take() for _ in range(n))]
+
+
+def _expect_key(line: str, key: str) -> str:
+    head, _, rest = line.partition(" ")
+    if head != key:
+        raise SymlatError(f"expected {key!r} line, got {line!r}")
+    return rest.strip()
+
+
+def _table_lines(table: CayleyTable) -> list[str]:
+    """An ``elements`` line, then ``table`` and its rows."""
+    return (["elements " + " ".join(table.labels), "table"]
+            + [_ints(row) for row in table.table])
+
+
+def _read_table(cur: _Cursor, rest: str) -> CayleyTable:
+    """The Cayley table after an ``elements`` line whose labels are ``rest``."""
+    labels = rest.split()
+    if cur.take() != "table":
+        raise SymlatError("'elements' must be followed by 'table'")
+    return CayleyTable(np.array(cur.rows(len(labels), count=len(labels))), labels)
+
 
 # ---------------------------------------------------------------------------
 # Groups
@@ -104,20 +149,11 @@ class _Cursor:
 def dumps_group(group: GroupDescriptor) -> str:
     out = [_GROUP_HEADER, f"label {group.label}", f"kind {group.kind}"]
     if group.kind == FINITE:
-        out.append("elements " + " ".join(group.table.labels))
-        out.append("table")
-        for row in group.table.table:
-            out.append(" ".join(str(int(v)) for v in row))
+        out += _table_lines(group.table)
         if group.members != frozenset(range(group.table.size)):
-            out.append("members " + " ".join(str(i) for i in sorted(group.members)))
+            out.append("members " + _ints(sorted(group.members)))
     elif group.kind == S1_AXIS:
         out.append("axis " + _floats(group.axis))
-    elif group.kind == S1_PLANE:
-        out.append(f"plane {group.plane[0]} {group.plane[1]}")
-    elif group.kind in (SO3, SL3):
-        pass
-    else:
-        raise SymlatError(f"serialization of kind {group.kind!r} is not supported")
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -131,36 +167,20 @@ def loads_group(text: str) -> GroupDescriptor:
     table = None
     members = None
     axis = None
-    plane = None
     while True:
         line = cur.take()
         if line == "end":
             break
         key, _, rest = line.partition(" ")
         if key == "elements":
-            labels = rest.split()
-            if cur.take() != "table":
-                raise SymlatError("'elements' must be followed by 'table'")
-            rows = [cur.take().split() for _ in range(len(labels))]
-            table = CayleyTable(np.array([[int(v) for v in r] for r in rows]), labels)
+            table = _read_table(cur, rest)
         elif key == "members":
-            members = frozenset(int(v) for v in rest.split())
+            members = _numbers(line, rest.split())
         elif key == "axis":
-            axis = np.array([float(v) for v in rest.split()])
-        elif key == "plane":
-            i, j = rest.split()
-            plane = (int(i), int(j))
+            axis = np.array(_numbers(line, rest.split(), float, 3))
         else:
             raise SymlatError(f"unknown group line {line!r}")
-    return GroupDescriptor(kind, label, table=table, members=members,
-                           axis=axis, plane=plane)
-
-
-def _expect_key(line: str, key: str) -> str:
-    head, _, rest = line.partition(" ")
-    if head != key:
-        raise SymlatError(f"expected {key!r} line, got {line!r}")
-    return rest.strip()
+    return GroupDescriptor(kind, label, table=table, members=members, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -171,51 +191,35 @@ def dumps_lattice(lat: Lattice) -> str:
     action = lat.action
     out = [_LATTICE_HEADER, f"dim {action.dim}", f"action {action.kind}"]
     if action.kind == ACTION_PLANAR:
-        out.append(f"plane {action.plane[0]} {action.plane[1]}")
-    ambient_table = None
-    for node in lat.nodes:
-        if node.group.is_finite and node.group.table.size > 1:
-            ambient_table = node.group.table
-            break
-    if ambient_table is None:
-        for node in lat.nodes:
-            if node.group.is_finite:
-                ambient_table = node.group.table
-                break
-    if ambient_table is not None:
-        out.append("elements " + " ".join(ambient_table.labels))
-        out.append("table")
-        for row in ambient_table.table:
-            out.append(" ".join(str(int(v)) for v in row))
-        if action.kind == ACTION_MATRIX and action.matrices is not None:
-            out.append("matrices")
-            for mat in action.matrices:
-                out.append(_floats(mat.ravel()))
-        if action.kind == ACTION_PLANAR and action.angles is not None:
-            out.append("angles " + _floats(action.angles))
-        if action.kind == ACTION_PERMUTATION and action.perms is not None:
-            out.append("perms")
-            for perm in action.perms:
-                out.append(" ".join(str(int(v)) for v in perm))
+        out.append("plane " + _ints(action.plane))
+    # The bottom is finite, so there is always a table; prefer a non-trivial one.
+    tables = [node.group.table for node in lat.nodes if node.group.is_finite]
+    ambient_table = next((t for t in tables if t.size > 1), tables[0])
+    out += _table_lines(ambient_table)
+    if action.kind == ACTION_MATRIX and action.matrices is not None:
+        out.append("matrices")
+        out += [_floats(mat.ravel()) for mat in action.matrices]
+    if action.kind == ACTION_PLANAR and action.angles is not None:
+        out.append("angles " + _floats(action.angles))
+    if action.kind == ACTION_PERMUTATION and action.perms is not None:
+        out.append("perms")
+        out += [_ints(perm) for perm in action.perms]
     for node in lat.nodes:
         g = node.group
+        head = f"node {node.node_id} {node.label} {g.kind}"
         if g.is_finite:
-            if ambient_table is not None and g.table is ambient_table:
-                mem = ",".join(str(i) for i in sorted(g.members))
+            if g.table is ambient_table:
+                out.append(head + " " + ",".join(str(i) for i in sorted(g.members)))
             elif g.table.size == 1:
-                mem = "trivial"
+                out.append(head + " trivial")
             else:
                 raise SymlatError("finite nodes must share one ambient table")
-            out.append(f"node {node.node_id} {node.label} finite {mem}")
         elif g.kind == S1_AXIS:
-            out.append(f"node {node.node_id} {node.label} s1-axis " + _floats(g.axis))
-        elif g.kind in (SO3, SL3):
-            out.append(f"node {node.node_id} {node.label} {g.kind}")
+            out.append(head + " " + _floats(g.axis))
         else:
-            raise SymlatError(f"cannot serialize node kind {g.kind!r}")
+            out.append(head)
     rows, cols = np.nonzero(lat.covers)
-    for lo, hi in zip(rows.tolist(), cols.tolist()):
-        out.append(f"cover {lo} {hi}")
+    out += [f"cover {lo} {hi}" for lo, hi in zip(rows.tolist(), cols.tolist())]
     out.append("end")
     return "\n".join(out) + "\n"
 
@@ -224,14 +228,15 @@ def loads_lattice(text: str) -> Lattice:
     cur = _Cursor(_clean_lines(text))
     if cur.take() != _LATTICE_HEADER:
         raise SymlatError(f"expected {_LATTICE_HEADER!r} header")
-    dim = int(_expect_key(cur.take(), "dim"))
+    line = cur.take()
+    dim, = _numbers(line, _expect_key(line, "dim").split(), count=1)
     action_kind = _expect_key(cur.take(), "action")
     plane = None
     ambient_table = None
     matrices = None
     angles = None
     perms = None
-    node_specs: list[tuple[int, str, str, str]] = []
+    node_specs: list[tuple[str, str, str, str]] = []   # (line, label, kind, payload)
     covers: list[tuple[int, int]] = []
     while True:
         line = cur.take()
@@ -239,39 +244,34 @@ def loads_lattice(text: str) -> Lattice:
             break
         key, _, rest = line.partition(" ")
         if key == "plane":
-            i, j = rest.split()
-            plane = (int(i), int(j))
+            plane = tuple(_numbers(line, rest.split(), count=2))
         elif key == "elements":
-            labels = rest.split()
-            marker = cur.take()
-            if marker != "table":
-                raise SymlatError("'elements' must be followed by 'table'")
-            rows = [cur.take().split() for _ in range(len(labels))]
-            ambient_table = CayleyTable(np.array([[int(v) for v in r] for r in rows]),
-                                        labels)
+            ambient_table = _read_table(cur, rest)
         elif key == "matrices":
             if ambient_table is None:
                 raise SymlatError("'matrices' needs a preceding table")
-            matrices = np.array([[float(v) for v in cur.take().split()]
-                                 for _ in range(ambient_table.size)])
+            matrices = np.array(cur.rows(ambient_table.size, float, dim * dim))
             matrices = matrices.reshape(ambient_table.size, dim, dim)
-        elif key == "angles":
-            angles = np.array([float(v) for v in rest.split()])
         elif key == "perms":
             if ambient_table is None:
                 raise SymlatError("'perms' needs a preceding table")
-            perms = np.array([[int(v) for v in cur.take().split()]
-                              for _ in range(ambient_table.size)])
+            perms = np.array(cur.rows(ambient_table.size, count=dim))
+        elif key == "angles":
+            angles = np.array(_numbers(line, rest.split(), float))
         elif key == "node":
             parts = rest.split(None, 3)
             if len(parts) < 3:
                 raise SymlatError(f"malformed node line {line!r}")
-            node_id, label, kind = int(parts[0]), parts[1], parts[2]
-            payload = parts[3] if len(parts) > 3 else ""
-            node_specs.append((node_id, label, kind, payload))
+            node_id, = _numbers(line, parts[:1])
+            if node_id != len(node_specs):
+                raise SymlatError(f"node line {line!r} must carry id {len(node_specs)}: "
+                                  "node ids run 0..n-1 in file order")
+            node_specs.append((line, parts[1], parts[2], parts[3] if len(parts) > 3 else ""))
         elif key == "cover":
-            lo, hi = rest.split()
-            covers.append((int(lo), int(hi)))
+            lo, hi = _numbers(line, rest.split(), count=2)
+            if not (0 <= lo < len(node_specs) and 0 <= hi < len(node_specs)):
+                raise SymlatError(f"cover line {line!r} names a node not declared above it")
+            covers.append((lo, hi))
         else:
             raise SymlatError(f"unknown lattice line {line!r}")
 
@@ -289,22 +289,21 @@ def loads_lattice(text: str) -> Lattice:
 
     trivial_table = CayleyTable(np.array([[0]]), ["e"])
     nodes = []
-    for node_id, label, kind, payload in sorted(node_specs):
-        if kind == "finite":
+    for line, label, kind, payload in node_specs:
+        if kind == FINITE:
             if payload == "trivial":
                 group = GroupDescriptor(FINITE, label, table=trivial_table)
             else:
                 if ambient_table is None:
-                    raise SymlatError("finite node without an ambient table")
-                members = frozenset(int(v) for v in payload.split(","))
+                    raise SymlatError(f"finite node without an ambient table: {line!r}")
                 group = GroupDescriptor(FINITE, label, table=ambient_table,
-                                        members=members)
-        elif kind == "s1-axis":
+                                        members=_numbers(line, payload.split(",")))
+        elif kind == S1_AXIS:
             group = GroupDescriptor(S1_AXIS, label,
-                                    axis=np.array([float(v) for v in payload.split()]))
+                                    axis=np.array(_numbers(line, payload.split(), float, 3)))
         elif kind in (SO3, SL3):
             group = GroupDescriptor(kind, label)
         else:
-            raise SymlatError(f"unknown node kind {kind!r}")
-        nodes.append(standard_node(node_id, group, action))
+            raise SymlatError(f"unknown node kind {kind!r} in line {line!r}")
+        nodes.append(standard_node(group, action))
     return Lattice(nodes, order_from_covers(len(nodes), covers), action)

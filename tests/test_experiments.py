@@ -428,6 +428,11 @@ def test_group_serialization_round_trip():
     again = loads_group(text)
     assert dumps_group(again) == text
     assert np.array_equal(again.axis, s1.axis)
+    sl3 = sl3_extended_lattice()
+    for label in ("SO3", "SL3"):
+        text = dumps_group(sl3.node_by_label(label).group)
+        assert text == f"symlat-group v1\nlabel {label}\nkind {label.lower()}\nend\n"
+        assert dumps_group(loads_group(text)) == text
 
 
 def test_lattice_serialization_round_trip():
@@ -475,6 +480,39 @@ def test_lattice_loader_rejects_an_unknown_action_kind():
     assert "\naction matrix\n" in text
     with pytest.raises(InvalidGroupError, match="unknown action kind 'bogus'"):
         loads_lattice(text.replace("\naction matrix\n", "\naction bogus\n"))
+
+
+def _chain_text(old, new):
+    """The I < C2 < C4 chain's lattice text with line ``old`` replaced by ``new``."""
+    text = dumps_lattice(cyclic_chain_lattice([1, 2, 4]))
+    assert f"\n{old}\n" in text
+    return text.replace(f"\n{old}\n", f"\n{new}\n")
+
+
+PLANE_GROUP = "symlat-group v1\nlabel P\nkind s1-plane\nplane 0 1\nend\n"
+
+
+@pytest.mark.parametrize("load, old, new, quoted", [
+    (loads_lattice, "node 2 C4 finite 0,1,2,3", "node 9 C4 finite 0,1,2,3",
+     "'node 9 C4 finite 0,1,2,3'"),
+    (loads_lattice, "node 2 C4 finite 0,1,2,3", "node 1 C4 finite 0,1,2,3",
+     "'node 1 C4 finite 0,1,2,3'"),
+    (loads_lattice, "cover 1 2", "cover 1 7", "'cover 1 7'"),
+    (loads_lattice, "cover 0 1", "cover -1 2", "'cover -1 2'"),
+    (loads_lattice, "cover 1 2", "cover 1 x", "'cover 1 x'"),
+    (loads_lattice, "cover 1 2", "cover 1", "'cover 1'"),
+    (loads_lattice, "dim 2", "dim x", "'dim x'"),
+    (loads_lattice, "node 1 C2 finite 0,2", "node 1 C2 finite 0,9", "member index 9"),
+    (loads_group, None, PLANE_GROUP, "'plane 0 1'"),
+    (loads_group, None, PLANE_GROUP.replace("plane 0 1\n", ""), "'s1-plane'"),
+], ids=["node-9", "duplicate-node", "cover-past-end", "cover-negative",
+        "cover-not-a-number", "cover-one-id", "dim-not-a-number", "member-past-end",
+        "plane-group", "plane-kind"])
+def test_loaders_reject_bad_ids_numbers_and_kinds(load, old, new, quoted):
+    text = new if old is None else _chain_text(old, new)
+    with pytest.raises(SymlatError) as err:
+        load(text)
+    assert quoted in str(err.value)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))

@@ -291,6 +291,9 @@ def test_member_sets_must_be_subgroups():
     with pytest.raises(InvalidGroupError):
         GroupDescriptor("finite", "bad", table=table,
                         members=frozenset({0, D4_LABELS.index("r90")}))
+    for index in (9, -1):
+        with pytest.raises(InvalidGroupError, match=f"member index {index} of 'bad'"):
+            GroupDescriptor("finite", "bad", table=cyclic_table(4), members={0, index})
 
 
 def test_membership_checks():

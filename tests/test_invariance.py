@@ -33,7 +33,6 @@ from symlat.invariance import (
     quantile,
     ratio_permutation_test,
     table_noise,
-    write_diagnostics,
     _logsumexp,
     _perm_outcome,
 )
@@ -701,21 +700,3 @@ def test_generator_only_sampling_retains_power():
                               gaussian_noise(0.05), rng, m=300, thresholds=[0.1])
         rejections += out.rejected
     assert rejections / 25 > 0.9
-
-
-def test_diagnostics_csv(tmp_path):
-    rng = np.random.default_rng(1)
-    data = _toy_invariant_data(rng, sigma=0.05)
-    rotation, _, sampler = quarter_turn_actions(2)
-    out = exceedance_test(data, rotation, sampler, known_bound(1.0),
-                          gaussian_noise(0.05), rng, m=50)
-    path = tmp_path / "diag.csv"
-    write_diagnostics(out, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "replicate,t_or_k,statistic,count"
-    assert len(lines) == 1 + len(out.thresholds)
-    perm = ratio_permutation_test(data, rotation, sampler, order_bound(), rng,
-                                  m=40, B=7)
-    write_diagnostics(perm, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 1 + 7

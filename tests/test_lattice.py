@@ -288,45 +288,6 @@ def test_meet_join_on_random_orders_match_pairwise_definition(leq):
     assert np.array_equal(got_meet, meet) and np.array_equal(got_join, join)
 
 
-def pairwise_absorption_error(meet, join):
-    """The message of the first absorption failure in row-major order, the
-    law a ^ (a v b) = a checked before a v (a ^ b) = a; None if both hold."""
-    n = len(meet)
-    for a in range(n):
-        for b in range(n):
-            if meet[a, join[a, b]] != a:
-                return "absorption law a ^ (a v b) = a fails"
-            if join[a, meet[a, b]] != a:
-                return "absorption law a v (a ^ b) = a fails"
-    return None
-
-
-def test_absorption_check_reports_the_first_failure():
-    rng = np.random.default_rng(3)
-    lat = d4_lattice()
-    n = len(lat)
-    meet, join = lat._meet_table.copy(), lat._join_table.copy()
-    cases = [(meet, np.full_like(join, lat.bottom)),   # first law fails first
-             (meet, np.full_like(join, lat.top))]      # only the second law fails
-    for _ in range(20):
-        bad_meet, bad_join = meet.copy(), join.copy()
-        for table in (bad_meet, bad_join):
-            a, b = rng.integers(0, n, size=2)
-            table[a, b] = rng.integers(0, n)
-        cases.append((bad_meet, bad_join))
-    seen = set()
-    for lat._meet_table, lat._join_table in cases:
-        want = pairwise_absorption_error(lat._meet_table, lat._join_table)
-        seen.add(want)
-        if want is None:
-            lat._validate_absorption()
-        else:
-            with pytest.raises(LatticeError) as err:
-                lat._validate_absorption()
-            assert str(err.value) == want
-    assert len(seen) == 3
-
-
 def test_invalid_orders_rejected():
     nodes_action = d4_lattice()
     # non-transitive relation
