@@ -302,6 +302,8 @@ def loads_lattice(text: str) -> Lattice:
             group = GroupDescriptor(S1_AXIS, label,
                                     axis=np.array(_numbers(line, payload.split(), float, 3)))
         elif kind in (SO3, SL3):
+            if payload:
+                raise SymlatError(f"{kind} node line {line!r} carries a payload")
             group = GroupDescriptor(kind, label)
         else:
             raise SymlatError(f"unknown node kind {kind!r} in line {line!r}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +171,43 @@ def test_predict_chunks_match_one_block(monkeypatch):
     chunked = _kernels.nw_predict(xt, yt, xq, h)
     monkeypatch.setattr(_kernels, "PREDICT_CHUNK_ROWS", len(xq))
     assert np.array_equal(chunked, _kernels.nw_predict(xt, yt, xq, h))
+
+
+@pytest.mark.parametrize("n", [49, 50])
+def test_loo_blocks_match_one_block(monkeypatch, n):
+    rng = np.random.default_rng(4)
+    xt = rng.normal(size=(n, 3))
+    xt[rng.integers(0, n, size=10)] = xt[0]  # duplicated rows
+    xt[:, 1] = 1.5  # a constant column
+    # the last residual, near 1000, dominates every sum of squares, so a
+    # last-bit change in that row's weighted sum shows in the result
+    yt = rng.normal(size=n) + 1000.0
+    yt[-1] = 0.0
+    scales = _feature_scales(xt)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    out = []
+    # budgets of 1 and 7 rows, which the kernel raises to one 8-row group,
+    # leaving a short last block (a single row at n = 49, which joins the
+    # block before it), and one block
+    for budget in (n, 7 * n, n * n * n):
+        monkeypatch.setattr(_kernels, "LOO_BLOCK_FLOATS", budget)
+        out.append(_kernels.loo_cv_sse(xt, yt, scales, cs))
+    assert np.array_equal(out[0], out[2]) and np.array_equal(out[1], out[2])
+
+
+def test_loo_memory_stays_linear_in_n():
+    rng = np.random.default_rng(5)
+    xt = rng.normal(size=(1500, 3))
+    yt = rng.normal(size=1500)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    tracemalloc.start()
+    try:
+        _kernels.loo_cv_sse(xt, yt, np.ones(3), cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n float64 buffer alone would take 18 MB
+    assert peak < 8 * 2 ** 20
 
 
 def test_predict_limits():

@@ -490,6 +490,7 @@ def _chain_text(old, new):
 
 
 PLANE_GROUP = "symlat-group v1\nlabel P\nkind s1-plane\nplane 0 1\nend\n"
+AXES_TEXT = dumps_lattice(so3_axes_lattice(icosahedral_axes()))
 
 
 @pytest.mark.parametrize("load, old, new, quoted", [
@@ -505,9 +506,11 @@ PLANE_GROUP = "symlat-group v1\nlabel P\nkind s1-plane\nplane 0 1\nend\n"
     (loads_lattice, "node 1 C2 finite 0,2", "node 1 C2 finite 0,9", "member index 9"),
     (loads_group, None, PLANE_GROUP, "'plane 0 1'"),
     (loads_group, None, PLANE_GROUP.replace("plane 0 1\n", ""), "'s1-plane'"),
+    (loads_lattice, None, AXES_TEXT.replace("\nnode 7 SO3 so3\n", "\nnode 7 SO3 so3 0.1 junk\n"),
+     "'node 7 SO3 so3 0.1 junk'"),
 ], ids=["node-9", "duplicate-node", "cover-past-end", "cover-negative",
         "cover-not-a-number", "cover-one-id", "dim-not-a-number", "member-past-end",
-        "plane-group", "plane-kind"])
+        "plane-group", "plane-kind", "so3-payload"])
 def test_loaders_reject_bad_ids_numbers_and_kinds(load, old, new, quoted):
     text = new if old is None else _chain_text(old, new)
     with pytest.raises(SymlatError) as err:
