@@ -1,13 +1,18 @@
-"""Time the kernel-regression kernels at six problem sizes.
+"""Time the kernel-regression kernels at six problem sizes, and one
+permutation test.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
 ``nw_predict`` is timed at one bandwidth vector; ``loo_cv_sse`` is timed for
-one whole bandwidth grid, the work of one ``select_bandwidth`` call.  Each
-figure is the fastest of several repeats after one warm-up call, with BLAS
-pinned to one thread as in ``perfbench/run.py``.  The last three sizes are
-the fits of the ``estimator-compare`` benchmark workload.  Next to each LOO
-time stands the peak of memory that ``tracemalloc`` saw during one more call.
+one whole bandwidth grid, the work of one ``select_bandwidth`` call.  The
+permutation test runs at the shape of the ``recovery-perm`` benchmark
+workload (n = 300, B = 100, m = 300, the C4 sampler of the non-identity
+quarter turns), through one ``PermutationTester``, so its pairing tables are
+built once, before the timing.  Each figure is the fastest of several repeats
+after one warm-up call, with BLAS pinned to one thread as in
+``perfbench/run.py``.  The last three kernel sizes are the fits of the
+``estimator-compare`` workload.  Next to each LOO and permutation-test time
+stands the peak of memory that ``tracemalloc`` saw during one more call.
 """
 
 import os
@@ -21,11 +26,15 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from symlat import _kernels  # noqa: E402
+from symlat.builders import cyclic_chain_lattice  # noqa: E402
+from symlat.invariance import order_bound  # noqa: E402
 from symlat.regression import (  # noqa: E402
     BANDWIDTH_GRID_SIZE,
     BANDWIDTH_SCALE_HI,
     BANDWIDTH_SCALE_LO,
 )
+from symlat.scenarios import make_scenario  # noqa: E402
+from symlat.search import PermutationTester  # noqa: E402
 
 # (training rows n, queries q, dimension d)
 SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5),
@@ -66,6 +75,18 @@ def main():
         peak = traced_peak(_kernels.loo_cv_sse, xt, yt, scales, cs)
         print(f"{f'loo_cv_sse ({cs.size}-point grid)':<28} {f'n={n} d={d}':<18} "
               f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
+    chain = cyclic_chain_lattice([1, 2, 4])
+    c4 = chain.node_by_label("C4")
+    data = make_scenario("fd-rotation", 2, 0.05).sample_train(rng, 300)
+    tester = PermutationTester(data, order_bound(), m=300, B=100)
+
+    def perm_test():
+        tester.test_node(chain, c4, 0.05, np.random.default_rng(1))
+
+    t = bench(perm_test)
+    peak = traced_peak(perm_test)
+    print(f"{'permutation test (C4)':<28} {'n=300 B=100 m=300':<18} "
+          f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
 
 
 if __name__ == "__main__":

@@ -129,9 +129,13 @@ class NeighborIndex:
                 f"queries must be (m, {self.dim}), got {queries.shape}")
         n = self._points.shape[0]
         k = min(k, n)
-        dist, idx = self._tree.query(queries, k=k)
-        dist = dist.reshape(len(queries), k)
-        idx = idx.reshape(len(queries), k).astype(np.int64)
+        if k < n:
+            dist, idx = self._tree.query(queries, k=k)
+            dist = dist.reshape(len(queries), k)
+            idx = idx.reshape(len(queries), k).astype(np.int64)
+        else:
+            # every point is listed, so the sort below alone fixes the order
+            idx = np.broadcast_to(np.arange(n), (len(queries), n))
         sq = np.empty(idx.shape)
         step = max(1, _CHUNK_FLOATS // (k * self.dim))   # bounds the gathered block
         for s in range(0, len(queries), step):

@@ -160,11 +160,10 @@ def plot_power_curve(csv_path, svg_path, alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _recovery_task(args) -> int:
-    cfg, test_name, n, rep = args
+    cfg, lattice, test_name, n, rep = args
     rng = _rng_for(cfg, _TEST_CODE[test_name], n, rep)
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     data = scenario.sample_train(rng, n)
-    lattice = build_lattice(cfg.lattice)
     tester = _tester(cfg, test_name, data, gaussian_noise(_noise_sigma(cfg, scenario)))
     return run_search(lattice, tester, _search_config(cfg, _child_seed(rng))).estimate
 
@@ -182,7 +181,7 @@ def run_group_recovery(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     rows = []
     for test_name in cfg.test.types:
         for n in cfg.sample_sizes:
-            tasks = [(cfg, test_name, n, rep) for rep in range(cfg.replicates)]
+            tasks = [(cfg, lattice, test_name, n, rep) for rep in range(cfg.replicates)]
             estimates = _run_tasks(_recovery_task, tasks, cfg.jobs)
             counts = np.bincount(estimates, minlength=len(labels))
             rows.append([test_name, n] +

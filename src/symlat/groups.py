@@ -798,6 +798,15 @@ class ElementBatch(Sequence):
     params: np.ndarray
     parts: tuple["ElementBatch", ...] = ()
 
+    @classmethod
+    def concat(cls, batches: Sequence["ElementBatch"]) -> "ElementBatch":
+        """The draws of several batches of one sampler, in order, as one batch."""
+        spec = batches[0].spec
+        if any(b.spec is not spec for b in batches):
+            raise InvalidGroupError("only batches of one sampler can be joined")
+        parts = tuple(cls.concat(p) for p in zip(*(b.parts for b in batches)))
+        return cls(spec, np.concatenate([b.params for b in batches]), parts)
+
     def __len__(self) -> int:
         return len(self.params)
 

@@ -10,7 +10,12 @@ compares a quantile of the ratios ``|Y_i - Y_j| / V(g . X_i, X_j)``, with
 ``X_j`` the nearest row of a random reference half to ``g . X_i`` and ``X_i``
 from the other half, against the same quantile with ``g`` fixed at the
 identity, approximating the p-value by the proportion of transform replicates
-whose quantile falls at or below the identity one.
+whose quantile falls at or below the identity one.  Its replicates are paired
+and reduced to quantiles as arrays, a block of replicates at a time, so its
+working memory grows with ``n`` and ``m``, not with ``B``.  The neighbour
+index, the rows' own ranked neighbour lists and the ranked images of the rows
+under each element tested are ``PairingTables`` of the data set, which a
+``PermutationTester`` builds once and shares across the tests of a search.
 
 Batch variants share one sampled stream across several subgroups and filter
 it per node by membership, so testing a lattice level costs one draw.  A
@@ -32,6 +37,8 @@ from scipy.special import gammaln
 from .data import NeighborIndex, RegressionDataset
 from .errors import DegenerateMetricError, SymlatError
 from .groups import (
+    ElementBatch,
+    FiniteElement,
     GroupAction,
     GroupDescriptor,
     SamplerSpec,
@@ -400,79 +407,142 @@ def batch_exceedance_test(data: RegressionDataset, action: GroupAction,
 # Length of the neighbour lists that pairs are taken from; a point whose list
 # holds no reference row is ranked against every row.
 _RANKED = 12
+# Replicates are paired in blocks of about this many query-row slots
+# (replicates x n), which bounds the working memory of one test.
+_PERM_BLOCK_FLOATS = 1 << 13
+
+
+class PairingTables:
+    """What permutation tests read of one data set, built once for all of them.
+
+    Holds the ``NeighborIndex``, the rows' own ranked neighbour lists, and a
+    cache of the rows' images, with their ranked lists, under each element
+    that a test ranked.  A finite element's entry is keyed by reference on
+    (action, Cayley table, element index), any other element's on (action,
+    element), so the nodes of one search that share an element (r180 in C2
+    and in C4) rank its images once, and a key never outlives its objects.
+    """
+
+    def __init__(self, data: RegressionDataset):
+        self.data = data
+        self.index = NeighborIndex.from_dataset(data)
+        self.lists = self.index.ranked(data.X, _RANKED)
+        self._images: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def image(self, action: GroupAction, g) -> tuple[np.ndarray, np.ndarray]:
+        """The rows moved by ``g`` and their ranked neighbour lists."""
+        key = (action, g.table, g.index) if isinstance(g, FiniteElement) else (action, g)
+        if key not in self._images:
+            moved = apply_to_rows(action, g, self.data.X)
+            self._images[key] = moved, self.index.ranked(moved, _RANKED)
+        return self._images[key]
 
 
 class _RatioDraws:
-    """Draws replicates of the ratio statistic for one test.
+    """Pairs the query rows of a block of replicates and takes their ratios.
 
-    Each replicate takes a fresh random half of the rows as the reference
-    set.  Each row of the other half gets one sampled ``g``, and its point
+    Each replicate takes a random half of the rows as the reference set.
+    Each row of the other half gets one sampled ``g``, and its point
     (``g . X_i``, or ``X_i`` itself for the identity replicate) is paired
     with the nearest reference row ``X_j`` at a different location (lowest
-    row on ties), giving ``|Y_i - Y_j| / V(., X_j)``.  Rows with no such
-    reference row or a zero bound are left out, and ``m`` draws are made
-    uniformly from the rest.
+    row on ties), giving ``|Y_i - Y_j| / V(., X_j)``.  A row with no such
+    reference row or a zero bound is unpaired: a drawn position that falls
+    on it is dropped from its replicate.
 
     Pairs come from ranked neighbour lists over all rows
-    (``NeighborIndex.ranked``): the first list entry in the reference half.
-    The rows' own lists are ranked once per test, and so are the images of
-    the rows under each element of a uniform or point-mass sampler with at
-    most ``B / 2`` elements, so those replicates gather their pairs at the
-    drawn support positions instead of searching.
+    (``NeighborIndex.ranked``): the first list entry in the reference half,
+    searched one list column at a time over the rows still unpaired; rows
+    whose lists hold no reference row are ranked against every row.  The
+    rows' own lists, and the images of the rows under each element of a
+    uniform or point-mass sampler with at most ``B / 2`` elements, come from
+    the ``PairingTables``; other samplers move and rank a block's rows in
+    one call each.
     """
 
-    def __init__(self, data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
+    def __init__(self, tables: PairingTables, action: GroupAction, sampler: SamplerSpec,
                  bound: VariationBound, B: int):
-        self.data, self.action, self.sampler, self.bound = data, action, sampler, bound
-        self.index = NeighborIndex.from_dataset(data)
-        self.lists = self.index.ranked(data.X, _RANKED)
+        self.tables, self.action, self.bound = tables, action, bound
         support = sampler.elements if isinstance(sampler, SamplerSpec) else ()
-        self.images = self.image_lists = None
-        if support and 2 * len(support) <= B:
-            self.images = np.stack([apply_to_rows(action, g, data.X) for g in support])
-            self.image_lists = np.stack([self.index.ranked(x, _RANKED) for x in self.images])
+        self.imaged = bool(support) and 2 * len(support) <= B
+        self.points, self.lists = tables.data.X, tables.lists
+        if self.imaged:
+            # row block e + 1 of these tables holds the images under support[e]
+            images = [tables.image(action, g) for g in support]
+            self.points = np.concatenate([self.points] + [x for x, _ in images])
+            self.lists = np.concatenate([self.lists] + [lists for _, lists in images])
 
-    def draw(self, rng: np.random.Generator, m: int, transform: bool):
-        """One replicate: its rows' elements, the kept rows, their ratios,
-        and the m drawn positions among them."""
-        X, Y, n = self.data.X, self.data.Y, self.data.n
-        order = rng.permutation(n)
-        in_ref = np.zeros(n + 1, dtype=bool)   # the last slot stands for -1
-        in_ref[order[:n // 2]] = True
-        pool = order[n // 2:]
-        elements = sample_elements(self.sampler, rng, pool.size)
-        if not transform:
-            points, lists = X[pool], self.lists[pool]
-        elif self.images is not None:
-            points = self.images[elements.params, pool]
-            lists = self.image_lists[elements.params, pool]
-        else:
-            points = apply_elements(self.action, elements, X[pool])
-            lists = self.index.ranked(points, _RANKED)
-        nbr = lists[np.arange(pool.size), in_ref[lists].argmax(axis=1)]
-        missing = np.flatnonzero(~in_ref[nbr])
-        if missing.size:
-            full = self.index.ranked(points[missing], n)
-            nbr[missing] = full[np.arange(missing.size), in_ref[full].argmax(axis=1)]
-        live = np.flatnonzero(in_ref[nbr])
-        den = self.bound(points[live], X[nbr[live]])
-        live, den = live[den > 0.0], den[den > 0.0]
-        if live.size == 0:
-            raise DegenerateMetricError(
-                "variation bound is zero for every query row and its nearest reference row")
-        ratios = np.abs(Y[pool[live]] - Y[nbr[live]]) / den
-        return elements, live, ratios, rng.integers(0, live.size, size=m)
+    def pair(self, orders: np.ndarray, elements: Sequence[ElementBatch],
+             transforms: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ratios of a block's query rows, replicate by replicate, and which
+        rows are paired.  ``orders`` holds each replicate's permutation of
+        the rows; the first ``transforms`` replicates move their query rows
+        by their ``elements``, the others leave them in place."""
+        X, Y, n = self.tables.data.X, self.tables.data.Y, self.tables.data.n
+        reps, h = orders.shape[0], n - n // 2
+        # slot r * (n + 1) + 1 + j is set when row j is in replicate r's
+        # reference half; slot r * (n + 1) stands for the lists' -1 entries
+        in_ref = np.zeros(reps * (n + 1), dtype=bool)
+        in_ref[(orders[:, :n // 2] + (n + 1) * np.arange(reps)[:, None] + 1).ravel()] = True
+        base = np.repeat((n + 1) * np.arange(reps) + 1, h)
+        rows = orders[:, n // 2:].ravel()
+        moved = transforms * h
+        look, points, lists = rows.copy(), self.points, self.lists
+        if self.imaged and moved:
+            look[:moved] += n * (np.concatenate([b.params for b in elements[:transforms]]) + 1)
+        elif moved:
+            gx = apply_elements(self.action, ElementBatch.concat(elements[:transforms]),
+                                X.take(rows[:moved], axis=0))
+            points = np.concatenate([points, gx])
+            lists = np.concatenate([lists, self.tables.index.ranked(gx, _RANKED)])
+            look[:moved] = n + np.arange(moved)
+        nbr = np.full(rows.size, -1)
+        # on random data each column pairs about half of the rows left
+        todo = np.arange(rows.size)
+        for j in range(lists.shape[1]):
+            cand = lists[:, j].take(look.take(todo))
+            hit = in_ref.take(base.take(todo) + cand)
+            nbr[todo[hit]] = cand[hit]
+            todo = todo[~hit]
+            if not todo.size:
+                break
+        if todo.size:
+            full = self.tables.index.ranked(points.take(look.take(todo), axis=0), n)
+            hits = in_ref.take(base.take(todo)[:, None] + full)
+            found = np.flatnonzero(hits.any(axis=1))
+            nbr[todo[found]] = full[found, hits[found].argmax(axis=1)]
+        paired = np.flatnonzero(nbr >= 0)
+        den = self.bound(points.take(look.take(paired), axis=0),
+                         X.take(nbr.take(paired), axis=0))
+        live = paired[den > 0.0]
+        ratios = np.full(rows.size, np.nan)
+        ratios[live] = np.abs(Y.take(rows.take(live)) - Y.take(nbr.take(live))) \
+            / den[den > 0.0]
+        is_live = np.zeros(rows.size, dtype=bool)
+        is_live[live] = True
+        return ratios, is_live
 
-    def kept_quantile(self, drawn, group: GroupDescriptor | None,
-                      q: float) -> tuple[float, int]:
-        """q-quantile of a replicate's draws whose element lies in ``group``
-        (nan if there are none), and their count."""
-        elements, live, ratios, picks = drawn
-        if group is not None:
-            picks = picks[elements.contains_mask(group, self.action)[live[picks]]]
-        if picks.size == 0:
-            return math.nan, 0
-        return quantile(ratios[picks], q), picks.size
+
+def _row_quantiles(values: np.ndarray, kept: np.ndarray,
+                   q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's type-7 q-quantile of its kept values, in ``quantile``'s
+    arithmetic (nan where a row keeps none), and each row's kept count."""
+    counts = kept.sum(axis=1)
+    size = values.shape[1]
+    if counts.min() == size:
+        h = (size - 1) * q
+        lo = math.floor(h)
+        hi = min(lo + 1, size - 1)
+        part = np.partition(values, (lo, hi), axis=1)
+        return part[:, lo] + (h - lo) * (part[:, hi] - part[:, lo]), counts
+    # a ratio is never nan, so nan marks the dropped draws, sorts last, and
+    # gives nan for a row that keeps none
+    ordered = np.sort(np.where(kept, values, np.nan), axis=1)
+    h = (counts - 1) * q
+    lo = np.maximum(np.floor(h), 0).astype(np.int64)
+    hi = np.minimum(lo + 1, np.maximum(counts - 1, 0))
+    at_lo = np.take_along_axis(ordered, lo[:, None], axis=1)[:, 0]
+    at_hi = np.take_along_axis(ordered, hi[:, None], axis=1)[:, 0]
+    return at_lo + (h - lo) * (at_hi - at_lo), counts
 
 
 def _perm_outcome(rep_quantiles: np.ndarray, rep_m: np.ndarray, baseline: float,
@@ -493,18 +563,21 @@ def _perm_outcome(rep_quantiles: np.ndarray, rep_m: np.ndarray, baseline: float,
 def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
                            sampler: SamplerSpec, bound: VariationBound,
                            rng: np.random.Generator, m: int, B: int,
-                           q: float = 0.95, alpha: float = 0.05) -> TestOutcome:
+                           q: float = 0.95, alpha: float = 0.05,
+                           tables: PairingTables | None = None) -> TestOutcome:
     """Invariance test needing only the variation bound's order.
 
     Each of ``B`` replicates splits the rows at random into a reference half
     and a query half, gives each query row a sampled transform, pairs each
     transformed point with its nearest reference row, and takes the
-    q-quantile of ``m`` ratios drawn from those pairs; the p-value is the
+    q-quantile of the ratios at ``m`` positions drawn from the query half
+    (a position on an unpaired row is dropped); the p-value is the
     proportion of replicate quantiles at or below the identity-transform
     quantile, computed the same way by one more replicate.
     """
     outcomes = batch_ratio_permutation_test(
-        data, action, [(0, None)], sampler, bound, rng, m, B, q=q, alpha=alpha)
+        data, action, [(0, None)], sampler, bound, rng, m, B, q=q, alpha=alpha,
+        tables=tables)
     return outcomes[0]
 
 
@@ -512,7 +585,8 @@ def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
                                  nodes: Sequence[tuple[int, GroupDescriptor | None]],
                                  sampler: SamplerSpec, bound: VariationBound,
                                  rng: np.random.Generator, m: int, B: int,
-                                 q: float = 0.95, alpha: float = 0.05
+                                 q: float = 0.95, alpha: float = 0.05,
+                                 tables: PairingTables | None = None
                                  ) -> dict[int, TestOutcome]:
     """Shared-stream permutation test over several nodes.
 
@@ -520,21 +594,55 @@ def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
     replicate samples transforms too, only to decide which draws each node
     keeps.  Replicates in which a node receives no kept samples are dropped
     from that node's proportion; a node with no valid replicates, or no kept
-    identity draws, accepts with a warning.
+    identity draws, accepts with a warning.  A replicate none of whose drawn
+    positions is paired raises ``DegenerateMetricError``.
+
+    Each replicate draws, in this order, a permutation of the rows, one
+    element per query row and ``m`` positions in the query half.  The
+    ``B + 1`` replicates are paired and reduced to quantiles in blocks of
+    about ``_PERM_BLOCK_FLOATS / n`` replicates.  ``tables`` are the
+    ``PairingTables`` of ``data``, built here when not given; tests that
+    share them rank the images under each element once.
     """
     if m < 1 or B < 1:
         raise SymlatError("need m >= 1 and B >= 1")
     if not 0.0 < q <= 1.0:
         raise SymlatError("quantile level q must lie in (0, 1]")
-    keys = [key for key, _ in nodes]
-    rep_quantiles = {key: np.empty(B) for key in keys}
-    rep_m = {key: np.zeros(B, dtype=np.int64) for key in keys}
-    draws = _RatioDraws(data, action, sampler, bound, B)
-    for k in range(B):
-        drawn = draws.draw(rng, m, transform=True)
+    if tables is None:
+        tables = PairingTables(data)
+    elif tables.data is not data:
+        raise SymlatError("pairing tables were built for another data set")
+    n, h = data.n, data.n - data.n // 2
+    quantiles = {key: np.empty(B + 1) for key, _ in nodes}
+    kept_m = {key: np.empty(B + 1, dtype=np.int64) for key, _ in nodes}
+    draws = _RatioDraws(tables, action, sampler, bound, B)
+    step = max(1, _PERM_BLOCK_FLOATS // n)
+    for start in range(0, B + 1, step):
+        stop = min(start + step, B + 1)
+        orders = np.empty((stop - start, n), dtype=np.int64)
+        drawn = np.empty((stop - start, m), dtype=np.int64)
+        elements = []
+        for r in range(stop - start):
+            orders[r] = rng.permutation(n)
+            elements.append(sample_elements(sampler, rng, h))
+            drawn[r] = rng.integers(0, h, size=m)
+        ratios, live = draws.pair(orders, elements, min(stop, B) - start)
+        drawn += h * np.arange(stop - start)[:, None]   # positions in the block's rows
+        drawn_live = live[drawn]
+        if not drawn_live.any(axis=1).all():
+            raise DegenerateMetricError(
+                "no drawn query row of a replicate has a nearest reference row "
+                "at a nonzero variation bound")
+        values = ratios[drawn]
+        joined = None
         for key, group in nodes:
-            rep_quantiles[key][k], rep_m[key][k] = draws.kept_quantile(drawn, group, q)
-    drawn = draws.draw(rng, m, transform=False)
-    baselines = {key: draws.kept_quantile(drawn, group, q) for key, group in nodes}
-    return {key: _perm_outcome(rep_quantiles[key], rep_m[key], *baselines[key], alpha)
-            for key in keys}
+            kept = drawn_live
+            if group is not None:
+                if joined is None:
+                    joined = ElementBatch.concat(elements)
+                kept = kept & joined.contains_mask(group, action)[drawn]
+            quantiles[key][start:stop], kept_m[key][start:stop] = \
+                _row_quantiles(values, kept, q)
+    return {key: _perm_outcome(quantiles[key][:B], kept_m[key][:B], float(quantiles[key][B]),
+                               int(kept_m[key][B]), alpha)
+            for key, _ in nodes}

@@ -25,6 +25,7 @@ from .invariance import (
     ACCEPT,
     REJECT,
     NoiseModel,
+    PairingTables,
     TestOutcome,
     VariationBound,
     batch_exceedance_test,
@@ -137,7 +138,8 @@ class ExceedanceTester:
 
 
 class PermutationTester:
-    """Order-only-bound permutation test bound to one dataset."""
+    """Order-only-bound permutation test bound to one dataset, whose pairing
+    tables serve every test of a search."""
 
     def __init__(self, data: RegressionDataset, bound: VariationBound,
                  m: int, B: int, q: float = 0.95):
@@ -146,11 +148,13 @@ class PermutationTester:
         self.m = m
         self.B = B
         self.q = q
+        self.tables = PairingTables(data)
 
     def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
              rng: np.random.Generator) -> TestOutcome:
         return ratio_permutation_test(self.data, action, sampler, self.bound, rng,
-                                      self.m, self.B, q=self.q, alpha=alpha)
+                                      self.m, self.B, q=self.q, alpha=alpha,
+                                      tables=self.tables)
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
@@ -162,7 +166,7 @@ class PermutationTester:
         pairs = [(n.node_id, n.group) for n in nodes]
         return batch_ratio_permutation_test(self.data, lattice.action, pairs, sampler,
                                             self.bound, rng, self.m, self.B,
-                                            q=self.q, alpha=alpha)
+                                            q=self.q, alpha=alpha, tables=self.tables)
 
 
 class OracleTester:

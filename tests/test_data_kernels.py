@@ -99,6 +99,33 @@ def test_neighbor_index_property(n, d, seed):
                 assert lists[r, hits.argmax()] == near[brute_nearest(pts[near], q[None])[0]]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=0, max_value=3))
+def test_full_ranking_skips_the_tree(n, d, seed, extra):
+    # asked for every point, ranked starts each row from all indices instead
+    # of querying the tree; the (distance, index) order makes the lists equal
+    # to the tree's k = n neighbours in that order, duplicated rows included
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.normal(size=(n, d)), 1)
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=extra)]])
+    queries = np.vstack([np.round(rng.normal(size=(6, d)), 1), pts[:3]])
+    index = NeighborIndex(pts)
+    total = len(pts)
+    _, tree_idx = index._tree.query(queries, k=total)
+    tree_idx = np.asarray(tree_idx).reshape(len(queries), total)
+    for k in (total, total + 5):
+        lists = index.ranked(queries, k)
+        assert lists.shape == (len(queries), total)
+        for r, q in enumerate(queries):
+            diffs = pts[tree_idx[r]] - q
+            sq = np.einsum("ij,ij->i", diffs, diffs)
+            want = [int(i) for _, i in sorted(zip(sq.tolist(), tree_idx[r].tolist()))]
+            want = [i if sq_i > 1e-18 * (q @ q) else -1
+                    for i, sq_i in zip(want, sorted(sq.tolist()))]
+            assert lists[r].tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # regression kernels against a row-by-row reference
 # ---------------------------------------------------------------------------

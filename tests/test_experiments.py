@@ -209,6 +209,19 @@ def test_group_recovery_outputs(tmp_path):
         assert sum(counts) == cfg.replicates  # proportions partition exactly
 
 
+def test_group_recovery_is_independent_of_jobs(tmp_path):
+    # the lattice is built once and sent with each task to the workers
+    text = MINI_RECOVERY.replace("types = exceedance",
+                                 "types = exceedance permutation\nB = 12\nperm_m = n")
+    cfg = load_config(_write(tmp_path, "r.ini", text))
+    run_experiment(cfg, tmp_path / "serial")
+    cfg.jobs = 2
+    run_experiment(cfg, tmp_path / "parallel")
+    serial = (tmp_path / "serial" / "group_recovery.csv").read_bytes()
+    assert serial == (tmp_path / "parallel" / "group_recovery.csv").read_bytes()
+    assert serial.decode().splitlines()[2].startswith("permutation,40,")
+
+
 def test_estimator_compare_outputs(tmp_path):
     cfg = load_config(_write(tmp_path, "e.ini", MINI_ESTIMATOR))
     out = tmp_path / "out"

@@ -24,6 +24,7 @@ from symlat.errors import (
 from symlat.groups import (
     AxisRotation,
     CayleyTable,
+    ElementBatch,
     FiniteElement,
     GroupDescriptor,
     MixtureSampler,
@@ -456,3 +457,31 @@ def test_element_batch_matches_scalar_reference(case, seed, m):
     for node in lattice.nodes:
         mask = batch.contains_mask(node.group, action)
         assert mask.tolist() == [node.group.contains(g, action=action) for g in batch]
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sizes=st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_joined_batches_keep_every_draw_and_bit(case, seed, sizes):
+    # a batch joined from several keeps their draws in order, and moves each
+    # row to the same bits as the batch it came from
+    lattice, sampler = BATCH_CASES[case]
+    action = lattice.action
+    rng = np.random.default_rng(seed)
+    batches = [sample_elements(sampler, rng, m) for m in sizes]
+    joined = ElementBatch.concat(batches)
+    assert len(joined) == sum(sizes)
+    drawn = [g for batch in batches for g in batch]
+    assert all(elements_equal(a, b, tol=0.0) for a, b in zip(joined, drawn))
+    rows = np.random.default_rng(seed + 1).normal(size=(len(joined), action.dim))
+    if len(joined):
+        parts = np.split(rows, np.cumsum(sizes)[:-1])
+        want = np.concatenate([apply_elements(action, b, r) for b, r in zip(batches, parts)])
+        assert np.array_equal(apply_elements(action, joined, rows), want)
+    for node in lattice.nodes:
+        want = [node.group.contains(g, action=action) for g in drawn]
+        assert joined.contains_mask(node.group, action).tolist() == want
+    with pytest.raises(InvalidGroupError):
+        ElementBatch.concat([batches[0], sample_elements(point_mass_sampler(
+            FiniteElement(cyclic_table(2), 1)), rng, 1)])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -10,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
-from symlat.builders import cyclic_chain_lattice
-from symlat.data import RegressionDataset
+from symlat import invariance
+from symlat.builders import cyclic_chain_lattice, so3_axes_lattice
+from symlat.data import NeighborIndex, RegressionDataset
 from symlat.errors import DegenerateMetricError, SymlatError
 from symlat.groups import (
     FiniteElement,
+    MixtureSampler,
     SamplerSpec,
     apply_elements,
     point_mass_sampler,
@@ -37,6 +40,7 @@ from symlat.invariance import (
     _perm_outcome,
 )
 from symlat.scenarios import make_scenario, quarter_turn_actions
+from symlat.search import PermutationTester
 
 
 def exact_tail(m, k, p):
@@ -574,6 +578,183 @@ def test_perm_validation():
     with pytest.raises(SymlatError):
         ratio_permutation_test(data, rotation, sampler, order_bound(), rng,
                                m=5, B=5, q=0.0)
+
+
+def test_perm_raises_when_a_replicate_draws_only_unpaired_rows():
+    # three copies of one point and one other point: in a replicate whose
+    # query half holds the other point, the copy beside it has no reference
+    # row at another location, so its draws are dropped
+    X = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    data = RegressionDataset(X, np.array([0.0, 1.0, 2.0, 3.0]))
+    rotation, _, _ = quarter_turn_actions(2)
+    table = rotation.group.table
+    identity = point_mass_sampler(FiniteElement(table, table.identity))
+    with pytest.raises(DegenerateMetricError):
+        ratio_permutation_test(data, rotation, identity, order_bound(),
+                               np.random.default_rng(0), m=1, B=20)
+    out = ratio_permutation_test(data, rotation, identity, order_bound(),
+                                 np.random.default_rng(0), m=40, B=20)
+    assert np.isfinite(out.replicate_quantiles).all()
+    assert (out.replicate_m > 0).all() and (out.replicate_m < 40).any()
+
+
+# ---------------------------------------------------------------------------
+# blocked permutation pass against the per-replicate loop
+# ---------------------------------------------------------------------------
+
+def _replicate_loop(data, action, nodes, sampler, bound, rng, m, B, q):
+    """The permutation test one replicate at a time: a full ranking of each
+    replicate's points, its ratios, its m drawn positions (a position on an
+    unpaired row dropped), and each node's quantile of its kept draws.  Per
+    node: the replicate quantiles and counts, then the identity replicate's."""
+    index = NeighborIndex.from_dataset(data)
+    X, Y, n = data.X, data.Y, data.n
+    got = {key: ([], []) for key, _ in nodes}
+    for k in range(B + 1):
+        order = rng.permutation(n)
+        in_ref = np.zeros(n + 1, dtype=bool)   # the last slot stands for -1
+        in_ref[order[:n // 2]] = True
+        pool = order[n // 2:]
+        elements = sample_elements(sampler, rng, pool.size)
+        picks = rng.integers(0, pool.size, size=m)
+        points = apply_elements(action, elements, X[pool]) if k < B else X[pool]
+        lists = index.ranked(points, n)
+        nbr = lists[np.arange(pool.size), in_ref[lists].argmax(axis=1)]
+        den = bound(points, X[nbr])
+        live = in_ref[nbr] & (den > 0.0)
+        ratios = np.abs(Y[pool] - Y[nbr]) / np.where(live, den, 1.0)
+        if not live[picks].any():
+            raise DegenerateMetricError("every drawn row is unpaired")
+        for key, group in nodes:
+            kept = picks[live[picks] & elements.contains_mask(group, action)[picks]]
+            got[key][0].append(quantile(ratios[kept], q) if kept.size else math.nan)
+            got[key][1].append(kept.size)
+    return {key: (np.array(qs[:B]), np.array(ms[:B]), qs[B], ms[B])
+            for key, (qs, ms) in got.items()}
+
+
+def _blocked_pass_cases():
+    """(action, sampler, nodes) for the image path (a finite support of at
+    most B / 2 elements), the finite path past it, circles in a plane and
+    about axes, and mixtures, with every lattice node and the whole stream."""
+    chain, axes = cyclic_chain_lattice([1, 2, 4]), so3_axes_lattice(np.eye(3))
+    table = chain.action.group.table
+    chain_nodes = [(node.node_id, node.group) for node in chain.nodes] + [(-1, None)]
+    axes_nodes = [(node.node_id, node.group) for node in axes.nodes] + [(-1, None)]
+    c4 = chain.node_by_label("C4").sampler
+    return {
+        "finite-c4": (chain.action, c4, chain_nodes),
+        "point-mass": (chain.action, point_mass_sampler(FiniteElement(table, 1)), chain_nodes),
+        "circle-plane": (chain.action, SamplerSpec("haar-circle", plane=(0, 1)), chain_nodes),
+        "mixture-finite": (chain.action, MixtureSampler(
+            tuple(node.sampler for node in chain.nodes[1:])), chain_nodes),
+        "circle-axis": (axes.action, axes.nodes[1].sampler, axes_nodes),
+        "mixture-axes-so3": (axes.action, MixtureSampler(
+            tuple(node.sampler for node in axes.nodes[2:])), axes_nodes),
+    }
+
+
+BLOCKED_PASS_CASES = _blocked_pass_cases()
+
+
+def _layout_data(layout, rng, n, dim):
+    X = rng.normal(size=(n, dim))
+    if layout == "duplicated":
+        X = np.round(X)   # a few grid points, each held by many rows
+    Y = np.linalg.norm(X, axis=1) + rng.normal(scale=0.1, size=n)
+    return RegressionDataset(X, Y)
+
+
+def _zero_where_first_positive(a, b):
+    return np.where(a[:, 0] > 0.0, 0.0, np.linalg.norm(a - b, axis=1))
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_PASS_CASES))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30),
+       block=st.integers(3, 9), past=st.sampled_from([-1, 0, 1]),
+       m=st.integers(1, 40), q=st.sampled_from([0.3, 0.9, 1.0]),
+       layout=st.sampled_from(["smooth", "duplicated", "zero-bound"]))
+def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, layout):
+    # B + 1 replicates fill one block less one, exactly one block, or one
+    # block and one replicate more
+    action, sampler, nodes = BLOCKED_PASS_CASES[case]
+    B = block + past - 1
+    data = _layout_data(layout, np.random.default_rng(seed), n, action.dim)
+    bound = custom_bound(_zero_where_first_positive) if layout == "zero-bound" \
+        else order_bound()
+    try:
+        want = _replicate_loop(data, action, nodes, sampler, bound,
+                               np.random.default_rng(seed), m, B, q)
+    except DegenerateMetricError:
+        want = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariance, "_PERM_BLOCK_FLOATS", block * n)
+        if want is None:
+            with pytest.raises(DegenerateMetricError):
+                batch_ratio_permutation_test(data, action, nodes, sampler, bound,
+                                             np.random.default_rng(seed), m, B, q=q)
+            return
+        out = batch_ratio_permutation_test(data, action, nodes, sampler, bound,
+                                           np.random.default_rng(seed), m, B, q=q)
+    for key, (quantiles, counts, baseline, baseline_m) in want.items():
+        assert np.array_equal(out[key].replicate_quantiles, quantiles, equal_nan=True)
+        assert np.array_equal(out[key].replicate_m, counts)
+        assert np.array_equal(out[key].baseline_quantile, baseline, equal_nan=True)
+        assert out[key].effective_m == (baseline_m if baseline_m and counts.any() else 0)
+
+
+def test_perm_memory_is_bounded_in_B():
+    # the recovery-perm shape: replicates are paired a block at a time, so
+    # four times the replicates costs only their (B,) outputs
+    chain = cyclic_chain_lattice([1, 2, 4])
+    sampler = chain.node_by_label("C4").sampler
+    data = _toy_invariant_data(np.random.default_rng(0), n=300, sigma=0.05)
+
+    def peak(B):
+        tracemalloc.start()
+        try:
+            ratio_permutation_test(data, chain.action, sampler, order_bound(),
+                                   np.random.default_rng(1), m=300, B=B)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(100), peak(400)
+    assert small < 2 * 2 ** 20
+    assert large <= small + 300 * (8 + 8)
+
+
+def test_perm_tester_ranks_each_shared_element_once():
+    # the C2 and C4 nodes share r180: one tester ranks the images under r90,
+    # r180 and r270 once each, and its outcomes are those of fresh testers
+    chain = cyclic_chain_lattice([1, 2, 4])
+    data = _toy_invariant_data(np.random.default_rng(6), n=120, sigma=0.05)
+    shared = PermutationTester(data, order_bound(), m=120, B=20)
+    index, ranked = shared.tables.index, []
+    rank = index.ranked
+
+    def counted(queries, k):
+        ranked.append(k)
+        return rank(queries, k)
+
+    index.ranked = counted
+    c2, c4 = chain.node_by_label("C2"), chain.node_by_label("C4")
+    for nodes in ([c2], [c4], [c2], [c2, c4]):
+        fresh = PermutationTester(data, order_bound(), m=120, B=20)
+        if len(nodes) == 1:
+            got = {c2.node_id: shared.test_node(chain, nodes[0], 0.05, np.random.default_rng(7))}
+            want = {c2.node_id: fresh.test_node(chain, nodes[0], 0.05, np.random.default_rng(7))}
+        else:
+            got = shared.test_level(chain, nodes, 0.05, np.random.default_rng(7))
+            want = fresh.test_level(chain, nodes, 0.05, np.random.default_rng(7))
+        for key in want:
+            assert got[key].p_value == want[key].p_value
+            assert np.array_equal(got[key].replicate_quantiles, want[key].replicate_quantiles)
+            assert np.array_equal(got[key].replicate_m, want[key].replicate_m)
+            assert got[key].baseline_quantile == want[key].baseline_quantile
+    # three images, and the 21 replicates of the level's mixture in one block
+    assert ranked.count(invariance._RANKED) == 3 + 1
 
 
 # ---------------------------------------------------------------------------
