@@ -452,7 +452,8 @@ class _RatioDraws:
     Pairs come from ranked neighbour lists over all rows
     (``NeighborIndex.ranked``): the first list entry in the reference half,
     searched one list column at a time over the rows still unpaired; rows
-    whose lists hold no reference row are ranked against every row.  The
+    whose lists hold no reference row are ranked against every row, about
+    ``_PERM_BLOCK_FLOATS / n`` rows at a time.  The
     rows' own lists, and the images of the rows under each element of a
     uniform or point-mass sampler with at most ``B / 2`` elements, come from
     the ``PairingTables``; other samplers move and rank a block's rows in
@@ -505,11 +506,15 @@ class _RatioDraws:
             todo = todo[~hit]
             if not todo.size:
                 break
-        if todo.size:
-            full = self.tables.index.ranked(points.take(look.take(todo), axis=0), n)
-            hits = in_ref.take(base.take(todo)[:, None] + full)
+        # rows left are ranked against every row, a block's budget of list
+        # entries at a time: on duplicated data that is nearly every row
+        chunk = max(1, _PERM_BLOCK_FLOATS // n)
+        for s in range(0, todo.size, chunk):
+            part = todo[s:s + chunk]
+            full = self.tables.index.ranked(points.take(look.take(part), axis=0), n)
+            hits = in_ref.take(base.take(part)[:, None] + full)
             found = np.flatnonzero(hits.any(axis=1))
-            nbr[todo[found]] = full[found, hits[found].argmax(axis=1)]
+            nbr[part[found]] = full[found, hits[found].argmax(axis=1)]
         paired = np.flatnonzero(nbr >= 0)
         den = self.bound(points.take(look.take(paired), axis=0),
                          X.take(nbr.take(paired), axis=0))
@@ -527,13 +532,6 @@ def _row_quantiles(values: np.ndarray, kept: np.ndarray,
     """Each row's type-7 q-quantile of its kept values, in ``quantile``'s
     arithmetic (nan where a row keeps none), and each row's kept count."""
     counts = kept.sum(axis=1)
-    size = values.shape[1]
-    if counts.min() == size:
-        h = (size - 1) * q
-        lo = math.floor(h)
-        hi = min(lo + 1, size - 1)
-        part = np.partition(values, (lo, hi), axis=1)
-        return part[:, lo] + (h - lo) * (part[:, hi] - part[:, lo]), counts
     # a ratio is never nan, so nan marks the dropped draws, sorts last, and
     # gives nan for a row that keeps none
     ordered = np.sort(np.where(kept, values, np.nan), axis=1)

@@ -704,12 +704,17 @@ def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, l
         assert out[key].effective_m == (baseline_m if baseline_m and counts.any() else 0)
 
 
-def test_perm_memory_is_bounded_in_B():
+@pytest.mark.parametrize("layout", ["smooth", "duplicated"])
+def test_perm_memory_is_bounded_in_B(layout):
     # the recovery-perm shape: replicates are paired a block at a time, so
-    # four times the replicates costs only their (B,) outputs
+    # four times the replicates costs only their (B,) outputs; on duplicated
+    # rows nearly every query row is ranked against every row, and that too
+    # runs a block's budget of rows at a time
     chain = cyclic_chain_lattice([1, 2, 4])
     sampler = chain.node_by_label("C4").sampler
-    data = _toy_invariant_data(np.random.default_rng(0), n=300, sigma=0.05)
+    rng = np.random.default_rng(0)
+    data = _toy_invariant_data(rng, n=300, sigma=0.05) if layout == "smooth" \
+        else _layout_data(layout, rng, 300, 2)
 
     def peak(B):
         tracemalloc.start()
