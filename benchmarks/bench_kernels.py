@@ -5,14 +5,20 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
 ``nw_predict`` is timed at one bandwidth vector; ``loo_cv_sse`` is timed for
 one whole bandwidth grid, the work of one ``select_bandwidth`` call.  The
+first three sizes draw normal features and responses with unit scales.  The
+last three are the fits of one ``estimator-compare`` workload op, on its
+scenario 1 data (n = 600) with per-feature scales as ``select_bandwidth``
+takes them: the plain fit on the three features, and the fits on the radial
+coordinate of all rows and of the second half (the split variant).  The
 permutation test runs at the shape of the ``recovery-perm`` benchmark
 workload (n = 300, B = 100, m = 300, the C4 sampler of the non-identity
 quarter turns), through one ``PermutationTester``, so its pairing tables are
 built once, before the timing.  Each figure is the fastest of several repeats
 after one warm-up call, with BLAS pinned to one thread as in
-``perfbench/run.py``.  The last three kernel sizes are the fits of the
-``estimator-compare`` workload.  Next to each LOO and permutation-test time
-stands the peak of memory that ``tracemalloc`` saw during one more call.
+``perfbench/run.py``.  Next to each LOO and permutation-test time stands the
+peak of memory that ``tracemalloc`` saw during one more call; each LOO call
+also shows the share of its block-by-grid evaluations that early abandoning
+left to run.
 """
 
 import os
@@ -28,17 +34,20 @@ import numpy as np  # noqa: E402
 from symlat import _kernels  # noqa: E402
 from symlat.builders import cyclic_chain_lattice  # noqa: E402
 from symlat.invariance import order_bound  # noqa: E402
+from symlat.projections import radial_projection  # noqa: E402
 from symlat.regression import (  # noqa: E402
     BANDWIDTH_GRID_SIZE,
     BANDWIDTH_SCALE_HI,
     BANDWIDTH_SCALE_LO,
+    _feature_scales,
 )
 from symlat.scenarios import make_scenario  # noqa: E402
 from symlat.search import PermutationTester  # noqa: E402
 
-# (training rows n, queries q, dimension d)
-SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5),
-         (600, 200, 3), (600, 200, 1), (300, 200, 1))
+# (training rows n, queries q, dimension d) of the normal-data problems
+SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5))
+# queries of each estimator-compare fit: the workload's held-out set
+FIT_QUERIES = 200
 
 
 def bench(fn, *args, repeat=10):
@@ -60,21 +69,51 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def evaluated_share(xt, yt, scales, cs):
+    """Share of the block-by-grid residual evaluations of one ``loo_cv_sse``
+    call that were run, the rest having been abandoned."""
+    starts, runs = set(), []
+    build, residuals = _kernels._distance_block, _kernels._block_residuals
+
+    def counted_build(*args):
+        starts.add(args[2])
+        return build(*args)
+
+    def counted_residuals(*args):
+        runs.append(args[3])
+        return residuals(*args)
+
+    _kernels._distance_block, _kernels._block_residuals = counted_build, counted_residuals
+    try:
+        _kernels.loo_cv_sse(xt, yt, scales, cs)
+    finally:
+        _kernels._distance_block, _kernels._block_residuals = build, residuals
+    return len(runs) / (len(starts) * len(cs))
+
+
+def problems(rng):
+    """(training rows, responses, scales, queries) of each timed size."""
+    for n, q, d in SIZES:
+        yield rng.normal(size=(n, d)), rng.normal(size=n), np.ones(d), rng.normal(size=(q, d))
+    train = make_scenario("1").sample_train(rng, 600)
+    radial = radial_projection(3).apply(train.X)[0]
+    for xt, yt in ((train.X, train.Y), (radial, train.Y), (radial[300:], train.Y[300:])):
+        yield xt, yt, _feature_scales(xt), rng.normal(size=(FIT_QUERIES, xt.shape[1]))
+
+
 def main():
     rng = np.random.default_rng(0)
     cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
-    print(f"{'kernel':<28} {'size':<18} {'time':>10} {'peak':>10}")
-    for n, q, d in SIZES:
-        xt = rng.normal(size=(n, d))
-        yt = rng.normal(size=n)
-        xq = rng.normal(size=(q, d))
-        scales = np.ones(d)
-        t = bench(_kernels.nw_predict, xt, yt, xq, np.full(d, 0.5))
+    print(f"{'kernel':<28} {'size':<18} {'time':>10} {'peak':>10} {'evaluated':>10}")
+    for xt, yt, scales, xq in problems(rng):
+        (n, d), q = xt.shape, len(xq)
+        t = bench(_kernels.nw_predict, xt, yt, xq, 0.5 * scales)
         print(f"{'nw_predict':<28} {f'n={n} q={q} d={d}':<18} {t * 1e3:>8.2f}ms")
         t = bench(_kernels.loo_cv_sse, xt, yt, scales, cs, repeat=3)
         peak = traced_peak(_kernels.loo_cv_sse, xt, yt, scales, cs)
+        share = evaluated_share(xt, yt, scales, cs)
         print(f"{f'loo_cv_sse ({cs.size}-point grid)':<28} {f'n={n} d={d}':<18} "
-              f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
+              f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB {share:>10.0%}")
     chain = cyclic_chain_lattice([1, 2, 4])
     c4 = chain.node_by_label("C4")
     data = make_scenario("fd-rotation", 2, 0.05).sample_train(rng, 300)

@@ -59,24 +59,23 @@ def _feature_scales(X: np.ndarray) -> np.ndarray:
     return scales
 
 
-def select_bandwidth(X: np.ndarray, Y: np.ndarray,
-                     grid_size: int = BANDWIDTH_GRID_SIZE) -> np.ndarray:
-    """Leave-one-out CV over a shared log-spaced scale multiplier."""
+def select_bandwidth(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Leave-one-out CV over a shared log-spaced scale multiplier; the
+    lowest multiplier wins a tie."""
     X = np.ascontiguousarray(X, dtype=float)
     Y = np.ascontiguousarray(Y, dtype=float)
     if X.shape[0] < 2:
         raise SymlatError("bandwidth selection needs at least two rows")
     scales = _feature_scales(X)
-    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, grid_size)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
     errors = _kernels.loo_cv_sse(X, Y, scales, cs)
     return cs[int(np.argmin(errors))] * scales
 
 
-def fit_lce(data: RegressionDataset, bandwidth=None,
-            grid_size: int = BANDWIDTH_GRID_SIZE) -> KernelRegressor:
+def fit_lce(data: RegressionDataset, bandwidth=None) -> KernelRegressor:
     """Fit the local-constant estimator; ``bandwidth=None`` selects by LOO CV."""
     if bandwidth is None:
-        h = select_bandwidth(data.X, data.Y, grid_size=grid_size)
+        h = select_bandwidth(data.X, data.Y)
     else:
         h = np.asarray(bandwidth, dtype=float)
         if h.ndim == 0:
@@ -135,8 +134,7 @@ class SymmetrizedRegressor:
 
 
 def symmetrized_estimator(data: RegressionDataset, lattice: Lattice, tester_factory,
-                          config: SearchConfig, variant: str = FULL_DATA,
-                          grid_size: int = BANDWIDTH_GRID_SIZE) -> SymmetrizedRegressor:
+                          config: SearchConfig, variant: str = FULL_DATA) -> SymmetrizedRegressor:
     """Search for the maximal accepted subgroup, then fit on projected data.
 
     ``tester_factory(dataset)`` builds the invariance tester on whichever rows
@@ -154,7 +152,7 @@ def symmetrized_estimator(data: RegressionDataset, lattice: Lattice, tester_fact
     if node.projection is None:
         raise SymlatError(f"node {node.label!r} carries no projection map")
     projected = project_dataset(fit_data, node.projection)
-    regressor = fit_lce(projected, grid_size=grid_size)
+    regressor = fit_lce(projected)
     return SymmetrizedRegressor(lattice=lattice, search_result=result,
                                 node_id=node.node_id, projection=node.projection,
                                 regressor=regressor)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symlat import _kernels
 from symlat.data import NeighborIndex, RegressionDataset
-from symlat.errors import DataError
+from symlat.errors import DataError, SymlatError
 from symlat.regression import (
     BANDWIDTH_GRID_SIZE,
     BANDWIDTH_SCALE_HI,
@@ -179,9 +179,14 @@ def test_kernels_match_row_reference(problem):
     scales = _feature_scales(xt)
     cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
     ref = np.array([ref_loo_sse(xt, yt, c * scales) for c in cs])
-    assert np.allclose(_kernels.loo_cv_sse(xt, yt, scales, cs), ref, rtol=1e-12, atol=0.0)
+    out = _kernels.loo_cv_sse(xt, yt, scales, cs)
+    # the kernel abandons grid points that cannot be the minimum (+inf); the
+    # entries it computed must match
+    kept = np.isfinite(out)
+    assert np.allclose(out[kept], ref[kept], rtol=1e-12, atol=0.0)
     best, second = np.sort(ref)[:2]
     if second - best > 1e-9 * second:
+        assert np.argmin(out) == np.argmin(ref)
         chosen = select_bandwidth(xt, yt)
         assert np.array_equal(chosen, cs[np.argmin(ref)] * scales)
     for c in cs[::4]:
@@ -219,22 +224,185 @@ def test_loo_blocks_match_one_block(monkeypatch, n):
     for budget in (n, 7 * n, n * n * n):
         monkeypatch.setattr(_kernels, "LOO_BLOCK_FLOATS", budget)
         out.append(_kernels.loo_cv_sse(xt, yt, scales, cs))
-    assert np.array_equal(out[0], out[2]) and np.array_equal(out[1], out[2])
+    # each blocking may abandon other grid points; those all three computed
+    # are bit-equal, and the minimum is the same
+    kept = np.isfinite(out).all(axis=0)
+    assert np.array_equal(out[0][kept], out[2][kept])
+    assert np.array_equal(out[1][kept], out[2][kept])
+    assert np.argmin(out[0]) == np.argmin(out[1]) == np.argmin(out[2])
+
+
+def full_grid_loo_sse(xt, yt, scales, cs):
+    """The blocked kernel before early abandoning: every residual of every
+    grid point, on the same row blocks."""
+    n, d = xt.shape
+    group = _kernels._LOO_ROW_GROUP
+    rows = max(group, _kernels.LOO_BLOCK_FLOATS // n // group * group)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    dist = np.empty((min(rows + 1, n), n))
+    w = np.empty_like(dist)
+    resid = np.empty((len(cs), n))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block, wb = dist[:stop - start], w[:stop - start]
+        block.fill(0.0)
+        for k in range(d):
+            np.subtract.outer(xt[start:stop, k], xt[:, k], out=wb)
+            wb /= scales[k]
+            wb *= wb
+            block += wb
+        block *= 0.5
+        top = block.max()
+        block.reshape(-1)[start::n + 1] = np.inf
+        block -= block.min(axis=1, keepdims=True)
+        for i, c in enumerate(cs):
+            np.divide(block, -(c * c), out=wb)
+            if top / -(c * c) < _kernels._MIN_EXPONENT:
+                np.maximum(wb, _kernels._MIN_EXPONENT, out=wb)
+            np.exp(wb, out=wb)
+            wb.reshape(-1)[start::n + 1] = 0.0
+            resid[i, start:stop] = (wb @ yt) / wb.sum(axis=1) - yt[start:stop]
+    return np.array([r @ r for r in resid])
+
+
+def second_pass_data(n, rng):
+    """1-d rows (for unit scales) whose first quarter are exact duplicate
+    pairs 10 apart with equal responses, then unit-spaced rows with a noisy
+    sine.  The small multipliers fit the first block exactly, so they alone
+    contend; the large ones fit the first block worse but the whole set
+    better, so they pass the bound and run the second pass."""
+    pairs = n // 8
+    x = np.concatenate([10.0 * np.repeat(np.arange(pairs), 2),
+                        10.0 * pairs + np.arange(n - 2 * pairs)])
+    y = np.concatenate([np.repeat(rng.normal(size=pairs), 2),
+                        np.sin(x[2 * pairs:] / 15) + rng.normal(size=n - 2 * pairs)])
+    return x[:, None], y
+
+
+def loo_case(case, n, d, seed):
+    """(xt, yt, scales) of one named leave-one-out case."""
+    rng = np.random.default_rng(seed)
+    if case == "second-pass":
+        xt, yt = second_pass_data(n, rng)
+        return xt, yt, np.ones(1)
+    xt = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    yt = np.sin(xt.sum(axis=1)) + 0.1 * rng.normal(size=n)
+    if case == "duplicated":  # duplicated rows and a constant column
+        xt[rng.integers(0, n, size=n // 2)] = xt[0]
+        xt[:, rng.integers(0, d)] = 1.5
+        yt = rng.normal(size=n)
+    elif case == "constant-y":  # every sum is 0: the lowest index wins
+        yt = np.zeros(n)
+    scales = _feature_scales(xt)
+    if case == "tiny-scales":  # the small multipliers tie at nearest-response fits
+        scales = scales * 1e-3
+    return xt, yt, scales
+
+
+LOO_CASES = ("smooth", "duplicated", "constant-y", "tiny-scales", "second-pass")
+# LOO_BLOCK_FLOATS per training row: blocks of one 8-row group, the default
+# budget, and one block
+LOO_BUDGETS = (1, None, "one-block")
+
+
+def check_against_full_grid(xt, yt, scales, budget):
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    n = len(xt)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget == "one-block":
+            mp.setattr(_kernels, "LOO_BLOCK_FLOATS", n * n * n)
+        elif budget is not None:
+            mp.setattr(_kernels, "LOO_BLOCK_FLOATS", budget * n)
+        ref = full_grid_loo_sse(xt, yt, scales, cs)
+        out = _kernels.loo_cv_sse(xt, yt, scales, cs)
+        kept = np.isfinite(out)
+        assert np.array_equal(out[kept], ref[kept])
+        assert np.all(out[~kept] == np.inf) and np.all(ref[~kept] > ref.min())
+        assert np.argmin(out) == np.argmin(ref)
+        own = _feature_scales(xt)
+        want = ref if np.array_equal(own, scales) else full_grid_loo_sse(xt, yt, own, cs)
+        assert np.array_equal(select_bandwidth(xt, yt), cs[np.argmin(want)] * own)
+    return out, ref
+
+
+@pytest.mark.parametrize("budget", LOO_BUDGETS)
+@pytest.mark.parametrize("n", [49, 50, 600])
+@pytest.mark.parametrize("case", LOO_CASES)
+def test_loo_abandoning_matches_full_grid_cases(case, n, budget):
+    out, ref = check_against_full_grid(*loo_case(case, n, 2, seed=n), budget)
+    if case == "constant-y":
+        assert not ref.any() and np.argmin(out) == 0
+    if case == "tiny-scales":
+        assert ref[0] == ref[1] == ref[2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(LOO_CASES), st.sampled_from([2, 9, 49, 50, 123, 600]),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.sampled_from(LOO_BUDGETS))
+def test_loo_abandoning_matches_full_grid(case, n, d, seed, budget):
+    check_against_full_grid(*loo_case(case, n, d, seed), budget)
+
+
+def test_loo_second_pass_is_reached(monkeypatch):
+    # the second-pass data rebuilds distance blocks after the contenders' pass
+    builds = []
+    build = _kernels._distance_block
+    monkeypatch.setattr(_kernels, "_distance_block",
+                        lambda *args: builds.append(args[2]) or build(*args))
+    xt, yt, scales = loo_case("second-pass", 600, 1, seed=0)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    out = _kernels.loo_cv_sse(xt, yt, scales, cs)
+    blocks = len(set(builds))
+    assert blocks > 1 and len(builds) > blocks and builds.count(0) == 1
+    assert np.array_equal(out, full_grid_loo_sse(xt, yt, scales, cs))
+
+
+def test_abandoning_keeps_ties_and_drops_losers(monkeypatch):
+    # prescribed residuals (one row per multiplier) replace the kernel's, so
+    # that the sums are exact integers: 0 ties with the contender 1 through a
+    # worse first block, 2 loses in the first block, 3 in a later one
+    n, k = 600, 50
+    resid = np.zeros((5, n))
+    resid[0, :k] = 1.0
+    resid[1, n - k:] = 1.0
+    resid[2, :k + 1] = 1.0
+    resid[3, :k - 1] = 1.0
+    resid[3, n - 2:] = 1.0
+    resid[4, :] = 1.0
+    cs = np.arange(5.0)
+
+    def prescribed(block, wb, top, c, yt, start, out):
+        out[:] = resid[int(c), start:start + len(out)]
+
+    monkeypatch.setattr(_kernels, "_distance_block", lambda *args: 0.0)
+    monkeypatch.setattr(_kernels, "_block_residuals", prescribed)
+    out = _kernels.loo_cv_sse(np.zeros((n, 1)), np.zeros(n), np.ones(1), cs)
+    assert out.tolist() == [k, k, np.inf, np.inf, np.inf]
+
+
+def test_overflowing_features_raise_instead_of_choosing():
+    X = np.array([[0.0], [1e200], [-1e200], [2e200], [5.0]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SymlatError, match="not finite"):
+        select_bandwidth(X, np.arange(5.0))
 
 
 def test_loo_memory_stays_linear_in_n():
-    rng = np.random.default_rng(5)
-    xt = rng.normal(size=(1500, 3))
-    yt = rng.normal(size=1500)
     cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
-    tracemalloc.start()
-    try:
-        _kernels.loo_cv_sse(xt, yt, np.ones(3), cs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one n x n float64 buffer alone would take 18 MB
-    assert peak < 8 * 2 ** 20
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=(1500, 3)), rng.normal(size=1500), np.ones(3)
+    # the second-pass data also rebuild distance blocks for the survivors
+    for xt, yt, scales in (noise, loo_case("second-pass", 1500, 1, seed=5)):
+        tracemalloc.start()
+        try:
+            _kernels.loo_cv_sse(xt, yt, scales, cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n float64 buffer alone would take 18 MB
+        assert peak < 8 * 2 ** 20
 
 
 def test_predict_limits():
