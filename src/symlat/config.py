@@ -40,6 +40,10 @@ class TestSettings:
     B: int = 100
     perm_m: int | None = None         # None means "n"
 
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:   # also false for NaN
+            raise ConfigError(f"[test] alpha: {self.alpha!r} does not lie in (0, 1)")
+
     def m_for(self, n: int) -> int:
         return n if self.m is None else self.m
 
@@ -62,7 +66,6 @@ class SearchSettings:
     algorithm: str = "breadth"
     tie_rule: str = "uniform-random"
     test: str = "exceedance"
-    batch: bool = False
     oracle_reject: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -107,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.test_size is not None and self.test_size < 1:
+            raise ConfigError(f"[experiment] test_size: {self.test_size} is not >= 1")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n <= 0 for n in sizes) or any(
                 b <= a for a, b in zip(sizes, sizes[1:])):
@@ -239,6 +244,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [search] test: kind {kind!r} reads [test] types instead")
     if search.get("test") == "oracle" and kind != "search":
         raise ConfigError(f"{path}: [search] test: 'oracle' needs kind = search")
+    # the key still parses, so configs that say ``batch = false`` load
+    if search.pop("batch", False):
+        raise ConfigError(f"{path}: [search] batch: batch mode was removed; "
+                          "every node is tested on its own stream")
     try:
         return ExperimentConfig(**top, test=TestSettings(**test),
                                 lattice=LatticeSettings(**lattice),

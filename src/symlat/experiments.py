@@ -90,7 +90,7 @@ def _tester(cfg: ExperimentConfig, test_name: str, data: RegressionDataset, nois
 
 def _search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
     return SearchConfig(algorithm=cfg.search.algorithm, alpha=cfg.test.alpha,
-                        tie_rule=cfg.search.tie_rule, seed=seed, batch=cfg.search.batch)
+                        tie_rule=cfg.search.tie_rule, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def _estimator_task(args):
     rng = _rng_for(cfg, n, rep)
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     train = scenario.sample_train(rng, n)
-    held_out = scenario.sample_test(rng, cfg.test_size or n)
+    held_out = scenario.sample_test(rng, n if cfg.test_size is None else cfg.test_size)
     lattice = build_lattice(cfg.lattice)
     noise = gaussian_noise(_noise_sigma(cfg, scenario))
     thresholds = _exceedance_thresholds(cfg, noise)

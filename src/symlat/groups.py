@@ -736,22 +736,6 @@ class SamplerSpec:
             raise InvalidGroupError(f"unknown sampler kind {self.kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureSampler:
-    """Uniform mixture over component samplers: pick one, then draw from it.
-
-    This realises a distribution supported on the join of the components'
-    groups, which is what shared-stream batch testing over a lattice level
-    needs when the level contains continuous subgroups.
-    """
-
-    components: tuple[SamplerSpec, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise InvalidGroupError("mixture sampler needs at least one component")
-
-
 def uniform_sampler(elements: Iterable[GroupElement]) -> SamplerSpec:
     return SamplerSpec(UNIFORM, elements=tuple(elements))
 
@@ -789,14 +773,12 @@ class ElementBatch(Sequence):
 
     ``params`` holds positions in the support of a uniform or point-mass
     sampler, angles of a circle sampler (about its axis, or in its plane
-    modulo 2 pi), the ``(m, 3, 3)`` stack of a ``haar-so3`` sampler, or a
-    mixture's component picks, with one batch per component in ``parts``.
+    modulo 2 pi) or the ``(m, 3, 3)`` stack of a ``haar-so3`` sampler.
     Indexing or iterating builds the scalar elements, once, on first use.
     """
 
-    spec: "SamplerSpec | MixtureSampler"
+    spec: SamplerSpec
     params: np.ndarray
-    parts: tuple["ElementBatch", ...] = ()
 
     @classmethod
     def concat(cls, batches: Sequence["ElementBatch"]) -> "ElementBatch":
@@ -804,8 +786,7 @@ class ElementBatch(Sequence):
         spec = batches[0].spec
         if any(b.spec is not spec for b in batches):
             raise InvalidGroupError("only batches of one sampler can be joined")
-        parts = tuple(cls.concat(p) for p in zip(*(b.parts for b in batches)))
-        return cls(spec, np.concatenate([b.params for b in batches]), parts)
+        return cls(spec, np.concatenate([b.params for b in batches]))
 
     def __len__(self) -> int:
         return len(self.params)
@@ -816,9 +797,6 @@ class ElementBatch(Sequence):
     @cached_property
     def _drawn(self) -> list[GroupElement]:
         spec, p = self.spec, self.params
-        if isinstance(spec, MixtureSampler):
-            parts = [iter(part._drawn) for part in self.parts]
-            return [next(parts[c]) for c in p.tolist()]
         if spec.elements:
             return [spec.elements[i] for i in p.tolist()]
         if spec.kind == HAAR_SO3:
@@ -827,20 +805,8 @@ class ElementBatch(Sequence):
             return [AxisRotation(spec.axis, t) for t in p.tolist()]
         return [PlanarRotation(t, spec.plane) for t in p.tolist()]
 
-    def _per_part(self, out: np.ndarray, fill) -> np.ndarray:
-        """``out`` with mixture component c's draws set to ``fill(c, sel)``."""
-        for c in range(len(self.parts)):
-            sel = self.params == c
-            out[sel] = fill(c, sel)
-        return out
-
     def _table_index(self) -> np.ndarray | None:
         """Each draw's Cayley-table index, if every draw is a finite element."""
-        if isinstance(self.spec, MixtureSampler):
-            index = [part._table_index() for part in self.parts]
-            if any(i is None for i in index):
-                return None
-            return self._per_part(np.empty(len(self), dtype=np.int64), lambda c, _: index[c])
         if self.spec.elements and all(isinstance(g, FiniteElement) for g in self.spec.elements):
             return np.array([g.index for g in self.spec.elements], dtype=np.int64)[self.params]
         return None
@@ -854,9 +820,6 @@ class ElementBatch(Sequence):
         """
         if group is None:
             return np.ones(len(self), dtype=bool)
-        if isinstance(self.spec, MixtureSampler):
-            return self._per_part(np.empty(len(self), dtype=bool),
-                                  lambda c, _: self.parts[c].contains_mask(group, action))
         if self.spec.elements:
             member = [group.contains(g, action=action) for g in self.spec.elements]
             return np.array(member, dtype=bool)[self.params]
@@ -875,8 +838,7 @@ def apply_elements(action: GroupAction, elements: ElementBatch,
     if rows.shape[0] != len(elements):
         raise DimensionMismatchError("one element per row is required")
     spec, keys = elements.spec, elements._table_index()
-    if keys is None and isinstance(spec, SamplerSpec) and not all(
-            isinstance(g, _MATRIX_ELEMENTS) for g in spec.elements):
+    if keys is None and not all(isinstance(g, _MATRIX_ELEMENTS) for g in spec.elements):
         keys = elements.params
     if keys is not None:
         out = np.empty_like(rows)
@@ -884,9 +846,6 @@ def apply_elements(action: GroupAction, elements: ElementBatch,
             sel = keys == key
             out[sel] = apply_to_rows(action, elements[int(sel.argmax())], rows[sel])
         return out
-    if isinstance(spec, MixtureSampler):
-        return elements._per_part(np.empty_like(rows), lambda c, sel: apply_elements(
-            action, elements.parts[c], rows[sel]))
     if spec.kind in (HAAR_CIRCLE, GAUSSIAN_ANGLE) and spec.axis is None:
         return _rotate_plane(rows, elements.params, spec.plane)
     if action.dim != 3:
@@ -899,17 +858,11 @@ def apply_elements(action: GroupAction, elements: ElementBatch,
     return np.einsum("kij,kj->ki", mats, rows)
 
 
-def sample_elements(spec: "SamplerSpec | MixtureSampler", rng: np.random.Generator,
-                    m: int) -> ElementBatch:
+def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> ElementBatch:
     """Draw ``m`` elements as one batch.  All randomness flows through ``rng``
     in a fixed order, so a seed pins the whole stream."""
     if m < 0:
         raise InvalidGroupError("sample count must be non-negative")
-    if isinstance(spec, MixtureSampler):
-        picks = rng.integers(0, len(spec.components), size=m)
-        return ElementBatch(spec, picks, tuple(
-            sample_elements(comp, rng, int(np.count_nonzero(picks == c)))
-            for c, comp in enumerate(spec.components)))
     if spec.elements:   # a point mass's one-position range consumes no randomness
         return ElementBatch(spec, rng.integers(0, len(spec.elements), size=m))
     if spec.kind == HAAR_SO3:

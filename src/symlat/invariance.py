@@ -18,10 +18,10 @@ under each element tested are ``PairingTables`` of the data set, which a
 ``PermutationTester`` builds once and shares across the tests of a search.
 
 Batch variants share one sampled stream across several subgroups and filter
-it per node by membership, so testing a lattice level costs one draw.  A
-direct test is the batch test with one node whose group is ``None``, which
-keeps every draw; a node equal to the sampler's whole group also keeps every
-draw, so its outcome is bit-identical to the direct test under the same seed.
+it per node by membership.  A direct test is the batch test with one node
+whose group is ``None``, which keeps every draw; a node equal to the
+sampler's whole group also keeps every draw, so its outcome is bit-identical
+to the direct test under the same seed.
 """
 
 from __future__ import annotations
@@ -463,7 +463,7 @@ class _RatioDraws:
     def __init__(self, tables: PairingTables, action: GroupAction, sampler: SamplerSpec,
                  bound: VariationBound, B: int):
         self.tables, self.action, self.bound = tables, action, bound
-        support = sampler.elements if isinstance(sampler, SamplerSpec) else ()
+        support = sampler.elements
         self.imaged = bool(support) and 2 * len(support) <= B
         self.points, self.lists = tables.data.X, tables.lists
         if self.imaged:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import NeighborIndex, RegressionDataset
 from .errors import SymlatError
-from .groups import GroupAction, MixtureSampler, SamplerSpec
+from .groups import GroupAction, SamplerSpec
 from .invariance import (
     ACCEPT,
     REJECT,
@@ -28,8 +28,6 @@ from .invariance import (
     PairingTables,
     TestOutcome,
     VariationBound,
-    batch_exceedance_test,
-    batch_ratio_permutation_test,
     exceedance_test,
     ratio_permutation_test,
     _finish,
@@ -67,7 +65,6 @@ class SearchConfig:
     alpha: float = 0.05
     tie_rule: str = UNIFORM_RANDOM
     seed: int = 0
-    batch: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -98,10 +95,6 @@ def _node_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, node_id)))
 
 
-def _level_rng(seed: int, level: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, level)))
-
-
 def _tie_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
 
@@ -128,14 +121,6 @@ class ExceedanceTester:
                   rng: np.random.Generator) -> TestOutcome:
         return self.test(lattice.action, _require_sampler(node), alpha, rng)
 
-    def test_level(self, lattice: Lattice, nodes: Sequence[SubgroupNode], alpha: float,
-                   rng: np.random.Generator) -> dict[int, TestOutcome]:
-        sampler = MixtureSampler(tuple(_require_sampler(n) for n in nodes))
-        pairs = [(n.node_id, n.group) for n in nodes]
-        return batch_exceedance_test(self.data, lattice.action, pairs, sampler,
-                                     self.bound, self.noise, rng, self.m, alpha=alpha,
-                                     thresholds=self.thresholds, index=self.index)
-
 
 class PermutationTester:
     """Order-only-bound permutation test bound to one dataset, whose pairing
@@ -159,14 +144,6 @@ class PermutationTester:
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
         return self.test(lattice.action, _require_sampler(node), alpha, rng)
-
-    def test_level(self, lattice: Lattice, nodes: Sequence[SubgroupNode], alpha: float,
-                   rng: np.random.Generator) -> dict[int, TestOutcome]:
-        sampler = MixtureSampler(tuple(_require_sampler(n) for n in nodes))
-        pairs = [(n.node_id, n.group) for n in nodes]
-        return batch_ratio_permutation_test(self.data, lattice.action, pairs, sampler,
-                                            self.bound, rng, self.m, self.B,
-                                            q=self.q, alpha=alpha, tables=self.tables)
 
 
 class OracleTester:
@@ -194,10 +171,6 @@ class OracleTester:
         ok = self.accept(lattice, node)
         return _finish(1.0 if ok else 0.0, alpha, effective_m=0,
                        statistics=np.empty(0))
-
-    def test_level(self, lattice: Lattice, nodes: Sequence[SubgroupNode], alpha: float,
-                   rng: np.random.Generator) -> dict[int, TestOutcome]:
-        return {n.node_id: self.test_node(lattice, n, alpha, rng) for n in nodes}
 
 
 def _require_sampler(node: SubgroupNode):
@@ -246,26 +219,17 @@ def breadth_first_estimate(lattice: Lattice, tester, config: SearchConfig,
         prev_alive = {v for v in levels[level_i - 1]
                       if statuses[v] in (ACCEPTED, SKIPPED_GREEDY)}
         candidates = [v for v in levels[level_i] if statuses[v] == UNTESTED]
-        to_test = []
-        for v in candidates:
-            if greedy and _greedy_skippable(lattice, lattice.node(v), prev_alive):
-                statuses[v] = SKIPPED_GREEDY
-            else:
-                to_test.append(v)
-        if config.batch and to_test:
-            level_outcomes = tester.test_level(
-                lattice, [lattice.node(v) for v in to_test], config.alpha,
-                _level_rng(config.seed, level_i))
-        else:
-            level_outcomes = {v: tester.test_node(lattice, lattice.node(v), config.alpha,
-                                                  _node_rng(config.seed, v))
-                              for v in to_test}
         rejected_now = []
-        for v in to_test:
-            outcome = level_outcomes[v]
+        for v in candidates:
+            node = lattice.node(v)
+            if greedy and _greedy_skippable(lattice, node, prev_alive):
+                statuses[v] = SKIPPED_GREEDY
+                continue
+            outcome = tester.test_node(lattice, node, config.alpha,
+                                       _node_rng(config.seed, v))
             outcomes[v] = outcome
             tests += 1
-            units += _units(lattice.node(v))
+            units += _units(node)
             if outcome.decision == REJECT:
                 statuses[v] = REJECTED
                 rejected_now.append(v)

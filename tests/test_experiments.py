@@ -154,6 +154,34 @@ def test_config_errors(tmp_path):
     assert cfg.test.B == 10
 
 
+def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
+    # a power curve builds no SearchConfig, so loading is the only check
+    # that stops every one of its tests from rejecting
+    for alpha in ("1.5", "0", "1", "-0.05", "nan"):
+        with pytest.raises(ConfigError, match=r"\[test\] alpha"):
+            load_config(_write(tmp_path, "a.ini", MINI_POWER + f"alpha = {alpha}\n"))
+    assert load_config(_write(tmp_path, "a.ini", MINI_POWER + "alpha = 0.1\n")).test.alpha == 0.1
+
+
+def test_config_rejects_a_test_size_below_one(tmp_path):
+    for size in ("0", "-5"):
+        text = MINI_ESTIMATOR.replace("test_size = 50", f"test_size = {size}")
+        with pytest.raises(ConfigError, match=r"\[experiment\] test_size"):
+            load_config(_write(tmp_path, "t.ini", text))
+    text = MINI_ESTIMATOR.replace("test_size = 50", "test_size = 1")
+    assert load_config(_write(tmp_path, "t.ini", text)).test_size == 1
+    text = MINI_ESTIMATOR.replace("test_size = 50\n", "")
+    assert load_config(_write(tmp_path, "t.ini", text)).test_size is None
+
+
+def test_config_batch_key_loads_only_when_false(tmp_path):
+    base = "[experiment]\nkind = search\n[search]\n"
+    for value in ("false", "no", "0"):
+        load_config(_write(tmp_path, "b.ini", base + f"batch = {value}\n"))
+    with pytest.raises(ConfigError, match=r"\[search\] batch: batch mode was removed"):
+        load_config(_write(tmp_path, "b.ini", base + "batch = true\n"))
+
+
 def test_build_lattice_from_settings(tmp_path):
     cfg = load_config(_write(tmp_path, "r.ini", MINI_RECOVERY))
     lat = build_lattice(cfg.lattice)
@@ -472,13 +500,12 @@ def test_lattice_serialization_round_trip():
         Y = np.linalg.norm(X, axis=1) + 0.3 * X[:, 0] + 0.1 * rng.normal(size=60)
         tester = ExceedanceTester(RegressionDataset(X, Y), known_bound(1.0),
                                   gaussian_noise(0.1), m=60)
-        for batch in (False, True):
-            config = SearchConfig(seed=21, batch=batch)
-            built = run_search(lat, tester, config)
-            loaded = run_search(again, tester, config)
-            assert (built.estimate, built.statuses) == (loaded.estimate, loaded.statuses)
-            assert {k: o.p_value for k, o in built.outcomes.items()} == \
-                {k: o.p_value for k, o in loaded.outcomes.items()}
+        config = SearchConfig(seed=21)
+        built = run_search(lat, tester, config)
+        loaded = run_search(again, tester, config)
+        assert (built.estimate, built.statuses) == (loaded.estimate, loaded.statuses)
+        assert {k: o.p_value for k, o in built.outcomes.items()} == \
+            {k: o.p_value for k, o in loaded.outcomes.items()}
 
 
 def test_lattice_loader_rejects_fact_lines():

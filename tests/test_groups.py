@@ -27,7 +27,6 @@ from symlat.groups import (
     ElementBatch,
     FiniteElement,
     GroupDescriptor,
-    MixtureSampler,
     Permutation,
     PlanarRotation,
     RotationMatrix,
@@ -389,16 +388,6 @@ def test_sampler_validation():
         SamplerSpec("point-mass")
 
 
-def test_mixture_sampler_deterministic():
-    table = cyclic_table(4)
-    mix = MixtureSampler((point_mass_sampler(FiniteElement(table, 1)),
-                          SamplerSpec("haar-circle", plane=(0, 1))))
-    a = sample_elements(mix, np.random.default_rng(5), 40)
-    b = sample_elements(mix, np.random.default_rng(5), 40)
-    for x, y in zip(a, b):
-        assert elements_equal(x, y, tol=0.0)
-
-
 def test_single_sample_matches_stream_head():
     spec = SamplerSpec("haar-so3")
     one = sample(spec, np.random.default_rng(9))
@@ -417,7 +406,6 @@ def _batch_cases():
     chain, sl3 = cyclic_chain_lattice([1, 2, 4]), sl3_extended_lattice()
     axis = icosahedral_axes()[1]
     plane = SamplerSpec("haar-circle", plane=(0, 1))
-    s1, so3, sl = (sl3.node_by_label(label).sampler for label in ("S1_u1", "SO3", "SL3"))
     return {
         "uniform-matrix": (d4, non_identity_sampler(d4.node(d4.top).group)),
         "uniform-planar": (chain, non_identity_sampler(chain.node(chain.top).group)),
@@ -428,11 +416,6 @@ def _batch_cases():
         "gaussian-angle": (sl3, SamplerSpec("gaussian-angle", axis=axis, std=0.7)),
         "haar-so3": (sl3, SamplerSpec("haar-so3")),
         "uniform-sl3": (sl3, uniform_sampler(default_sl3_generators())),
-        "mixture-finite": (chain, MixtureSampler(
-            tuple(non_identity_sampler(node.group) for node in chain.nodes))),
-        "mixture-finite-circle": (chain, MixtureSampler(
-            (non_identity_sampler(chain.node_by_label("C2").group), plane))),
-        "mixture-s1-so3-sl3": (sl3, MixtureSampler((s1, so3, sl))),
     }
 
 

@@ -17,7 +17,6 @@ from symlat.data import NeighborIndex, RegressionDataset
 from symlat.errors import DegenerateMetricError, SymlatError
 from symlat.groups import (
     FiniteElement,
-    MixtureSampler,
     SamplerSpec,
     apply_elements,
     point_mass_sampler,
@@ -635,8 +634,8 @@ def _replicate_loop(data, action, nodes, sampler, bound, rng, m, B, q):
 
 def _blocked_pass_cases():
     """(action, sampler, nodes) for the image path (a finite support of at
-    most B / 2 elements), the finite path past it, circles in a plane and
-    about axes, and mixtures, with every lattice node and the whole stream."""
+    most B / 2 elements), the finite path past it, and circles in a plane and
+    about axes, with every lattice node and the whole stream."""
     chain, axes = cyclic_chain_lattice([1, 2, 4]), so3_axes_lattice(np.eye(3))
     table = chain.action.group.table
     chain_nodes = [(node.node_id, node.group) for node in chain.nodes] + [(-1, None)]
@@ -646,11 +645,7 @@ def _blocked_pass_cases():
         "finite-c4": (chain.action, c4, chain_nodes),
         "point-mass": (chain.action, point_mass_sampler(FiniteElement(table, 1)), chain_nodes),
         "circle-plane": (chain.action, SamplerSpec("haar-circle", plane=(0, 1)), chain_nodes),
-        "mixture-finite": (chain.action, MixtureSampler(
-            tuple(node.sampler for node in chain.nodes[1:])), chain_nodes),
         "circle-axis": (axes.action, axes.nodes[1].sampler, axes_nodes),
-        "mixture-axes-so3": (axes.action, MixtureSampler(
-            tuple(node.sampler for node in axes.nodes[2:])), axes_nodes),
     }
 
 
@@ -731,8 +726,9 @@ def test_perm_memory_is_bounded_in_B(layout):
 
 
 def test_perm_tester_ranks_each_shared_element_once():
-    # the C2 and C4 nodes share r180: one tester ranks the images under r90,
-    # r180 and r270 once each, and its outcomes are those of fresh testers
+    # the C2 and C4 nodes share r180: one tester testing C2, C4 and C2 again
+    # ranks the images under r90, r180 and r270 once each, and its outcomes
+    # are those of fresh testers
     chain = cyclic_chain_lattice([1, 2, 4])
     data = _toy_invariant_data(np.random.default_rng(6), n=120, sigma=0.05)
     shared = PermutationTester(data, order_bound(), m=120, B=20)
@@ -745,21 +741,15 @@ def test_perm_tester_ranks_each_shared_element_once():
 
     index.ranked = counted
     c2, c4 = chain.node_by_label("C2"), chain.node_by_label("C4")
-    for nodes in ([c2], [c4], [c2], [c2, c4]):
+    for node in (c2, c4, c2):
         fresh = PermutationTester(data, order_bound(), m=120, B=20)
-        if len(nodes) == 1:
-            got = {c2.node_id: shared.test_node(chain, nodes[0], 0.05, np.random.default_rng(7))}
-            want = {c2.node_id: fresh.test_node(chain, nodes[0], 0.05, np.random.default_rng(7))}
-        else:
-            got = shared.test_level(chain, nodes, 0.05, np.random.default_rng(7))
-            want = fresh.test_level(chain, nodes, 0.05, np.random.default_rng(7))
-        for key in want:
-            assert got[key].p_value == want[key].p_value
-            assert np.array_equal(got[key].replicate_quantiles, want[key].replicate_quantiles)
-            assert np.array_equal(got[key].replicate_m, want[key].replicate_m)
-            assert got[key].baseline_quantile == want[key].baseline_quantile
-    # three images, and the 21 replicates of the level's mixture in one block
-    assert ranked.count(invariance._RANKED) == 3 + 1
+        got = shared.test_node(chain, node, 0.05, np.random.default_rng(7))
+        want = fresh.test_node(chain, node, 0.05, np.random.default_rng(7))
+        assert got.p_value == want.p_value
+        assert np.array_equal(got.replicate_quantiles, want.replicate_quantiles)
+        assert np.array_equal(got.replicate_m, want.replicate_m)
+        assert got.baseline_quantile == want.baseline_quantile
+    assert ranked.count(invariance._RANKED) == 3
 
 
 # ---------------------------------------------------------------------------

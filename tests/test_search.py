@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import chain, combinations
 
@@ -17,6 +18,7 @@ from symlat.builders import (
     so3_axes_lattice,
     icosahedral_axes,
 )
+from symlat.data import RegressionDataset
 from symlat.errors import SymlatError
 from symlat.groups import (ACTION_MATRIX, GroupAction, GroupDescriptor, cyclic_table,
                            direct_product_table)
@@ -29,6 +31,7 @@ from symlat.search import (
     SKIPPED_GREEDY,
     UNTESTED,
     _greedy_skippable,
+    _node_rng,
     ExceedanceTester,
     OracleTester,
     PermutationTester,
@@ -391,16 +394,41 @@ def test_search_determinism_with_real_testers():
         assert all(a.outcomes[k].p_value == b.outcomes[k].p_value for k in a.outcomes)
 
 
-def test_batch_mode_runs_and_is_deterministic():
-    scen = make_scenario("fd-rotation", 2)
-    data = scen.sample_train(np.random.default_rng(7), 200)
-    chain = cyclic_chain_lattice([1, 2, 4])
-    tester = _toy_tester(data)
-    cfg = SearchConfig(seed=11, batch=True)
-    a = breadth_first_estimate(chain, tester, cfg)
-    b = breadth_first_estimate(chain, tester, cfg)
-    assert a.estimate == b.estimate and a.statuses == b.statuses
-    assert chain.node(a.estimate).label == "C2"
+def _same_outcome(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is None or isinstance(x, (str, tuple)):
+            assert x == y, f.name
+        else:
+            assert np.array_equal(x, y, equal_nan=True), f.name
+
+
+STREAM_LATTICES = {"d4": (d4_lattice, 2), "chain": (lambda: cyclic_chain_lattice([1, 2, 4]), 2),
+                   "sl3-extended": (sl3_extended_lattice, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_LATTICES))
+@pytest.mark.parametrize("kind", ["exceedance", "permutation"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 60),
+       tilt=st.sampled_from([0.0, 0.3, 1.0]))
+def test_every_node_is_tested_on_its_own_stream(name, kind, seed, n, tilt):
+    # each search outcome is that of a fresh test of the node alone on the
+    # node's stream, whatever else the level tests before it
+    build, dim = STREAM_LATTICES[name]
+    lattice = build()
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim))
+    Y = np.linalg.norm(X, axis=1) + tilt * X[:, 0] + rng.normal(scale=0.05, size=n)
+    data = RegressionDataset(X, Y)
+    config = SearchConfig(seed=seed)
+    for greedy in (False, True):
+        result = breadth_first_estimate(lattice, _toy_tester(data, kind), config, greedy=greedy)
+        assert result.outcomes
+        for v, outcome in result.outcomes.items():
+            fresh = _toy_tester(data, kind).test_node(lattice, lattice.node(v), config.alpha,
+                                                      _node_rng(seed, v))
+            _same_outcome(outcome, fresh)
 
 
 def test_run_search_dispatch_and_config_validation():
