@@ -19,7 +19,7 @@ import numpy as np
 from .errors import SymlatError
 
 # Query rows evaluated together by ``nw_predict``: its working arrays hold
-# PREDICT_CHUNK_ROWS x n x d differences, whatever the number of queries.
+# two PREDICT_CHUNK_ROWS x n buffers, whatever the number of queries.
 PREDICT_CHUNK_ROWS = 256
 
 # Float budget of one ``loo_cv_sse`` row block, 512 KB per working buffer, so
@@ -48,13 +48,24 @@ def nw_predict(xt: np.ndarray, yt: np.ndarray, xq: np.ndarray,
     every other weight underflows the prediction degrades to the nearest
     training response instead of 0/0.  Queries are taken PREDICT_CHUNK_ROWS
     at a time; each row's arithmetic does not depend on the others.
+
+    The squared coordinates are summed one coordinate at a time, in order, as
+    a row-by-row ``(((x - xt) / h) ** 2).sum(axis=1)`` sums them.  Far from
+    the data the exponents are large and one unit in their last place moves
+    the weight ratio, so a different summation order moves the prediction.
     """
     out = np.empty(xq.shape[0])
     for start in range(0, xq.shape[0], PREDICT_CHUNK_ROWS):
         block = xq[start:start + PREDICT_CHUNK_ROWS]
-        diffs = block[:, None, :] - xt[None, :, :]
-        diffs /= h
-        w = np.einsum("qnd,qnd->qn", diffs, diffs)
+        w = np.subtract.outer(block[:, 0], xt[:, 0])
+        w /= h[0]
+        w *= w
+        wb = np.empty_like(w)
+        for k in range(1, xt.shape[1]):
+            np.subtract.outer(block[:, k], xt[:, k], out=wb)
+            wb /= h[k]
+            wb *= wb
+            w += wb
         w *= 0.5
         w -= w.min(axis=1, keepdims=True)
         np.negative(w, out=w)

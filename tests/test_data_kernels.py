@@ -194,6 +194,23 @@ def test_kernels_match_row_reference(problem):
                            ref_nw_predict(xt, yt, xq, c * scales), rtol=1e-12, atol=1e-12)
 
 
+def test_near_tie_far_queries_match_row_reference():
+    # Queries near the midpoint of two training points, far from both at a
+    # small bandwidth: the exponents are ~1e5 and differ by ~1, so the
+    # prediction moves with the last bit of each exponent.
+    rng = np.random.default_rng(0)
+    xt = rng.normal(size=(12, 4)) * 4.0
+    yt = rng.normal(size=12)
+    h = np.full(4, 0.01)
+    a = rng.integers(0, 12, size=300)
+    b = (a + 1 + rng.integers(0, 11, size=300)) % 12
+    g = xt[a] - xt[b]
+    offset = rng.uniform(-2.0, 2.0, size=300) * 1e-4 / (g * g).sum(axis=1)
+    xq = 0.5 * (xt[a] + xt[b]) + g * offset[:, None]
+    assert np.allclose(_kernels.nw_predict(xt, yt, xq, h), ref_nw_predict(xt, yt, xq, h),
+                       rtol=1e-12, atol=1e-12)
+
+
 def test_predict_chunks_match_one_block(monkeypatch):
     rng = np.random.default_rng(3)
     xt = rng.normal(size=(40, 3))
