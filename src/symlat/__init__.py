@@ -18,8 +18,6 @@ from .invariance import (
     NoiseModel,
     TestOutcome,
     VariationBound,
-    batch_exceedance_test,
-    batch_ratio_permutation_test,
     binom_tail,
     exceedance_test,
     gaussian_noise,

@@ -41,8 +41,26 @@ class TestSettings:
     perm_m: int | None = None         # None means "n"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:   # also false for NaN
+        # each comparison is also false for NaN
+        if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"[test] alpha: {self.alpha!r} does not lie in (0, 1)")
+        if not 0.0 < self.q <= 1.0:
+            raise ConfigError(f"[test] q: {self.q!r} does not lie in (0, 1]")
+        if not 0.0 < self.exponent <= 1.0:
+            raise ConfigError(f"[test] exponent: {self.exponent!r} does not lie in (0, 1]")
+        if not self.lipschitz > 0.0:
+            raise ConfigError(f"[test] lipschitz: {self.lipschitz!r} is not > 0")
+        if self.noise_sigma is not None and not self.noise_sigma >= 0.0:
+            raise ConfigError(f"[test] noise_sigma: {self.noise_sigma!r} is not >= 0")
+        for key in ("m", "perm_m", "B", "grid_size"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"[test] {key}: {value} is not >= 1")
+        ts = self.thresholds
+        if ts is not None and not (ts and ts[0] > 0.0
+                                   and all(a < b for a, b in zip(ts, ts[1:]))):
+            raise ConfigError(f"[test] thresholds: {' '.join(map(repr, ts))} are not "
+                              "positive and strictly increasing")
 
     def m_for(self, n: int) -> int:
         return n if self.m is None else self.m

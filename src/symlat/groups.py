@@ -811,20 +811,6 @@ class ElementBatch(Sequence):
             return np.array([g.index for g in self.spec.elements], dtype=np.int64)[self.params]
         return None
 
-    def contains_mask(self, group: "GroupDescriptor | None",
-                      action: GroupAction | None = None) -> np.ndarray:
-        """Whether each draw lies in ``group``; a ``None`` group keeps every draw.
-
-        ``group.contains`` runs once per support element of a uniform or
-        point-mass sampler and once per draw of the other kinds.
-        """
-        if group is None:
-            return np.ones(len(self), dtype=bool)
-        if self.spec.elements:
-            member = [group.contains(g, action=action) for g in self.spec.elements]
-            return np.array(member, dtype=bool)[self.params]
-        return np.array([group.contains(g, action=action) for g in self._drawn], dtype=bool)
-
 
 def apply_elements(action: GroupAction, elements: ElementBatch,
                    rows: np.ndarray) -> np.ndarray:

@@ -17,11 +17,8 @@ index, the rows' own ranked neighbour lists and the ranked images of the rows
 under each element tested are ``PairingTables`` of the data set, which a
 ``PermutationTester`` builds once and shares across the tests of a search.
 
-Batch variants share one sampled stream across several subgroups and filter
-it per node by membership.  A direct test is the batch test with one node
-whose group is ``None``, which keeps every draw; a node equal to the
-sampler's whole group also keeps every draw, so its outcome is bit-identical
-to the direct test under the same seed.
+Each test samples from the tested subgroup's own sampler and keeps every
+draw; a search gives each node its own random stream.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .groups import (
     ElementBatch,
     FiniteElement,
     GroupAction,
-    GroupDescriptor,
     SamplerSpec,
     apply_elements,
     apply_to_rows,
@@ -303,7 +299,13 @@ def table_noise(ts: Sequence[float], ps: Sequence[float]) -> NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class TestOutcome:
-    """Result of one invariance test with its diagnostics."""
+    """Result of one invariance test with its diagnostics.
+
+    ``effective_m`` is the number of draws the statistic rests on: ``m`` for
+    the exceedance test, and for the permutation test the identity
+    replicate's drawn positions on paired rows (``replicate_m`` holds the
+    other replicates' counts).
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -337,23 +339,6 @@ def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------
 
-def _exceedance_outcome(excess: np.ndarray, thresholds: np.ndarray,
-                        noise: NoiseModel, alpha: float) -> TestOutcome:
-    m_eff = excess.size
-    if m_eff == 0:
-        return _finish(1.0, alpha, effective_m=0, statistics=excess,
-                       thresholds=thresholds,
-                       exceed_counts=np.zeros(len(thresholds), dtype=np.int64),
-                       threshold_p=np.ones(len(thresholds)),
-                       warnings=("insufficient-sample",))
-    pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
-    counts = np.array([(excess >= t).sum() for t in thresholds], dtype=np.int64)
-    pvals = binom_tail(m_eff, counts, pts)
-    return _finish(float(pvals.min()), alpha, effective_m=m_eff, statistics=excess,
-                   thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
-                   warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())
-
-
 def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
                     bound: VariationBound, noise: NoiseModel,
                     rng: np.random.Generator, m: int, alpha: float = 0.05,
@@ -365,19 +350,6 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     of ``|Y_i - Y_j| - V(g . X_i, X_j)`` to a binomial tail under the noise
     concentration bound; the reported p-value is the minimum over the grid.
     """
-    outcomes = batch_exceedance_test(data, action, [(0, None)], sampler, bound, noise,
-                                     rng, m, alpha=alpha, thresholds=thresholds, index=index)
-    return outcomes[0]
-
-
-def batch_exceedance_test(data: RegressionDataset, action: GroupAction,
-                          nodes: Sequence[tuple[int, GroupDescriptor | None]],
-                          sampler: SamplerSpec, bound: VariationBound,
-                          noise: NoiseModel, rng: np.random.Generator, m: int,
-                          alpha: float = 0.05, thresholds=None,
-                          index: NeighborIndex | None = None) -> dict[int, TestOutcome]:
-    """One shared sampled stream, filtered per node by group membership
-    (a ``None`` group keeps every draw)."""
     if m < 1:
         raise SymlatError("sample count m must be >= 1")
     if bound.kind == ORDER_ONLY:
@@ -395,9 +367,12 @@ def batch_exceedance_test(data: RegressionDataset, action: GroupAction,
     gx = apply_elements(action, elements, data.X[picks])
     nbrs = index.query_many(gx)
     excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
-    return {key: _exceedance_outcome(excess[elements.contains_mask(group, action)],
-                                     thresholds, noise, alpha)
-            for key, group in nodes}
+    pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
+    counts = np.array([(excess >= t).sum() for t in thresholds], dtype=np.int64)
+    pvals = binom_tail(m, counts, pts)
+    return _finish(float(pvals.min()), alpha, effective_m=m, statistics=excess,
+                   thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
+                   warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())
 
 
 # ---------------------------------------------------------------------------
@@ -530,32 +505,16 @@ class _RatioDraws:
 def _row_quantiles(values: np.ndarray, kept: np.ndarray,
                    q: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's type-7 q-quantile of its kept values, in ``quantile``'s
-    arithmetic (nan where a row keeps none), and each row's kept count."""
+    arithmetic, and each row's kept count; every row keeps at least one."""
     counts = kept.sum(axis=1)
-    # a ratio is never nan, so nan marks the dropped draws, sorts last, and
-    # gives nan for a row that keeps none
+    # a ratio is never nan, so nan marks the dropped draws and sorts last
     ordered = np.sort(np.where(kept, values, np.nan), axis=1)
     h = (counts - 1) * q
-    lo = np.maximum(np.floor(h), 0).astype(np.int64)
-    hi = np.minimum(lo + 1, np.maximum(counts - 1, 0))
+    lo = np.floor(h).astype(np.int64)
+    hi = np.minimum(lo + 1, counts - 1)
     at_lo = np.take_along_axis(ordered, lo[:, None], axis=1)[:, 0]
     at_hi = np.take_along_axis(ordered, hi[:, None], axis=1)[:, 0]
     return at_lo + (h - lo) * (at_hi - at_lo), counts
-
-
-def _perm_outcome(rep_quantiles: np.ndarray, rep_m: np.ndarray, baseline: float,
-                  m_eff: int, alpha: float) -> TestOutcome:
-    valid = rep_m > 0
-    if not valid.any() or math.isnan(baseline):
-        return _finish(1.0, alpha, effective_m=0,
-                       statistics=rep_quantiles, replicate_quantiles=rep_quantiles,
-                       replicate_m=rep_m, baseline_quantile=baseline,
-                       warnings=("insufficient-sample",))
-    p = float(np.sum(rep_quantiles[valid] <= baseline)) / float(valid.sum())
-    return _finish(p, alpha, effective_m=m_eff, statistics=rep_quantiles,
-                   replicate_quantiles=rep_quantiles, replicate_m=rep_m,
-                   baseline_quantile=baseline,
-                   warnings=() if valid.all() else ("insufficient-sample-replicates",))
 
 
 def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
@@ -571,29 +530,10 @@ def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
     q-quantile of the ratios at ``m`` positions drawn from the query half
     (a position on an unpaired row is dropped); the p-value is the
     proportion of replicate quantiles at or below the identity-transform
-    quantile, computed the same way by one more replicate.
-    """
-    outcomes = batch_ratio_permutation_test(
-        data, action, [(0, None)], sampler, bound, rng, m, B, q=q, alpha=alpha,
-        tables=tables)
-    return outcomes[0]
-
-
-def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
-                                 nodes: Sequence[tuple[int, GroupDescriptor | None]],
-                                 sampler: SamplerSpec, bound: VariationBound,
-                                 rng: np.random.Generator, m: int, B: int,
-                                 q: float = 0.95, alpha: float = 0.05,
-                                 tables: PairingTables | None = None
-                                 ) -> dict[int, TestOutcome]:
-    """Shared-stream permutation test over several nodes.
-
-    A ``None`` group keeps every draw (the whole sampled group).  The identity
-    replicate samples transforms too, only to decide which draws each node
-    keeps.  Replicates in which a node receives no kept samples are dropped
-    from that node's proportion; a node with no valid replicates, or no kept
-    identity draws, accepts with a warning.  A replicate none of whose drawn
-    positions is paired raises ``DegenerateMetricError``.
+    quantile, computed the same way by one more replicate.  The identity
+    replicate samples transforms too, so every replicate consumes the stream
+    alike.  A replicate none of whose drawn positions is paired raises
+    ``DegenerateMetricError``.
 
     Each replicate draws, in this order, a permutation of the rows, one
     element per query row and ``m`` positions in the query half.  The
@@ -611,8 +551,8 @@ def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
     elif tables.data is not data:
         raise SymlatError("pairing tables were built for another data set")
     n, h = data.n, data.n - data.n // 2
-    quantiles = {key: np.empty(B + 1) for key, _ in nodes}
-    kept_m = {key: np.empty(B + 1, dtype=np.int64) for key, _ in nodes}
+    quantiles = np.empty(B + 1)
+    kept_m = np.empty(B + 1, dtype=np.int64)
     draws = _RatioDraws(tables, action, sampler, bound, B)
     step = max(1, _PERM_BLOCK_FLOATS // n)
     for start in range(0, B + 1, step):
@@ -631,16 +571,10 @@ def batch_ratio_permutation_test(data: RegressionDataset, action: GroupAction,
             raise DegenerateMetricError(
                 "no drawn query row of a replicate has a nearest reference row "
                 "at a nonzero variation bound")
-        values = ratios[drawn]
-        joined = None
-        for key, group in nodes:
-            kept = drawn_live
-            if group is not None:
-                if joined is None:
-                    joined = ElementBatch.concat(elements)
-                kept = kept & joined.contains_mask(group, action)[drawn]
-            quantiles[key][start:stop], kept_m[key][start:stop] = \
-                _row_quantiles(values, kept, q)
-    return {key: _perm_outcome(quantiles[key][:B], kept_m[key][:B], float(quantiles[key][B]),
-                               int(kept_m[key][B]), alpha)
-            for key, _ in nodes}
+        quantiles[start:stop], kept_m[start:stop] = \
+            _row_quantiles(ratios[drawn], drawn_live, q)
+    baseline = float(quantiles[B])
+    p = float(np.sum(quantiles[:B] <= baseline)) / float(B)
+    return _finish(p, alpha, effective_m=int(kept_m[B]), statistics=quantiles[:B],
+                   replicate_quantiles=quantiles[:B], replicate_m=kept_m[:B],
+                   baseline_quantile=baseline)

@@ -223,17 +223,11 @@ class Lattice:
     def frontier(self, gmax: int) -> set[int]:
         """Nodes just outside the invariant region below ``gmax``: not below
         gmax, all their strict subnodes below gmax, and covering one of them."""
-        out = set()
-        n = len(self.nodes)
-        for h in range(n):
-            if self.leq[h, gmax]:
-                continue
-            strict_below = [u for u in range(n) if u != h and self.leq[u, h]]
-            if not all(self.leq[u, gmax] for u in strict_below):
-                continue
-            if any(self._covers[u, h] and self.leq[u, gmax] for u in strict_below):
-                out.add(h)
-        return out
+        inv = self.leq[:, gmax]
+        lt = self.leq & ~np.eye(len(self.nodes), dtype=bool)
+        out = ~inv & ~(lt & ~inv[:, None]).any(axis=0) \
+            & (self._covers & inv[:, None]).any(axis=0)
+        return set(np.flatnonzero(out).tolist())
 
 
 def standard_node(group: GroupDescriptor, action: GroupAction,

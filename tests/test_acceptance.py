@@ -32,11 +32,8 @@ from symlat.groups import (
     apply_to_rows,
     compose,
     sample_elements,
-    uniform_sampler,
 )
 from symlat.invariance import (
-    batch_exceedance_test,
-    batch_ratio_permutation_test,
     binom_tail,
     exceedance_test,
     gaussian_noise,
@@ -49,8 +46,10 @@ from symlat.scenarios import make_scenario, quarter_turn_actions
 from symlat.search import (
     ExceedanceTester,
     OracleTester,
+    PermutationTester,
     SearchConfig,
     SKIPPED_GREEDY,
+    _node_rng,
     breadth_first_estimate,
     breadth_first_greedy_estimate,
     depth_first_estimate,
@@ -400,34 +399,40 @@ def test_criterion_8_property_suites(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 9. Batch-test equivalence
+# 9. Search outcomes equal direct tests on each node's own stream
 # ---------------------------------------------------------------------------
 
+def _same_outcome(got, want):
+    for field in ("statistics", "exceed_counts", "replicate_quantiles"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or np.array_equal(a, b), field
+    assert got.p_value == want.p_value
+    assert got.decision == want.decision
+    assert got.baseline_quantile == want.baseline_quantile
+
+
 def test_criterion_9_batch_equivalence():
+    # the guarantee that replaced the shared-stream batch tests: a search
+    # tests node v on its own stream, so its outcome is the direct test's
     chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
     scen = make_scenario("fd-rotation", 2)
     data = scen.sample_train(np.random.default_rng(31), 150)
-    whole = chain.node_by_label("C4").group
-    noise = gaussian_noise(0.05)
-    kw = dict(bound=known_bound(1.0 / math.e), noise=noise, m=150, thresholds=[0.1])
-    direct = exceedance_test(data, chain.action, sampler,
-                             rng=np.random.default_rng(99), **kw)
-    batch = batch_exceedance_test(data, chain.action, [(0, whole)], sampler,
-                                  rng=np.random.default_rng(99), **kw)[0]
-    assert direct.p_value == batch.p_value
-    assert direct.decision == batch.decision
-    assert np.array_equal(direct.statistics, batch.statistics)
-    assert np.array_equal(direct.exceed_counts, batch.exceed_counts)
-
-    p_direct = ratio_permutation_test(data, chain.action, sampler, order_bound(),
-                                      np.random.default_rng(100), m=120, B=40)
-    p_batch = batch_ratio_permutation_test(
-        data, chain.action, [(0, whole)], sampler, order_bound(),
-        np.random.default_rng(100), m=120, B=40)[0]
-    assert p_direct.p_value == p_batch.p_value
-    assert p_direct.decision == p_batch.decision
-    assert np.array_equal(p_direct.replicate_quantiles, p_batch.replicate_quantiles)
-    assert p_direct.baseline_quantile == p_batch.baseline_quantile
-    _report("criterion 9", "whole-group batch outcomes bit-identical to direct tests")
+    bound, noise = known_bound(1.0 / math.e), gaussian_noise(0.05)
+    exceedance = ExceedanceTester(data, bound, noise, m=150, thresholds=[0.1])
+    permutation = PermutationTester(data, order_bound(), m=120, B=40)
+    tested = 0
+    for tester, seed in ((exceedance, 99), (permutation, 100)):
+        result = breadth_first_estimate(chain, tester, SearchConfig(alpha=ALPHA, seed=seed))
+        for v, got in result.outcomes.items():
+            sampler, rng = chain.node(v).sampler, _node_rng(seed, v)
+            if tester is exceedance:
+                want = exceedance_test(data, chain.action, sampler, bound, noise, rng,
+                                       m=150, alpha=ALPHA, thresholds=[0.1])
+            else:
+                want = ratio_permutation_test(data, chain.action, sampler, order_bound(),
+                                              rng, m=120, B=40, alpha=ALPHA)
+            _same_outcome(got, want)
+            tested += 1
+    assert tested >= 2
+    _report("criterion 9", f"{tested} search outcomes bit-identical to direct tests "
+            "on each node's own stream")

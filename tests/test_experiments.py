@@ -162,6 +162,27 @@ def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
             load_config(_write(tmp_path, "a.ini", MINI_POWER + f"alpha = {alpha}\n"))
     assert load_config(_write(tmp_path, "a.ini", MINI_POWER + "alpha = 0.1\n")).test.alpha == 0.1
 
+    # the other [test] keys fail at load too, naming the key, not once a
+    # test runs with an error that names none
+    def with_key(key, value):
+        head, test = MINI_POWER.split("[test]\n")
+        lines = [ln for ln in test.splitlines() if ln.split(" =")[0] != key]
+        return head + "[test]\n" + "\n".join(lines) + f"\n{key} = {value}\n"
+
+    for key, value in (("q", "1.5"), ("q", "0"), ("m", "0"), ("m", "-2"), ("perm_m", "0"),
+                       ("B", "0"), ("grid_size", "0"), ("lipschitz", "-1"),
+                       ("lipschitz", "0"), ("exponent", "2"), ("exponent", "0"),
+                       ("noise_sigma", "-1"), ("thresholds", "0.2 0.1"),
+                       ("thresholds", "0.1 0.1"), ("thresholds", "-1"),
+                       ("thresholds", "nan")):
+        with pytest.raises(ConfigError, match=rf"\[test\] {key}:"):
+            load_config(_write(tmp_path, "k.ini", with_key(key, value)))
+    cfg = load_config(_write(tmp_path, "k.ini", with_key("thresholds", "0.1 0.2")
+                             + "q = 1\nexponent = 1\ngrid_size = 1\nnoise_sigma = 0\n"))
+    assert cfg.test.thresholds == (0.1, 0.2)
+    assert (cfg.test.q, cfg.test.exponent, cfg.test.grid_size, cfg.test.noise_sigma) \
+        == (1.0, 1.0, 1, 0.0)
+
 
 def test_config_rejects_a_test_size_below_one(tmp_path):
     for size in ("0", "-5"):

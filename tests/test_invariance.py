@@ -24,8 +24,6 @@ from symlat.groups import (
     uniform_sampler,
 )
 from symlat.invariance import (
-    batch_exceedance_test,
-    batch_ratio_permutation_test,
     binom_tail,
     custom_bound,
     exceedance_test,
@@ -36,7 +34,6 @@ from symlat.invariance import (
     ratio_permutation_test,
     table_noise,
     _logsumexp,
-    _perm_outcome,
 )
 from symlat.scenarios import make_scenario, quarter_turn_actions
 from symlat.search import PermutationTester
@@ -389,19 +386,6 @@ def test_exceedance_validation_errors():
         exceedance_test(data, rotation, sampler, order_bound(), noise, rng, m=10)
 
 
-def test_batch_exceedance_rejects_order_only_bound():
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
-    data = _toy_invariant_data(np.random.default_rng(0))
-    nodes = [(n.node_id, n.group) for n in chain.nodes]
-    batch_exceedance_test(data, chain.action, nodes, sampler, known_bound(1.0),
-                          gaussian_noise(0.05), np.random.default_rng(0), m=10)
-    with pytest.raises(SymlatError, match="fully known bound"):
-        batch_exceedance_test(data, chain.action, nodes, sampler, order_bound(),
-                              gaussian_noise(0.05), np.random.default_rng(0), m=10)
-
-
 def test_vacuous_threshold_warning():
     rng = np.random.default_rng(0)
     data = _toy_invariant_data(rng)
@@ -416,13 +400,6 @@ def test_vacuous_threshold_warning():
 # permutation test
 # ---------------------------------------------------------------------------
 
-def test_perm_counting_rule():
-    out = _perm_outcome(np.array([2.0]), np.array([10]), 1.0, alpha=0.05, m_eff=10)
-    assert out.p_value == 0.0 and out.rejected
-    out = _perm_outcome(np.array([0.5]), np.array([10]), 1.0, alpha=0.05, m_eff=10)
-    assert out.p_value == 1.0 and not out.rejected
-
-
 def test_perm_b1_end_to_end():
     rng = np.random.default_rng(5)
     data = _toy_invariant_data(rng, sigma=0.05)
@@ -430,6 +407,8 @@ def test_perm_b1_end_to_end():
     out = ratio_permutation_test(data, rotation, sampler, order_bound(), rng,
                                  m=50, B=1)
     assert out.p_value in (0.0, 1.0)
+    assert out.p_value == float(out.replicate_quantiles[0] <= out.baseline_quantile)
+    assert out.rejected == (out.p_value == 0.0)
     # duplicated rows: pairs pass over reference rows at the point's own
     # location instead of failing, however small B is
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -601,14 +580,14 @@ def test_perm_raises_when_a_replicate_draws_only_unpaired_rows():
 # blocked permutation pass against the per-replicate loop
 # ---------------------------------------------------------------------------
 
-def _replicate_loop(data, action, nodes, sampler, bound, rng, m, B, q):
+def _replicate_loop(data, action, sampler, bound, rng, m, B, q):
     """The permutation test one replicate at a time: a full ranking of each
     replicate's points, its ratios, its m drawn positions (a position on an
-    unpaired row dropped), and each node's quantile of its kept draws.  Per
-    node: the replicate quantiles and counts, then the identity replicate's."""
+    unpaired row dropped) and the quantile of the rest.  Returns the
+    replicate quantiles and counts, then the identity replicate's."""
     index = NeighborIndex.from_dataset(data)
     X, Y, n = data.X, data.Y, data.n
-    got = {key: ([], []) for key, _ in nodes}
+    qs, ms = [], []
     for k in range(B + 1):
         order = rng.permutation(n)
         in_ref = np.zeros(n + 1, dtype=bool)   # the last slot stands for -1
@@ -622,30 +601,25 @@ def _replicate_loop(data, action, nodes, sampler, bound, rng, m, B, q):
         den = bound(points, X[nbr])
         live = in_ref[nbr] & (den > 0.0)
         ratios = np.abs(Y[pool] - Y[nbr]) / np.where(live, den, 1.0)
-        if not live[picks].any():
+        kept = picks[live[picks]]
+        if not kept.size:
             raise DegenerateMetricError("every drawn row is unpaired")
-        for key, group in nodes:
-            kept = picks[live[picks] & elements.contains_mask(group, action)[picks]]
-            got[key][0].append(quantile(ratios[kept], q) if kept.size else math.nan)
-            got[key][1].append(kept.size)
-    return {key: (np.array(qs[:B]), np.array(ms[:B]), qs[B], ms[B])
-            for key, (qs, ms) in got.items()}
+        qs.append(quantile(ratios[kept], q))
+        ms.append(kept.size)
+    return np.array(qs[:B]), np.array(ms[:B]), qs[B], ms[B]
 
 
 def _blocked_pass_cases():
-    """(action, sampler, nodes) for the image path (a finite support of at
-    most B / 2 elements), the finite path past it, and circles in a plane and
-    about axes, with every lattice node and the whole stream."""
+    """(action, sampler) for the image path (a finite support of at most
+    B / 2 elements), the finite path past it, and circles in a plane and
+    about an axis."""
     chain, axes = cyclic_chain_lattice([1, 2, 4]), so3_axes_lattice(np.eye(3))
     table = chain.action.group.table
-    chain_nodes = [(node.node_id, node.group) for node in chain.nodes] + [(-1, None)]
-    axes_nodes = [(node.node_id, node.group) for node in axes.nodes] + [(-1, None)]
-    c4 = chain.node_by_label("C4").sampler
     return {
-        "finite-c4": (chain.action, c4, chain_nodes),
-        "point-mass": (chain.action, point_mass_sampler(FiniteElement(table, 1)), chain_nodes),
-        "circle-plane": (chain.action, SamplerSpec("haar-circle", plane=(0, 1)), chain_nodes),
-        "circle-axis": (axes.action, axes.nodes[1].sampler, axes_nodes),
+        "finite-c4": (chain.action, chain.node_by_label("C4").sampler),
+        "point-mass": (chain.action, point_mass_sampler(FiniteElement(table, 1))),
+        "circle-plane": (chain.action, SamplerSpec("haar-circle", plane=(0, 1))),
+        "circle-axis": (axes.action, axes.nodes[1].sampler),
     }
 
 
@@ -673,13 +647,13 @@ def _zero_where_first_positive(a, b):
 def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, layout):
     # B + 1 replicates fill one block less one, exactly one block, or one
     # block and one replicate more
-    action, sampler, nodes = BLOCKED_PASS_CASES[case]
+    action, sampler = BLOCKED_PASS_CASES[case]
     B = block + past - 1
     data = _layout_data(layout, np.random.default_rng(seed), n, action.dim)
     bound = custom_bound(_zero_where_first_positive) if layout == "zero-bound" \
         else order_bound()
     try:
-        want = _replicate_loop(data, action, nodes, sampler, bound,
+        want = _replicate_loop(data, action, sampler, bound,
                                np.random.default_rng(seed), m, B, q)
     except DegenerateMetricError:
         want = None
@@ -687,16 +661,19 @@ def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, l
         patch.setattr(invariance, "_PERM_BLOCK_FLOATS", block * n)
         if want is None:
             with pytest.raises(DegenerateMetricError):
-                batch_ratio_permutation_test(data, action, nodes, sampler, bound,
-                                             np.random.default_rng(seed), m, B, q=q)
+                ratio_permutation_test(data, action, sampler, bound,
+                                       np.random.default_rng(seed), m, B, q=q)
             return
-        out = batch_ratio_permutation_test(data, action, nodes, sampler, bound,
-                                           np.random.default_rng(seed), m, B, q=q)
-    for key, (quantiles, counts, baseline, baseline_m) in want.items():
-        assert np.array_equal(out[key].replicate_quantiles, quantiles, equal_nan=True)
-        assert np.array_equal(out[key].replicate_m, counts)
-        assert np.array_equal(out[key].baseline_quantile, baseline, equal_nan=True)
-        assert out[key].effective_m == (baseline_m if baseline_m and counts.any() else 0)
+        out = ratio_permutation_test(data, action, sampler, bound,
+                                     np.random.default_rng(seed), m, B, q=q)
+    quantiles, counts, baseline, baseline_m = want
+    assert np.array_equal(out.replicate_quantiles, quantiles)
+    assert np.array_equal(out.replicate_m, counts)
+    assert out.baseline_quantile == baseline
+    # the counting rule: the share of replicates at or below the identity
+    # one, and the identity replicate's kept draws
+    assert out.p_value == float(np.sum(quantiles <= baseline)) / B
+    assert out.effective_m == baseline_m
 
 
 @pytest.mark.parametrize("layout", ["smooth", "duplicated"])
@@ -750,98 +727,6 @@ def test_perm_tester_ranks_each_shared_element_once():
         assert np.array_equal(got.replicate_m, want.replicate_m)
         assert got.baseline_quantile == want.baseline_quantile
     assert ranked.count(invariance._RANKED) == 3
-
-
-# ---------------------------------------------------------------------------
-# batch tests
-# ---------------------------------------------------------------------------
-
-def test_batch_filters_by_membership():
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
-    data = _toy_invariant_data(np.random.default_rng(2), sigma=0.05)
-    nodes = [(n.node_id, n.group) for n in chain.nodes]
-    m = 3000
-    out = batch_exceedance_test(data, chain.action, nodes, sampler,
-                                known_bound(1.0 / math.e), gaussian_noise(0.05),
-                                np.random.default_rng(3), m=m, thresholds=[0.1])
-    c2 = chain.node_by_label("C2").node_id
-    c4 = chain.node_by_label("C4").node_id
-    frac = out[c2].effective_m / m
-    assert abs(frac - 1.0 / 3.0) <= 3.0 * math.sqrt((1 / 3) * (2 / 3) / m)
-    assert out[c4].effective_m == m
-    bottom = chain.bottom
-    assert out[bottom].effective_m == 0
-    assert "insufficient-sample" in out[bottom].warnings
-    assert out[bottom].decision == 1
-
-
-def test_batch_whole_group_is_bit_identical_to_direct():
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
-    data = _toy_invariant_data(np.random.default_rng(4), sigma=0.05)
-    c4_group = chain.node_by_label("C4").group
-    kw = dict(bound=known_bound(1.0 / math.e), noise=gaussian_noise(0.05), m=200,
-              thresholds=[0.1])
-    direct = exceedance_test(data, chain.action, sampler,
-                             rng=np.random.default_rng(77), **kw)
-    batch = batch_exceedance_test(data, chain.action, [(0, c4_group)], sampler,
-                                  rng=np.random.default_rng(77), **kw)[0]
-    assert direct.p_value == batch.p_value
-    assert direct.decision == batch.decision
-    assert np.array_equal(direct.statistics, batch.statistics)
-    assert np.array_equal(direct.exceed_counts, batch.exceed_counts)
-
-    p_direct = ratio_permutation_test(data, chain.action, sampler, order_bound(),
-                                      np.random.default_rng(78), m=90, B=25)
-    p_batch = batch_ratio_permutation_test(data, chain.action, [(0, c4_group)],
-                                           sampler, order_bound(),
-                                           np.random.default_rng(78), m=90, B=25)[0]
-    assert p_direct.p_value == p_batch.p_value
-    assert np.array_equal(p_direct.replicate_quantiles, p_batch.replicate_quantiles)
-    assert p_direct.baseline_quantile == p_batch.baseline_quantile
-
-
-def test_batch_perm_effective_m_counts_kept_identity_draws():
-    # a C2 node under the C4 sampler keeps only the draws of r180.  On smooth
-    # data every query row is paired, so replaying the stream (reference
-    # split, one element per query row, m picks among them) gives each
-    # replicate's kept count; the last replicate is the identity one
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    sampler = uniform_sampler([FiniteElement(table, i) for i in (1, 2, 3)])
-    data = _toy_invariant_data(np.random.default_rng(4), sigma=0.05)
-    c2 = chain.node_by_label("C2")
-    m, B = 90, 20
-    out = batch_ratio_permutation_test(data, chain.action, [(c2.node_id, c2.group), (-1, None)],
-                                       sampler, order_bound(), np.random.default_rng(12),
-                                       m=m, B=B)
-    rng = np.random.default_rng(12)
-    kept = []
-    for _ in range(B + 1):
-        rng.permutation(data.n)
-        elements = sample_elements(sampler, rng, data.n - data.n // 2)
-        picks = rng.integers(0, len(elements), size=m)
-        kept.append([elements[i].index for i in picks].count(2))
-    assert out[c2.node_id].replicate_m.tolist() == kept[:B]
-    assert out[c2.node_id].effective_m == kept[B] < m
-    assert out[-1].effective_m == m
-
-
-def test_batch_perm_insufficient_node():
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    r90_only = point_mass_sampler(FiniteElement(table, 1))
-    data = _toy_invariant_data(np.random.default_rng(5), sigma=0.05)
-    c2 = chain.node_by_label("C2")
-    out = batch_ratio_permutation_test(data, chain.action, [(c2.node_id, c2.group)],
-                                       r90_only, order_bound(),
-                                       np.random.default_rng(6), m=30, B=10)
-    outcome = out[c2.node_id]
-    assert outcome.decision == 1
-    assert "insufficient-sample" in outcome.warnings
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,33 @@ def test_add_top_rejects_non_supergroup():
         add_top(chain, c2)
 
 
+# every lattice builder, with the full subgroup lattice of D4
+LATTICE_BUILDS = [
+    lambda: cyclic_chain_lattice([1, 2, 4, 8]),
+    lambda: d4_lattice(),
+    lambda: d4_pixel_lattice(4),
+    lambda: c2xc2_lattice(),
+    lambda: so3_axes_lattice(icosahedral_axes()),
+    lambda: sl3_extended_lattice(),
+    lambda: (lambda t: full_subgroup_lattice(t, d4_action(table=t), top_label="D4"))(d4_table()),
+]
+
+
+def loop_frontier(lat, gmax):
+    """The frontier by its definition, one node at a time."""
+    out = set()
+    n = len(lat.nodes)
+    for h in range(n):
+        if lat.leq[h, gmax]:
+            continue
+        strict_below = [u for u in range(n) if u != h and lat.leq[u, h]]
+        if not all(lat.leq[u, gmax] for u in strict_below):
+            continue
+        if any(lat.covers[u, h] and lat.leq[u, gmax] for u in strict_below):
+            out.add(h)
+    return out
+
+
 def test_frontier_examples():
     chain = cyclic_chain_lattice([1, 2, 4])
     c2 = chain.node_by_label("C2").node_id
@@ -181,6 +208,10 @@ def test_frontier_examples():
     lat = d4_lattice()
     r90 = lat.node_by_label("<r90>").node_id
     assert {lat.node(i).label for i in lat.frontier(r90)} == {"<h>", "<v>", "<d>", "<a>"}
+    for build in LATTICE_BUILDS:
+        lat = build()
+        for gmax in range(len(lat)):
+            assert lat.frontier(gmax) == loop_frontier(lat, gmax)
 
 
 def test_order_implies_member_inclusion():
@@ -228,15 +259,7 @@ def _tables(lat):
             np.array([[lat.join(a, b) for b in range(n)] for a in range(n)]))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: cyclic_chain_lattice([1, 2, 4, 8]),
-    lambda: d4_lattice(),
-    lambda: d4_pixel_lattice(4),
-    lambda: c2xc2_lattice(),
-    lambda: so3_axes_lattice(icosahedral_axes()),
-    lambda: sl3_extended_lattice(),
-    lambda: (lambda t: full_subgroup_lattice(t, d4_action(table=t), top_label="D4"))(d4_table()),
-])
+@pytest.mark.parametrize("build", LATTICE_BUILDS)
 def test_meet_join_tables_match_pairwise_definition(build):
     lat = build()
     meet, join = pairwise_meet_join(lat.leq)

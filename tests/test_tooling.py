@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from symlat.config import load_config
+from symlat.experiments import run_experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,3 +32,32 @@ def test_every_workload_config_loads(tmp_path):
             path = tmp_path / f"{name}.ini"
             path.write_text(workload.config_text(1, tiny=tiny))
             assert load_config(path).seed == 1
+
+
+# counters that one tiny op of each workload must move; the smoke check only
+# compares counts between runs, so a call that goes around a traced name
+# would read 0 in every run and pass it
+REACHED = {
+    "search-sl3": ("groups.sample_calls", "groups.rows_applied", "data.nn_queries",
+                   "invariance.tests", "invariance.binom_tail_calls"),
+    "estimator-compare": ("groups.sample_calls", "groups.rows_applied", "data.nn_queries",
+                          "invariance.tests", "invariance.binom_tail_calls"),
+    "recovery-perm": ("groups.sample_calls", "invariance.tests"),
+}
+
+
+def test_every_traced_layer_is_reached(tmp_path):
+    spans, workloads = _load("spans"), _load("workloads")
+    assert set(REACHED) == set(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workload.config_text(1, tiny=True))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.op(run_experiment, load_config(path), tmp_path / name)
+        finally:
+            tracer.uninstall()
+        counts = tracer.metrics()
+        for counter in REACHED[name]:
+            assert counts[counter] > 0, f"{name}: {counter} reads 0"
