@@ -206,6 +206,8 @@ def cyclic_chain_lattice(orders: Sequence[int], dim: int = 2,
     for small, big in zip(orders, orders[1:]):
         if big <= small or big % small:
             raise LatticeError(f"orders must be ascending divisors, got {orders}")
+    if max(plane) >= dim:
+        raise LatticeError(f"dimension {dim} too small for rotations in plane {plane}")
     top = orders[-1]
     table = cyclic_table(top)
     angles = TWO_PI * np.arange(top) / top

@@ -16,7 +16,7 @@ import numpy as np
 
 from .builders import icosahedral_axes, c2xc2_lattice, cyclic_chain_lattice, \
     d4_lattice, d4_pixel_lattice, sl3_extended_lattice, so3_axes_lattice
-from .errors import ConfigError
+from .errors import ConfigError, LatticeError
 from .search import ALGORITHMS, TIE_RULES
 
 EXPERIMENT_KINDS = ("power-curve", "group-recovery", "estimator-compare", "search")
@@ -78,6 +78,12 @@ class LatticeSettings:
     axes: str | tuple[tuple[float, float, float], ...] = "icosahedral"
     angle_std: float | None = None
 
+    def __post_init__(self):
+        if self.angle_std is not None and not self.angle_std > 0.0:
+            raise ConfigError(f"[lattice] angle_std: {self.angle_std!r} is not > 0")
+        if self.side < 1:
+            raise ConfigError(f"[lattice] side: {self.side} is not >= 1")
+
 
 @dataclass
 class SearchSettings:
@@ -130,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.test_size is not None and self.test_size < 1:
             raise ConfigError(f"[experiment] test_size: {self.test_size} is not >= 1")
+        if self.scenario_sigma is not None and not self.scenario_sigma >= 0.0:
+            raise ConfigError(f"[scenario] noise_sigma: {self.scenario_sigma!r} is not >= 0")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n <= 0 for n in sizes) or any(
                 b <= a for a, b in zip(sizes, sizes[1:])):
@@ -275,18 +283,23 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_lattice(settings: LatticeSettings):
-    if settings.builder == "cyclic-chain":
-        return cyclic_chain_lattice(settings.orders, dim=settings.dim)
-    if settings.builder == "d4":
-        return d4_lattice(dim=settings.dim)
-    if settings.builder == "d4-pixels":
-        return d4_pixel_lattice(settings.side)
-    if settings.builder == "c2xc2":
-        return c2xc2_lattice(dim=settings.dim)
-    if settings.builder in ("so3-axes", "sl3-extended"):
-        axes = icosahedral_axes() if settings.axes == "icosahedral" \
-            else np.asarray(settings.axes, dtype=float)
-        if settings.builder == "so3-axes":
-            return so3_axes_lattice(axes, angle_std=settings.angle_std)
-        return sl3_extended_lattice(axes, angle_std=settings.angle_std)
+    """The lattice that ``settings`` name; a builder's ``LatticeError`` is a
+    ``ConfigError`` naming ``[lattice]``."""
+    try:
+        if settings.builder == "cyclic-chain":
+            return cyclic_chain_lattice(settings.orders, dim=settings.dim)
+        if settings.builder == "d4":
+            return d4_lattice(dim=settings.dim)
+        if settings.builder == "d4-pixels":
+            return d4_pixel_lattice(settings.side)
+        if settings.builder == "c2xc2":
+            return c2xc2_lattice(dim=settings.dim)
+        if settings.builder in ("so3-axes", "sl3-extended"):
+            axes = icosahedral_axes() if settings.axes == "icosahedral" \
+                else np.asarray(settings.axes, dtype=float)
+            if settings.builder == "so3-axes":
+                return so3_axes_lattice(axes, angle_std=settings.angle_std)
+            return sl3_extended_lattice(axes, angle_std=settings.angle_std)
+    except LatticeError as exc:
+        raise ConfigError(f"[lattice] {settings.builder}: {exc}") from None
     raise ConfigError(f"unknown lattice builder {settings.builder!r}")

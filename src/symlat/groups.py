@@ -1,15 +1,17 @@
 """Group elements, descriptors, actions on feature vectors, and samplers.
 
-Finite groups are stored as explicit Cayley tables with labelled elements;
-subgroups of a finite group are index sets into the ambient table.  Rotations
-are kept in axis/planar form while possible and normalised to matrices on the
-first mixed composition, with re-orthonormalisation once numerical drift
-exceeds ``ORTHO_TOL``.
+A group element is either a ``FiniteElement``, an index into a Cayley table,
+or a ``MatrixElement``, a square real matrix with determinant 1.  Finite
+groups are stored as explicit Cayley tables with labelled elements, and their
+elements act through an action's per-element tables.  Subgroups of a finite
+group are index sets into the ambient table.  Every continuous group (a
+circle about an axis, SO(3), SL(3)) acts on R^3 by its elements' matrices.
+Products of rotations are re-orthonormalised once numerical drift exceeds
+``ORTHO_TOL``; other matrix products are rescaled to determinant 1.
 
 Samplers draw an ``ElementBatch``: one parameter array for all draws (support
-positions, angles or a matrix stack), applied to feature rows and tested for
-subgroup membership as a whole.  The scalar element classes remain for
-composition, inverses, generators and single draws.
+positions, circle angles or a rotation stack), applied to feature rows as a
+whole.  Indexing a batch builds its scalar elements.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
 
 ORTHO_TOL = 1e-9
 DET_TOL = 1e-9
-AXIS_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -168,6 +169,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_axis(axis) -> np.ndarray:
+    axis = _readonly(axis)
+    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        raise InvalidGroupError(f"axis {axis} is not a unit 3-vector")
+    return axis
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteElement:
     """An element of a finite group, identified by its Cayley-table index."""
@@ -187,46 +195,21 @@ class FiniteElement:
 
 
 @dataclass(frozen=True, eq=False)
-class PlanarRotation:
-    """Rotation by ``angle`` radians in the coordinate plane ``(i, j)``."""
-    angle: float
-    plane: tuple[int, int]
-
-    def __post_init__(self):
-        i, j = self.plane
-        if i == j or i < 0 or j < 0:
-            raise InvalidGroupError(f"invalid coordinate plane {self.plane}")
-
-
-@dataclass(frozen=True, eq=False)
-class AxisRotation:
-    """Rotation in R^3 about a unit ``axis`` by ``angle`` radians."""
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        axis = _readonly(self.axis)
-        if axis.shape != (3,):
-            raise InvalidGroupError("rotation axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > AXIS_TOL:
-            raise InvalidGroupError("rotation axis must be a unit vector")
-        object.__setattr__(self, "axis", axis)
-
-    def matrix(self) -> np.ndarray:
-        return _axis_rotations(self.axis, np.array([self.angle]))[0]
-
-
-@dataclass(frozen=True, eq=False)
-class RotationMatrix:
-    """A 3x3 rotation matrix (orthogonal with determinant 1)."""
+class MatrixElement:
+    """An element of a continuous group: a square real matrix with
+    determinant 1, acting on feature vectors by multiplication."""
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _readonly(self.matrix)
-        if m.shape != (3, 3):
-            raise InvalidGroupError("rotation matrix must be 3x3")
-        _check_rotations(m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidGroupError(f"matrix element must be square, got {m.shape}")
+        if abs(np.linalg.det(m) - 1.0) > DET_TOL:
+            raise InvalidGroupError("matrix element must have determinant 1")
         object.__setattr__(self, "matrix", m)
+
+
+GroupElement = Union[FiniteElement, MatrixElement]
 
 
 def _check_rotations(m: np.ndarray) -> None:
@@ -237,35 +220,8 @@ def _check_rotations(m: np.ndarray) -> None:
         raise InvalidGroupError("matrix determinant must be 1")
 
 
-@dataclass(frozen=True, eq=False)
-class SpecialLinear:
-    """A 3x3 real matrix with determinant 1."""
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _readonly(self.matrix)
-        if m.shape != (3, 3):
-            raise InvalidGroupError("special-linear matrix must be 3x3")
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL:
-            raise InvalidGroupError("special-linear matrix must have determinant 1")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """Coordinate permutation: ``(g . x)_i = x_{perm[i]}``."""
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        p = tuple(int(i) for i in self.perm)
-        if sorted(p) != list(range(len(p))):
-            raise InvalidGroupError(f"{p} is not a bijection on 0..{len(p) - 1}")
-        object.__setattr__(self, "perm", p)
-
-
-GroupElement = Union[FiniteElement, PlanarRotation, AxisRotation,
-                     RotationMatrix, SpecialLinear, Permutation]
-_MATRIX_ELEMENTS = (AxisRotation, RotationMatrix, SpecialLinear)
+def _is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
+    return bool(np.max(np.abs(m.T @ m - np.eye(len(m)))) <= tol)
 
 
 def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -299,62 +255,28 @@ def _reorthonormalize(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _renormalize_det(m: np.ndarray) -> np.ndarray:
-    d = np.linalg.det(m)
-    if d <= 0:
-        raise InvalidGroupError("special-linear product drifted to non-positive determinant")
-    return m / np.cbrt(d)
-
-
-def _as_rotation_matrix(g: GroupElement) -> np.ndarray:
-    if isinstance(g, AxisRotation):
-        return g.matrix()
-    if isinstance(g, RotationMatrix):
-        return g.matrix
-    raise IncompatibleElementsError(f"cannot view {type(g).__name__} as a 3x3 rotation")
-
-
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product ``ab``.
 
-    Same-form rotations stay in their cheap parametric form; mixed rotation
-    forms normalise to matrices.  Matrix products are re-orthonormalised (or
-    det-renormalised for SL(3)) once drift exceeds tolerance.
+    Finite elements multiply through their shared table.  A product of two
+    rotation matrices is re-orthonormalised once drift exceeds ``ORTHO_TOL``;
+    any other matrix product is rescaled to determinant 1 once its
+    determinant drifts past ``DET_TOL``.
     """
     if isinstance(a, FiniteElement) and isinstance(b, FiniteElement):
         if a.table is not b.table:
             raise IncompatibleElementsError("finite elements from different Cayley tables")
         return FiniteElement(a.table, a.table.product(a.index, b.index))
-    if isinstance(a, PlanarRotation) and isinstance(b, PlanarRotation):
-        if a.plane != b.plane:
-            raise IncompatibleElementsError("planar rotations in different coordinate planes")
-        return PlanarRotation((a.angle + b.angle) % TWO_PI, a.plane)
-    if isinstance(a, AxisRotation) and isinstance(b, AxisRotation):
-        dot = float(np.dot(a.axis, b.axis))
-        if abs(dot - 1.0) <= AXIS_TOL:
-            return AxisRotation(a.axis, a.angle + b.angle)
-        if abs(dot + 1.0) <= AXIS_TOL:
-            return AxisRotation(a.axis, a.angle - b.angle)
-        # distinct axes: fall through to the matrix path
-    if isinstance(a, (AxisRotation, RotationMatrix)) and isinstance(b, (AxisRotation, RotationMatrix)):
-        m = _as_rotation_matrix(a) @ _as_rotation_matrix(b)
-        if np.max(np.abs(m.T @ m - np.eye(3))) > ORTHO_TOL:
+    if isinstance(a, MatrixElement) and isinstance(b, MatrixElement):
+        if a.matrix.shape != b.matrix.shape:
+            raise DimensionMismatchError("matrix elements of different sizes")
+        m = a.matrix @ b.matrix
+        if _is_rotation(a.matrix) and _is_rotation(b.matrix) and not _is_rotation(m):
             m = _reorthonormalize(m)
-        return RotationMatrix(m)
-    if isinstance(a, (SpecialLinear, RotationMatrix, AxisRotation)) and \
-            isinstance(b, (SpecialLinear, RotationMatrix, AxisRotation)):
-        ma = a.matrix if isinstance(a, SpecialLinear) else _as_rotation_matrix(a)
-        mb = b.matrix if isinstance(b, SpecialLinear) else _as_rotation_matrix(b)
-        m = ma @ mb
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL:
-            m = _renormalize_det(m)
-        return SpecialLinear(m)
-    if isinstance(a, Permutation) and isinstance(b, Permutation):
-        if len(a.perm) != len(b.perm):
-            raise DimensionMismatchError("permutations of different lengths")
-        # (ab) . x first applies b then a, and (g . x)_i = x_{g[i]},
-        # so (ab)[i] = b[a[i]].
-        return Permutation(tuple(b.perm[a.perm[i]] for i in range(len(a.perm))))
+        det = np.linalg.det(m)
+        if abs(det - 1.0) > DET_TOL:
+            m = m / abs(det) ** (1.0 / len(m))
+        return MatrixElement(m)
     raise IncompatibleElementsError(
         f"cannot compose {type(a).__name__} with {type(b).__name__}")
 
@@ -362,38 +284,15 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
 def inverse(g: GroupElement) -> GroupElement:
     if isinstance(g, FiniteElement):
         return FiniteElement(g.table, g.table.inverse(g.index))
-    if isinstance(g, PlanarRotation):
-        return PlanarRotation((-g.angle) % TWO_PI, g.plane)
-    if isinstance(g, AxisRotation):
-        return AxisRotation(g.axis, -g.angle)
-    if isinstance(g, RotationMatrix):
-        return RotationMatrix(g.matrix.T)
-    if isinstance(g, SpecialLinear):
-        return SpecialLinear(np.linalg.inv(g.matrix))
-    if isinstance(g, Permutation):
-        inv = [0] * len(g.perm)
-        for i, p in enumerate(g.perm):
-            inv[p] = i
-        return Permutation(tuple(inv))
-    raise IncompatibleElementsError(f"unknown element type {type(g).__name__}")
-
-
-def _angle_distance(a: float, b: float) -> float:
-    d = (a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    return MatrixElement(np.linalg.inv(g.matrix))
 
 
 def elements_equal(a: GroupElement, b: GroupElement, tol: float = MEMBERSHIP_TOL) -> bool:
     if isinstance(a, FiniteElement) and isinstance(b, FiniteElement):
         return a.table is b.table and a.index == b.index
-    if isinstance(a, PlanarRotation) and isinstance(b, PlanarRotation):
-        return a.plane == b.plane and _angle_distance(a.angle, b.angle) <= tol
-    if isinstance(a, (AxisRotation, RotationMatrix)) and isinstance(b, (AxisRotation, RotationMatrix)):
-        return bool(np.max(np.abs(_as_rotation_matrix(a) - _as_rotation_matrix(b))) <= tol)
-    if isinstance(a, SpecialLinear) and isinstance(b, SpecialLinear):
-        return bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
-    if isinstance(a, Permutation) and isinstance(b, Permutation):
-        return a.perm == b.perm
+    if isinstance(a, MatrixElement) and isinstance(b, MatrixElement):
+        return a.matrix.shape == b.matrix.shape and \
+            bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
     return False
 
 
@@ -416,7 +315,7 @@ class GroupDescriptor:
     label: str
     table: CayleyTable | None = None
     members: frozenset[int] | None = None
-    axis: np.ndarray | None = None
+    axis: np.ndarray | None = None      # s1-axis kind: a unit 3-vector
 
     def __post_init__(self):
         if self.kind == FINITE:
@@ -439,10 +338,7 @@ class GroupDescriptor:
         elif self.kind == S1_AXIS:
             if self.axis is None:
                 raise InvalidGroupError("s1-axis descriptor requires an axis")
-            axis = _readonly(self.axis)
-            if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-                raise InvalidGroupError("circle-group axis must be a unit vector")
-            object.__setattr__(self, "axis", axis)
+            object.__setattr__(self, "axis", _unit_axis(self.axis))
         elif self.kind not in (SO3, SL3):
             raise InvalidGroupError(f"unknown group kind {self.kind!r}")
 
@@ -461,11 +357,7 @@ class GroupDescriptor:
     def identity_element(self) -> GroupElement:
         if self.is_finite:
             return FiniteElement(self.table, self.table.identity)
-        if self.kind == S1_AXIS:
-            return AxisRotation(self.axis, 0.0)
-        if self.kind == SO3:
-            return RotationMatrix(np.eye(3))
-        return SpecialLinear(np.eye(3))
+        return MatrixElement(np.eye(3))
 
     # -- membership ----------------------------------------------------------
 
@@ -474,9 +366,10 @@ class GroupDescriptor:
         """Whether a sampled element lies in this subgroup.
 
         Finite elements of the same table are decided by index-set inclusion;
-        cross-kind checks compare realised transformations within ``tol``
-        (e.g. a sampled planar-rotation angle against each finite member, or
-        whether a 3x3 rotation fixes the circle group's axis).
+        other elements of a finite group are compared with each member's
+        realisation under ``action`` within ``tol``.  SL(3) holds every 3x3
+        matrix element, SO(3) the orthogonal ones within ``tol``, and a circle
+        group the orthogonal ones that fix its axis within ``tol``.
         """
         if self.kind == FINITE:
             if isinstance(g, FiniteElement) and g.table is self.table:
@@ -486,22 +379,13 @@ class GroupDescriptor:
                            for i in sorted(self.members))
             raise IncompatibleElementsError(
                 "membership of a non-table element in a finite group needs the ambient action")
-        if self.kind == S1_AXIS:
-            if isinstance(g, AxisRotation):
-                if _angle_distance(g.angle, 0.0) <= tol:
-                    return True
-                return abs(abs(float(np.dot(g.axis, self.axis))) - 1.0) <= 1e-9
-            if isinstance(g, (RotationMatrix, SpecialLinear)):
-                m = g.matrix
-                if np.max(np.abs(m.T @ m - np.eye(3))) > tol or abs(np.linalg.det(m) - 1.0) > tol:
-                    return False
-                return bool(np.linalg.norm(m @ self.axis - self.axis) <= tol)
+        if not isinstance(g, MatrixElement) or g.matrix.shape != (3, 3):
             return False
-        if self.kind == SO3:
-            if isinstance(g, SpecialLinear):
-                return bool(np.max(np.abs(g.matrix.T @ g.matrix - np.eye(3))) <= tol)
-            return isinstance(g, (AxisRotation, RotationMatrix))
-        return isinstance(g, _MATRIX_ELEMENTS)
+        if self.kind == SL3:
+            return True
+        if not _is_rotation(g.matrix, tol):
+            return False
+        return self.kind == SO3 or bool(np.linalg.norm(g.matrix @ self.axis - self.axis) <= tol)
 
 
 def default_sl3_generators() -> tuple[GroupElement, ...]:
@@ -512,11 +396,11 @@ def default_sl3_generators() -> tuple[GroupElement, ...]:
     for a group with no invariant probability measure.
     """
     return (
-        SpecialLinear(np.diag([1.5, 1.0 / 1.5, 1.0])),
-        SpecialLinear(np.diag([1.0, 1.5, 1.0 / 1.5])),
-        SpecialLinear(np.array([[1.0, 0.75, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
-        SpecialLinear(np.diag([1.0 / 1.5, 1.5, 1.0])),
-        SpecialLinear(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -0.75], [0.0, 0.0, 1.0]])),
+        MatrixElement(np.diag([1.5, 1.0 / 1.5, 1.0])),
+        MatrixElement(np.diag([1.0, 1.5, 1.0 / 1.5])),
+        MatrixElement(np.array([[1.0, 0.75, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        MatrixElement(np.diag([1.0 / 1.5, 1.5, 1.0])),
+        MatrixElement(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -0.75], [0.0, 0.0, 1.0]])),
     )
 
 
@@ -543,8 +427,8 @@ class GroupAction:
     """How group elements transform feature vectors in R^dim.
 
     Finite elements are realised through per-element tables (``matrices``,
-    ``angles`` + ``plane``, or ``perms``); continuous elements carry their own
-    parameters.  Distinct actions of the same abstract group are just distinct
+    ``angles`` + ``plane``, or ``perms``); a matrix element acts by its own
+    matrix.  Distinct actions of the same abstract group are just distinct
     realisation tables.
     """
 
@@ -587,25 +471,20 @@ class GroupAction:
 def _realize_matrix(action: GroupAction, g: GroupElement) -> np.ndarray:
     """The dim x dim matrix by which ``g`` acts (matrix/planar kinds)."""
     d = action.dim
-    if isinstance(g, FiniteElement):
-        if g.table.size == 1:
-            return np.eye(d)
-        if action.kind == ACTION_MATRIX and action.matrices is not None \
-                and g.table is action.group.table:
-            return action.matrices[g.index]
-        if action.kind == ACTION_PLANAR and action.angles is not None \
-                and g.table is action.group.table:
-            return planar_rotation_matrix(float(action.angles[g.index]), action.plane, d)
-        raise IncompatibleElementsError(
-            f"finite element {g!r} has no realisation under this action")
-    if isinstance(g, PlanarRotation):
-        return planar_rotation_matrix(g.angle, g.plane, d)
-    if isinstance(g, (AxisRotation, RotationMatrix, SpecialLinear)):
-        m = g.matrix if isinstance(g, (RotationMatrix, SpecialLinear)) else g.matrix()
-        if d != 3:
-            raise DimensionMismatchError("3x3 matrix element in a non-3d action")
-        return m
-    raise IncompatibleElementsError(f"{type(g).__name__} is not matrix-realisable")
+    if isinstance(g, MatrixElement):
+        if g.matrix.shape != (d, d):
+            raise DimensionMismatchError(f"{len(g.matrix)}x{len(g.matrix)} matrix element "
+                                         f"in a {d}-d action")
+        return g.matrix
+    if g.table.size == 1:
+        return np.eye(d)
+    if action.kind == ACTION_MATRIX and action.matrices is not None \
+            and g.table is action.group.table:
+        return action.matrices[g.index]
+    if action.kind == ACTION_PLANAR and action.angles is not None \
+            and g.table is action.group.table:
+        return planar_rotation_matrix(float(action.angles[g.index]), action.plane, d)
+    raise IncompatibleElementsError(f"finite element {g!r} has no realisation under this action")
 
 
 def _realizations_match(action: GroupAction, a: GroupElement, b: GroupElement,
@@ -632,11 +511,6 @@ def _realize_perm(action: GroupAction, g: GroupElement) -> np.ndarray | None:
             return np.arange(action.dim)
         if action.perms is not None and g.table is action.group.table:
             return action.perms[g.index]
-        return None
-    if isinstance(g, Permutation):
-        if len(g.perm) != action.dim:
-            raise DimensionMismatchError("permutation length does not match action dimension")
-        return np.asarray(g.perm, dtype=np.int64)
     return None
 
 
@@ -660,24 +534,18 @@ def apply_to_rows(action: GroupAction, g: GroupElement, rows: np.ndarray) -> np.
         if p is None:
             raise IncompatibleElementsError(f"{g!r} has no permutation realisation")
         return rows[:, p]
-    if action.kind == ACTION_PLANAR and isinstance(g, (PlanarRotation, FiniteElement)):
-        if isinstance(g, PlanarRotation):
-            angle, plane = g.angle, g.plane
-        else:
-            if g.table.size == 1:
-                return rows.copy()
-            if action.angles is None or g.table is not action.group.table:
-                raise IncompatibleElementsError(f"{g!r} has no angle realisation")
-            angle, plane = float(action.angles[g.index]), action.plane
-        if plane != action.plane:
-            raise IncompatibleElementsError("planar element outside the action's plane")
-        return _rotate_plane(rows, angle, plane)
+    if action.kind == ACTION_PLANAR and isinstance(g, FiniteElement):
+        if g.table.size == 1:
+            return rows.copy()
+        if action.angles is None or g.table is not action.group.table:
+            raise IncompatibleElementsError(f"{g!r} has no angle realisation")
+        return _rotate_plane(rows, float(action.angles[g.index]), action.plane)
     m = _realize_matrix(action, g)
     return rows @ m.T
 
 
-def _rotate_plane(rows: np.ndarray, angle, plane: tuple[int, int]) -> np.ndarray:
-    """Rotate every row in ``plane`` by ``angle``, or row k by ``angle[k]``."""
+def _rotate_plane(rows: np.ndarray, angle: float, plane: tuple[int, int]) -> np.ndarray:
+    """Rotate every row in ``plane`` by ``angle``."""
     i, j = plane
     out = rows.copy()
     c, s = np.cos(angle), np.sin(angle)
@@ -702,37 +570,38 @@ class SamplerSpec:
     """A distribution over group elements; the random source is caller-owned.
 
     ``elements`` is the support of a uniform or point-mass sampler (a point
-    mass's one ``element``) and empty for the other kinds.
+    mass's one ``element``) and empty for the other kinds.  A support holds
+    finite elements of one table or matrix elements of one size.  Circle
+    samplers rotate about the unit 3-vector ``axis``.
     """
 
     kind: str
     elements: tuple[GroupElement, ...] = ()
     element: GroupElement | None = None
     axis: np.ndarray | None = None
-    plane: tuple[int, int] | None = None
     std: float = 0.0
 
     def __post_init__(self):
-        if self.kind == UNIFORM:
+        if self.kind in (UNIFORM, POINT_MASS):
+            if self.kind == POINT_MASS:
+                if self.element is None:
+                    raise InvalidGroupError("point-mass sampler needs an element")
+                object.__setattr__(self, "elements", (self.element,))
             if not self.elements:
                 raise InvalidGroupError("uniform sampler needs a non-empty element list")
-        elif self.kind == POINT_MASS:
-            if self.element is None:
-                raise InvalidGroupError("point-mass sampler needs an element")
-            object.__setattr__(self, "elements", (self.element,))
+            # a table compares by identity, a matrix size by value
+            kinds = [g.table if isinstance(g, FiniteElement) else g.matrix.shape
+                     for g in self.elements]
+            if any(k != kinds[0] for k in kinds):
+                raise InvalidGroupError("a sampler's support must hold finite elements of "
+                                        "one table or matrix elements of one size")
         elif self.kind in (HAAR_CIRCLE, GAUSSIAN_ANGLE):
-            if self.axis is None and self.plane is None:
-                raise InvalidGroupError(f"{self.kind} sampler needs an axis or a plane")
-            if self.axis is not None:
-                axis = _readonly(self.axis)
-                if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-                    raise InvalidGroupError("sampler axis must be a unit vector")
-                object.__setattr__(self, "axis", axis)
+            if self.axis is None:
+                raise InvalidGroupError(f"{self.kind} sampler needs an axis")
+            object.__setattr__(self, "axis", _unit_axis(self.axis))
             if self.kind == GAUSSIAN_ANGLE and not self.std > 0:
                 raise InvalidGroupError("gaussian-angle sampler needs std > 0")
-        elif self.kind == HAAR_SO3:
-            pass
-        else:
+        elif self.kind != HAAR_SO3:
             raise InvalidGroupError(f"unknown sampler kind {self.kind!r}")
 
 
@@ -772,9 +641,9 @@ class ElementBatch(Sequence):
     """Draws of one sampler as one parameter array.
 
     ``params`` holds positions in the support of a uniform or point-mass
-    sampler, angles of a circle sampler (about its axis, or in its plane
-    modulo 2 pi) or the ``(m, 3, 3)`` stack of a ``haar-so3`` sampler.
-    Indexing or iterating builds the scalar elements, once, on first use.
+    sampler, angles of a circle sampler about its axis, or the ``(m, 3, 3)``
+    stack of a ``haar-so3`` sampler.  Indexing or iterating builds the scalar
+    elements, once, on first use.
     """
 
     spec: SamplerSpec
@@ -796,51 +665,43 @@ class ElementBatch(Sequence):
 
     @cached_property
     def _drawn(self) -> list[GroupElement]:
-        spec, p = self.spec, self.params
-        if spec.elements:
-            return [spec.elements[i] for i in p.tolist()]
-        if spec.kind == HAAR_SO3:
-            return [RotationMatrix(x) for x in p]
-        if spec.axis is not None:
-            return [AxisRotation(spec.axis, t) for t in p.tolist()]
-        return [PlanarRotation(t, spec.plane) for t in p.tolist()]
+        if self.spec.elements:
+            return [self.spec.elements[i] for i in self.params.tolist()]
+        return [MatrixElement(m) for m in self._matrices()]
 
-    def _table_index(self) -> np.ndarray | None:
-        """Each draw's Cayley-table index, if every draw is a finite element."""
-        if self.spec.elements and all(isinstance(g, FiniteElement) for g in self.spec.elements):
-            return np.array([g.index for g in self.spec.elements], dtype=np.int64)[self.params]
-        return None
+    def _matrices(self) -> np.ndarray:
+        """The ``(m, d, d)`` stack of the draws' matrices (not for finite draws)."""
+        spec = self.spec
+        if spec.elements:
+            return np.stack([g.matrix for g in spec.elements])[self.params]
+        if spec.kind == HAAR_SO3:
+            return self.params
+        return _axis_rotations(spec.axis, self.params)
 
 
 def apply_elements(action: GroupAction, elements: ElementBatch,
                    rows: np.ndarray) -> np.ndarray:
     """Apply ``elements[k]`` to ``rows[k]`` for each k (the sampling hot path).
 
-    Finite elements act through ``apply_to_rows`` once per table index, other
-    non-3x3 support elements once per position, planar angles through the
-    rotation formula, and 3x3 matrices through one einsum.
+    Finite elements act through ``apply_to_rows`` once per table index, and
+    matrix elements through one einsum over the batch's matrix stack.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.shape[0] != len(elements):
         raise DimensionMismatchError("one element per row is required")
-    spec, keys = elements.spec, elements._table_index()
-    if keys is None and not all(isinstance(g, _MATRIX_ELEMENTS) for g in spec.elements):
-        keys = elements.params
-    if keys is not None:
+    support = elements.spec.elements
+    if support and isinstance(support[0], FiniteElement):
+        table = support[0].table
+        keys = np.array([g.index for g in support], dtype=np.int64)[elements.params]
         out = np.empty_like(rows)
         for key in np.unique(keys):
             sel = keys == key
-            out[sel] = apply_to_rows(action, elements[int(sel.argmax())], rows[sel])
+            out[sel] = apply_to_rows(action, FiniteElement(table, int(key)), rows[sel])
         return out
-    if spec.kind in (HAAR_CIRCLE, GAUSSIAN_ANGLE) and spec.axis is None:
-        return _rotate_plane(rows, elements.params, spec.plane)
-    if action.dim != 3:
-        raise DimensionMismatchError("3x3 matrix element in a non-3d action")
-    if spec.elements:
-        mats = np.stack([_realize_matrix(action, g) for g in spec.elements])[elements.params]
-    else:
-        mats = elements.params if spec.kind == HAAR_SO3 else \
-            _axis_rotations(spec.axis, elements.params)
+    mats = elements._matrices()
+    if mats.shape[1:] != (action.dim, action.dim):
+        raise DimensionMismatchError(f"{mats.shape[1]}x{mats.shape[2]} matrix elements "
+                                     f"in a {action.dim}-d action")
     return np.einsum("kij,kj->ki", mats, rows)
 
 
@@ -858,10 +719,8 @@ def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Elem
         _check_rotations(mats)
         return ElementBatch(spec, mats)
     if spec.kind == HAAR_CIRCLE:
-        thetas = rng.uniform(0.0, TWO_PI, size=m)
-    else:
-        thetas = rng.normal(0.0, spec.std, size=m)
-    return ElementBatch(spec, thetas if spec.axis is not None else thetas % TWO_PI)
+        return ElementBatch(spec, rng.uniform(0.0, TWO_PI, size=m))
+    return ElementBatch(spec, rng.normal(0.0, spec.std, size=m))
 
 
 def sample(spec: SamplerSpec, rng: np.random.Generator) -> GroupElement:

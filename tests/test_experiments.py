@@ -183,6 +183,22 @@ def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
     assert (cfg.test.q, cfg.test.exponent, cfg.test.grid_size, cfg.test.noise_sigma) \
         == (1.0, 1.0, 1, 0.0)
 
+    # so do the [scenario] noise and the [lattice] keys; a lattice the
+    # builder refuses is a config error too
+    text = MINI_POWER.replace("noise_sigma = 0.05", "noise_sigma = -1")
+    with pytest.raises(ConfigError, match=r"\[scenario\] noise_sigma:"):
+        load_config(_write(tmp_path, "s.ini", text))
+    for key, value in (("angle_std", "0"), ("angle_std", "-0.5"), ("side", "0")):
+        with pytest.raises(ConfigError, match=rf"\[lattice\] {key}:"):
+            load_config(_write(tmp_path, "l.ini", MINI_RECOVERY + f"{key} = {value}\n"))
+    for lattice in ("orders = 1 3 4\ndim = 2", "orders = 1 2 4\ndim = 1"):
+        text = MINI_RECOVERY.replace("orders = 1 2 4\ndim = 2", lattice)
+        cfg = load_config(_write(tmp_path, "l.ini", text))
+        with pytest.raises(ConfigError, match=r"\[lattice\] cyclic-chain:"):
+            build_lattice(cfg.lattice)
+    cfg = load_config(_write(tmp_path, "l.ini", MINI_RECOVERY + "angle_std = 0.5\nside = 1\n"))
+    assert (cfg.lattice.angle_std, cfg.lattice.side) == (0.5, 1)
+
 
 def test_config_rejects_a_test_size_below_one(tmp_path):
     for size in ("0", "-5"):

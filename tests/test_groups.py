@@ -17,21 +17,19 @@ from symlat.builders import (
     sl3_extended_lattice,
 )
 from symlat.errors import (
+    DimensionMismatchError,
     IncompatibleElementsError,
     InvalidGroupError,
     NotFiniteError,
 )
 from symlat.groups import (
-    AxisRotation,
     CayleyTable,
     ElementBatch,
     FiniteElement,
     GroupDescriptor,
-    Permutation,
-    PlanarRotation,
-    RotationMatrix,
+    MatrixElement,
     SamplerSpec,
-    SpecialLinear,
+    _axis_rotations,
     act,
     apply_elements,
     apply_to_rows,
@@ -43,6 +41,7 @@ from symlat.groups import (
     elements_of,
     inverse,
     non_identity_sampler,
+    planar_rotation_matrix,
     point_mass_sampler,
     sample,
     sample_elements,
@@ -56,6 +55,15 @@ D4_TABLE = d4_table()
 
 def d4_elem(label):
     return FiniteElement(D4_TABLE, D4_LABELS.index(label))
+
+
+def axis_rotation(axis, angle):
+    return MatrixElement(_axis_rotations(np.asarray(axis, dtype=float), np.array([angle]))[0])
+
+
+def random_rotation(rng):
+    axis = rng.normal(size=3)
+    return axis_rotation(axis / np.linalg.norm(axis), rng.uniform(-3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -120,57 +128,60 @@ def test_compose_identity_fixes_everything():
 
 def test_compose_axis_rotation_inverse_is_identity():
     u = np.array([1.0, 2.0, 2.0]) / 3.0
-    g = AxisRotation(u, 0.7)
-    prod = compose(g, AxisRotation(u, -0.7))
-    assert np.linalg.norm(prod.matrix() - np.eye(3)) <= 1e-9
+    prod = compose(axis_rotation(u, 0.7), axis_rotation(u, -0.7))
+    assert np.linalg.norm(prod.matrix - np.eye(3)) <= 1e-9
 
 
 def test_compose_mixed_axes_normalises_to_matrix():
-    a = AxisRotation(np.array([0.0, 0.0, 1.0]), 0.3)
-    b = AxisRotation(np.array([1.0, 0.0, 0.0]), 0.4)
+    a = axis_rotation([0.0, 0.0, 1.0], 0.3)
+    b = axis_rotation([1.0, 0.0, 0.0], 0.4)
     out = compose(a, b)
-    assert isinstance(out, RotationMatrix)
-    expected = a.matrix() @ b.matrix()
-    assert np.allclose(out.matrix, expected, atol=1e-12)
+    assert isinstance(out, MatrixElement)
+    assert np.array_equal(out.matrix, a.matrix @ b.matrix)
 
 
 def test_compose_kind_mismatch_raises():
     with pytest.raises(IncompatibleElementsError):
-        compose(d4_elem("r90"), PlanarRotation(0.5, (0, 1)))
-    with pytest.raises(IncompatibleElementsError):
-        compose(PlanarRotation(0.5, (0, 1)), PlanarRotation(0.5, (1, 2)))
+        compose(d4_elem("r90"), MatrixElement(np.eye(2)))
+    with pytest.raises(DimensionMismatchError):
+        compose(MatrixElement(np.eye(2)), MatrixElement(np.eye(3)))
     with pytest.raises(IncompatibleElementsError):
         compose(FiniteElement(cyclic_table(3), 1), FiniteElement(cyclic_table(4), 1))
 
 
 def test_long_composition_chain_stays_orthogonal():
     rng = np.random.default_rng(3)
-    g = RotationMatrix(np.eye(3))
+    g = MatrixElement(np.eye(3))
     for _ in range(500):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        g = compose(g, AxisRotation(axis, rng.uniform(-1, 1)))
+        g = compose(g, axis_rotation(axis / np.linalg.norm(axis), rng.uniform(-1, 1)))
     m = g.matrix
     assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-9
     assert abs(np.linalg.det(m) - 1.0) <= 1e-9
+    # a product of shears and squeezes stays at determinant 1
+    gens = default_sl3_generators()
+    h = MatrixElement(np.eye(3))
+    for k in rng.integers(0, len(gens), size=500):
+        h = compose(h, gens[k])
+    assert abs(np.linalg.det(h.matrix) - 1.0) <= 1e-9
 
 
 def test_inverse_round_trips():
-    perm = Permutation((2, 0, 1))
-    assert compose(perm, inverse(perm)).perm == (0, 1, 2)
-    sl = SpecialLinear(np.diag([2.0, 1.0, 0.5]))
+    sl = MatrixElement(np.diag([2.0, 1.0, 0.5]))
     assert np.allclose(compose(sl, inverse(sl)).matrix, np.eye(3), atol=1e-12)
+    g = d4_elem("r90")
+    assert compose(g, inverse(g)).index == D4_TABLE.identity
 
 
 def test_element_validation():
     with pytest.raises(InvalidGroupError):
-        RotationMatrix(np.diag([1.0, 1.0, -1.0]))        # det -1
+        MatrixElement(np.diag([1.0, 1.0, -1.0]))         # det -1
     with pytest.raises(InvalidGroupError):
-        SpecialLinear(np.diag([2.0, 1.0, 1.0]))          # det 2
+        MatrixElement(np.diag([2.0, 1.0, 1.0]))          # det 2
     with pytest.raises(InvalidGroupError):
-        Permutation((0, 0, 1))
+        MatrixElement(np.ones((2, 3)))                   # not square
     with pytest.raises(InvalidGroupError):
-        AxisRotation(np.array([1.0, 1.0, 0.0]), 0.1)     # not unit
+        FiniteElement(cyclic_table(3), 3)                # index outside the table
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +189,12 @@ def test_element_validation():
 # ---------------------------------------------------------------------------
 
 def test_planar_rotation_action_quarter_turn():
-    g = PlanarRotation(math.pi / 2.0, (0, 1))
+    g = MatrixElement(planar_rotation_matrix(math.pi / 2.0, (0, 1), 4))
     action = d4_action(4)
     out = act(action, g, np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_permutation_action():
-    from symlat.groups import ACTION_PERMUTATION, GroupAction
-    table = cyclic_table(1)
-    group = GroupDescriptor("finite", "I", table=table)
-    action = GroupAction(group, 3, ACTION_PERMUTATION)
-    out = act(action, Permutation((1, 0, 2)), np.array([10.0, 20.0, 30.0]))
-    assert np.array_equal(out, [20.0, 10.0, 30.0])
+    with pytest.raises(DimensionMismatchError):
+        act(d4_action(3), g, np.zeros(3))
 
 
 def test_half_turn_action_is_square_of_rotation_action():
@@ -231,9 +235,7 @@ def test_action_compatibility_finite_and_continuous():
     from symlat.groups import ACTION_MATRIX, GroupAction, SO3
     so3 = GroupAction(GroupDescriptor(SO3, "SO3"), 3, ACTION_MATRIX)
     for _ in range(100):
-        ax1, ax2 = rng.normal(size=3), rng.normal(size=3)
-        g = AxisRotation(ax1 / np.linalg.norm(ax1), rng.uniform(-3, 3))
-        h = AxisRotation(ax2 / np.linalg.norm(ax2), rng.uniform(-3, 3))
+        g, h = random_rotation(rng), random_rotation(rng)
         x = rng.normal(size=3)
         lhs = act(so3, g, act(so3, h, x))
         rhs = act(so3, compose(g, h), x)
@@ -260,11 +262,7 @@ def test_associativity_exhaustive_small_groups():
 def test_associativity_random_so3_triples():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        mats = []
-        for _ in range(3):
-            ax = rng.normal(size=3)
-            mats.append(AxisRotation(ax / np.linalg.norm(ax), rng.uniform(-3, 3)))
-        a, b, c = mats
+        a, b, c = (random_rotation(rng) for _ in range(3))
         lhs = compose(compose(a, b), c)
         rhs = compose(a, compose(b, c))
         assert np.max(np.abs(lhs.matrix - rhs.matrix)) <= 1e-8
@@ -302,14 +300,23 @@ def test_membership_checks():
     assert c2.contains(FiniteElement(table, 2))
     assert not c2.contains(FiniteElement(table, 1))
     s1 = GroupDescriptor("s1-axis", "S1", axis=np.array([0.0, 0.0, 1.0]))
-    assert s1.contains(AxisRotation(np.array([0.0, 0.0, 1.0]), 1.2))
-    assert s1.contains(RotationMatrix(np.eye(3)))
-    assert not s1.contains(AxisRotation(np.array([1.0, 0.0, 0.0]), 1.2))
+    squeeze = MatrixElement(np.diag([2.0, 1.0, 0.5]))
+    assert s1.contains(axis_rotation([0.0, 0.0, 1.0], 1.2))
+    assert s1.contains(axis_rotation([0.0, 0.0, -1.0], 1.2))
+    assert s1.contains(s1.identity_element())
+    assert not s1.contains(axis_rotation([1.0, 0.0, 0.0], 1.2))
+    assert not s1.contains(MatrixElement(np.diag([0.5, 2.0, 1.0])))   # fixes the axis
+    assert not s1.contains(FiniteElement(table, 0))
     so3 = GroupDescriptor("so3", "SO3")
-    assert so3.contains(AxisRotation(np.array([1.0, 0.0, 0.0]), 0.3))
-    assert not so3.contains(SpecialLinear(np.diag([2.0, 1.0, 0.5])))
+    assert so3.contains(axis_rotation([1.0, 0.0, 0.0], 0.3))
+    assert not so3.contains(squeeze)
+    assert not so3.contains(MatrixElement(np.eye(2)))
     sl3 = GroupDescriptor("sl3", "SL3")
-    assert sl3.contains(SpecialLinear(np.diag([2.0, 1.0, 0.5])))
+    assert sl3.contains(squeeze)
+    assert not sl3.contains(MatrixElement(planar_rotation_matrix(0.3, (0, 1), 4)))
+    for axis in ([1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]], [0.0, 0.0, 2.0]):
+        with pytest.raises(InvalidGroupError, match="not a unit 3-vector"):
+            GroupDescriptor("s1-axis", "S1", axis=np.array(axis))
 
 
 def test_planar_angle_membership_uses_realisation():
@@ -318,10 +325,16 @@ def test_planar_angle_membership_uses_realisation():
     chain = cyclic_chain_lattice([1, 2, 4])
     c2 = chain.node_by_label("C2").group
     action = chain.action
-    assert c2.contains(PlanarRotation(math.pi, (0, 1)), action=action)
-    assert c2.contains(PlanarRotation(math.pi + 5e-10, (0, 1)), action=action)
-    assert not c2.contains(PlanarRotation(math.pi + 1e-3, (0, 1)), action=action)
-    assert c2.contains(PlanarRotation(0.0, (0, 1)), action=action)
+    def turn(angle):
+        return MatrixElement(planar_rotation_matrix(angle, (0, 1), action.dim))
+
+    assert c2.contains(turn(math.pi), action=action)
+    assert c2.contains(turn(math.pi + 5e-10), action=action)
+    assert not c2.contains(turn(math.pi + 1e-3), action=action)
+    assert c2.contains(turn(0.0), action=action)
+    assert not c2.contains(MatrixElement(np.eye(3)), action=action)
+    with pytest.raises(IncompatibleElementsError):
+        c2.contains(turn(math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +364,14 @@ def test_gaussian_angle_sampler_std():
     std = TWO_PI * 0.2
     spec = SamplerSpec("gaussian-angle", axis=np.array([0.0, 0.0, 1.0]), std=std)
     rng = np.random.default_rng(12)
-    draws = sample_elements(spec, rng, 10_000)
-    angles = np.array([d.angle for d in draws])
+    angles = sample_elements(spec, rng, 10_000).params
     assert abs(angles.std(ddof=1) - std) / std <= 0.05
 
 
 def test_haar_circle_uniform_angles():
     spec = SamplerSpec("haar-circle", axis=np.array([0.0, 0.0, 1.0]))
     rng = np.random.default_rng(13)
-    draws = sample_elements(spec, rng, 5000)
-    angles = np.array([d.angle for d in draws])
+    angles = sample_elements(spec, rng, 5000).params
     assert 0.0 <= angles.min() and angles.max() < TWO_PI
     assert abs(angles.mean() - math.pi) < 0.1
 
@@ -371,7 +382,7 @@ def test_haar_so3_left_invariance_of_traces():
     rng = np.random.default_rng(14)
     n = 10_000
     draws = sample_elements(spec, rng, 2 * n)
-    h = AxisRotation(np.array([0.0, 1.0, 0.0]), 1.0).matrix()
+    h = axis_rotation([0.0, 1.0, 0.0], 1.0).matrix
     tr_g = np.array([np.trace(d.matrix) for d in draws[:n]])
     tr_hg = np.array([np.trace(h @ d.matrix) for d in draws[n:]])
     stat = ks_2samp(tr_g, tr_hg).statistic
@@ -386,6 +397,19 @@ def test_sampler_validation():
         SamplerSpec("gaussian-angle", axis=np.array([0.0, 0.0, 1.0]), std=0.0)
     with pytest.raises(InvalidGroupError):
         SamplerSpec("point-mass")
+    with pytest.raises(InvalidGroupError, match="needs an axis"):
+        SamplerSpec("haar-circle")
+    with pytest.raises(InvalidGroupError, match="not a unit 3-vector"):
+        SamplerSpec("haar-circle", axis=np.array([1.0, 0.0]))
+    # a support mixes neither element kinds, nor tables, nor matrix sizes
+    c4, other = cyclic_table(4), cyclic_table(4)
+    for support in ([FiniteElement(c4, 1), MatrixElement(np.eye(3))],
+                    [MatrixElement(np.eye(3)), FiniteElement(c4, 1)],
+                    [FiniteElement(c4, 1), FiniteElement(other, 1)],
+                    [MatrixElement(np.eye(3)), MatrixElement(np.eye(2))]):
+        with pytest.raises(InvalidGroupError, match="support must hold"):
+            uniform_sampler(support)
+    assert len(uniform_sampler([FiniteElement(c4, 1), FiniteElement(c4, 3)]).elements) == 2
 
 
 def test_single_sample_matches_stream_head():
@@ -404,7 +428,6 @@ def _batch_cases():
     d4, pixels = d4_lattice(2), d4_pixel_lattice(3)
     chain, sl3 = cyclic_chain_lattice([1, 2, 4]), sl3_extended_lattice()
     axis = icosahedral_axes()[1]
-    plane = SamplerSpec("haar-circle", plane=(0, 1))
     return {
         "uniform-matrix": (d4.action, non_identity_sampler(d4.node(d4.top).group)),
         "uniform-planar": (chain.action, non_identity_sampler(chain.node(chain.top).group)),
@@ -412,7 +435,6 @@ def _batch_cases():
                                 non_identity_sampler(pixels.node(pixels.top).group)),
         "point-mass": (d4.action, point_mass_sampler(FiniteElement(d4.action.group.table, 2))),
         "haar-circle-axis": (sl3.action, SamplerSpec("haar-circle", axis=axis)),
-        "haar-circle-plane": (chain.action, plane),
         "gaussian-angle": (sl3.action, SamplerSpec("gaussian-angle", axis=axis, std=0.7)),
         "haar-so3": (sl3.action, SamplerSpec("haar-so3")),
         "uniform-sl3": (sl3.action, uniform_sampler(default_sl3_generators())),

@@ -17,7 +17,6 @@ from symlat.data import NeighborIndex, RegressionDataset
 from symlat.errors import DegenerateMetricError, SymlatError
 from symlat.groups import (
     FiniteElement,
-    SamplerSpec,
     apply_elements,
     point_mass_sampler,
     sample_elements,
@@ -488,20 +487,23 @@ def test_perm_replicates_match_brute_force_pairing():
     grid = grid[np.random.default_rng(8).permutation(len(grid))]
     tied = RegressionDataset(grid, np.exp(-np.abs(grid[:, 0])) + 0.1 * grid[:, 1])
     lattice = _lattice_data(np.random.default_rng(8), 40, invariant=False)
-    cases = [(smooth, quarter_turns), (smooth, SamplerSpec("haar-circle", plane=(0, 1))),
-             (tied, uniform_sampler([FiniteElement(table, 1), FiniteElement(table, 3)])),
-             (lattice, quarter_turns)]
+    axes = so3_axes_lattice(np.eye(3))
+    X3 = np.random.default_rng(8).normal(size=(41, 3))
+    spatial = RegressionDataset(X3, np.linalg.norm(X3, axis=1) + X3[:, 2])
+    cases = [(smooth, rotation, quarter_turns), (spatial, axes.action, axes.nodes[3].sampler),
+             (tied, rotation, uniform_sampler([FiniteElement(table, 1), FiniteElement(table, 3)])),
+             (lattice, rotation, quarter_turns)]
     m, q = 30, 0.9
     # B = 6 ranks the images under a finite sampler's elements once per test,
     # B = 2 ranks each replicate's points
-    for B, (data, sampler) in itertools.product((6, 2), cases):
-        out = ratio_permutation_test(data, rotation, sampler, order_bound(),
+    for B, (data, action, sampler) in itertools.product((6, 2), cases):
+        out = ratio_permutation_test(data, action, sampler, order_bound(),
                                      np.random.default_rng(9), m=m, B=B, q=q)
         rng = np.random.default_rng(9)
         for k in range(B):
-            want = _replay_replicate(data, rotation, sampler, rng, m, q, transform=True)
+            want = _replay_replicate(data, action, sampler, rng, m, q, transform=True)
             assert math.isclose(out.replicate_quantiles[k], want, rel_tol=1e-12)
-        want = _replay_replicate(data, rotation, sampler, rng, m, q, transform=False)
+        want = _replay_replicate(data, action, sampler, rng, m, q, transform=False)
         assert math.isclose(out.baseline_quantile, want, rel_tol=1e-12)
         assert out.p_value == np.mean(out.replicate_quantiles <= out.baseline_quantile)
 
@@ -611,15 +613,15 @@ def _replicate_loop(data, action, sampler, bound, rng, m, B, q):
 
 def _blocked_pass_cases():
     """(action, sampler) for the image path (a finite support of at most
-    B / 2 elements), the finite path past it, and circles in a plane and
-    about an axis."""
+    B / 2 elements), the finite path past it, a circle about an axis and
+    Haar rotations."""
     chain, axes = cyclic_chain_lattice([1, 2, 4]), so3_axes_lattice(np.eye(3))
     table = chain.action.group.table
     return {
         "finite-c4": (chain.action, chain.node_by_label("C4").sampler),
         "point-mass": (chain.action, point_mass_sampler(FiniteElement(table, 1))),
-        "circle-plane": (chain.action, SamplerSpec("haar-circle", plane=(0, 1))),
         "circle-axis": (axes.action, axes.nodes[1].sampler),
+        "haar-so3": (axes.action, axes.node_by_label("SO3").sampler),
     }
 
 
