@@ -1,5 +1,5 @@
-"""Time the kernel-regression kernels at six problem sizes, and one
-permutation test.
+"""Time the kernel-regression kernels at six problem sizes, one
+permutation test, and the group-action kernel at two workload shapes.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
@@ -13,12 +13,15 @@ coordinate of all rows and of the second half (the split variant).  The
 permutation test runs at the shape of the ``recovery-perm`` benchmark
 workload (n = 300, B = 100, m = 300, the C4 sampler of the non-identity
 quarter turns), through one ``PermutationTester``, so its pairing tables are
-built once, before the timing.  Each figure is the fastest of several repeats
-after one warm-up call, with BLAS pinned to one thread as in
-``perfbench/run.py``.  Next to each LOO and permutation-test time stands the
-peak of memory that ``tracemalloc`` saw during one more call; each LOO call
-also shows the share of its block-by-grid evaluations that early abandoning
-left to run.
+built once, before the timing.  The action kernel is timed as
+``apply_elements`` on 2000 Haar-SO(3) draws of 3-d rows (the batch shape of
+the ``search-sl3`` workload) and as ``apply_to_rows`` of the C4 quarter turn
+on that permutation test's 300 rows (the image each pairing table holds).
+Each figure is the fastest of several repeats after one warm-up call, with
+BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO and
+permutation-test time stands the peak of memory that ``tracemalloc`` saw
+during one more call; each LOO call also shows the share of its
+block-by-grid evaluations that early abandoning left to run.
 """
 
 import os
@@ -32,7 +35,13 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from symlat import _kernels  # noqa: E402
-from symlat.builders import cyclic_chain_lattice  # noqa: E402
+from symlat.builders import cyclic_chain_lattice, sl3_extended_lattice  # noqa: E402
+from symlat.groups import (  # noqa: E402
+    FiniteElement,
+    apply_elements,
+    apply_to_rows,
+    sample_elements,
+)
 from symlat.invariance import order_bound  # noqa: E402
 from symlat.projections import radial_projection  # noqa: E402
 from symlat.regression import (  # noqa: E402
@@ -126,6 +135,13 @@ def main():
     peak = traced_peak(perm_test)
     print(f"{'permutation test (C4)':<28} {'n=300 B=100 m=300':<18} "
           f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
+    sl3 = sl3_extended_lattice()
+    draws = sample_elements(sl3.node_by_label("SO3").sampler, rng, 2000)
+    t = bench(apply_elements, sl3.action, draws, rng.normal(size=(2000, 3)))
+    print(f"{'apply_elements (haar-so3)':<28} {'m=2000 d=3':<18} {t * 1e6:>8.1f}us")
+    quarter = FiniteElement(chain.action.group.table, 1)
+    t = bench(apply_to_rows, chain.action, quarter, data.X)
+    print(f"{'apply_to_rows (C4 quarter)':<28} {'n=300 d=2':<18} {t * 1e6:>8.1f}us")
 
 
 if __name__ == "__main__":

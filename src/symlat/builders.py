@@ -15,14 +15,15 @@ from .groups import (
     SL3,
     SO3,
     S1_AXIS,
+    TWO_PI,
     ACTION_MATRIX,
     ACTION_PERMUTATION,
-    ACTION_PLANAR,
     CayleyTable,
     GroupAction,
     GroupDescriptor,
     cyclic_table,
     direct_product_table,
+    planar_rotation_matrix,
 )
 from .lattice import (
     Lattice,
@@ -32,7 +33,6 @@ from .lattice import (
     standard_node,
 )
 
-TWO_PI = 2.0 * math.pi
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -210,9 +210,9 @@ def cyclic_chain_lattice(orders: Sequence[int], dim: int = 2,
         raise LatticeError(f"dimension {dim} too small for rotations in plane {plane}")
     top = orders[-1]
     table = cyclic_table(top)
-    angles = TWO_PI * np.arange(top) / top
+    mats = [planar_rotation_matrix(a, plane, dim) for a in TWO_PI * np.arange(top) / top]
     group = GroupDescriptor(FINITE, f"C{top}", table=table)
-    action = GroupAction(group, dim, ACTION_PLANAR, angles=angles, plane=plane)
+    action = GroupAction(group, dim, ACTION_MATRIX, matrices=mats)
     member_sets = [frozenset(range(0, top, top // k)) for k in orders]
     labels = ["I" if k == 1 else f"C{k}" for k in orders]
     return lattice_from_member_sets(table, member_sets, labels, action)

@@ -67,7 +67,10 @@ def main(argv=None) -> int:
         if args.format is not None:
             cfg.fmt = args.format
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out)
-        paths = run_experiment(cfg, out_dir)
+        try:
+            paths = run_experiment(cfg, out_dir)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
         if cfg.kind == "search":
             result = paths["result"]
             lattice = paths["lattice"]

@@ -3,15 +3,17 @@
 A group element is either a ``FiniteElement``, an index into a Cayley table,
 or a ``MatrixElement``, a square real matrix with determinant 1.  Finite
 groups are stored as explicit Cayley tables with labelled elements, and their
-elements act through an action's per-element tables.  Subgroups of a finite
-group are index sets into the ambient table.  Every continuous group (a
-circle about an axis, SO(3), SL(3)) acts on R^3 by its elements' matrices.
-Products of rotations are re-orthonormalised once numerical drift exceeds
-``ORTHO_TOL``; other matrix products are rescaled to determinant 1.
+elements act through an action's per-element matrices or coordinate
+permutations.  Subgroups of a finite group are index sets into the ambient
+table.  Every continuous group (a circle about an axis, SO(3), SL(3)) acts on
+R^3 by its elements' matrices.  Products of rotations are re-orthonormalised
+once numerical drift exceeds ``ORTHO_TOL``; other matrix products are
+rescaled to determinant 1.
 
 Samplers draw an ``ElementBatch``: one parameter array for all draws (support
 positions, circle angles or a rotation stack), applied to feature rows as a
-whole.  Indexing a batch builds its scalar elements.
+whole.  Indexing a batch builds its scalar elements.  Every matrix acts through
+one einsum, so a row moves to the same bits alone or in a batch.
 """
 
 from __future__ import annotations
@@ -416,28 +418,25 @@ def elements_of(group: GroupDescriptor) -> list[GroupElement]:
 # ---------------------------------------------------------------------------
 
 ACTION_MATRIX = "matrix"
-ACTION_PLANAR = "planar"
 ACTION_PERMUTATION = "permutation"
-ACTION_TRIVIAL = "trivial"
-ACTION_KINDS = (ACTION_MATRIX, ACTION_PLANAR, ACTION_PERMUTATION, ACTION_TRIVIAL)
+ACTION_KINDS = (ACTION_MATRIX, ACTION_PERMUTATION)
 
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
     """How group elements transform feature vectors in R^dim.
 
-    Finite elements are realised through per-element tables (``matrices``,
-    ``angles`` + ``plane``, or ``perms``); a matrix element acts by its own
-    matrix.  Distinct actions of the same abstract group are just distinct
-    realisation tables.
+    A matrix action realises a finite element by its ``matrices`` entry and a
+    matrix element by its own matrix; a permutation action realises a finite
+    element by its ``perms`` entry, a coordinate permutation.  The element of
+    a one-element table acts as the identity under either kind.  Distinct
+    actions of the same abstract group are just distinct realisation tables.
     """
 
     group: GroupDescriptor
     dim: int
     kind: str
     matrices: np.ndarray | None = None      # (N, dim, dim), indexed by table index
-    angles: np.ndarray | None = None        # (N,), planar kind
-    plane: tuple[int, int] | None = None    # planar kind
     perms: np.ndarray | None = None         # (N, dim) int, permutation kind
 
     def __post_init__(self):
@@ -449,17 +448,6 @@ class GroupAction:
                 raise DimensionMismatchError("matrix realisation has wrong shape")
             m.setflags(write=False)
             object.__setattr__(self, "matrices", m)
-        if self.kind == ACTION_PLANAR:
-            if self.plane is None:
-                raise InvalidGroupError("planar action requires a coordinate plane")
-            if max(self.plane) >= self.dim:
-                raise DimensionMismatchError(f"plane {self.plane} exceeds dimension {self.dim}")
-            if self.angles is not None:
-                a = np.array(self.angles, dtype=float)
-                if a.shape != (self.group.table.size,):
-                    raise DimensionMismatchError("angle realisation has wrong shape")
-                a.setflags(write=False)
-                object.__setattr__(self, "angles", a)
         if self.kind == ACTION_PERMUTATION and self.perms is not None:
             p = np.array(self.perms, dtype=np.int64)
             if p.shape != (self.group.table.size, self.dim):
@@ -469,7 +457,7 @@ class GroupAction:
 
 
 def _realize_matrix(action: GroupAction, g: GroupElement) -> np.ndarray:
-    """The dim x dim matrix by which ``g`` acts (matrix/planar kinds)."""
+    """The dim x dim matrix by which ``g`` acts (matrix kind)."""
     d = action.dim
     if isinstance(g, MatrixElement):
         if g.matrix.shape != (d, d):
@@ -478,31 +466,23 @@ def _realize_matrix(action: GroupAction, g: GroupElement) -> np.ndarray:
         return g.matrix
     if g.table.size == 1:
         return np.eye(d)
-    if action.kind == ACTION_MATRIX and action.matrices is not None \
-            and g.table is action.group.table:
+    if action.matrices is not None and g.table is action.group.table:
         return action.matrices[g.index]
-    if action.kind == ACTION_PLANAR and action.angles is not None \
-            and g.table is action.group.table:
-        return planar_rotation_matrix(float(action.angles[g.index]), action.plane, d)
     raise IncompatibleElementsError(f"finite element {g!r} has no realisation under this action")
 
 
 def _realizations_match(action: GroupAction, a: GroupElement, b: GroupElement,
                         tol: float) -> bool:
-    if action.kind in (ACTION_MATRIX, ACTION_PLANAR):
+    if action.kind == ACTION_MATRIX:
         try:
             ma = _realize_matrix(action, a)
             mb = _realize_matrix(action, b)
         except (IncompatibleElementsError, DimensionMismatchError):
             return False
         return bool(np.max(np.abs(ma - mb)) <= tol)
-    if action.kind == ACTION_PERMUTATION:
-        pa = _realize_perm(action, a)
-        pb = _realize_perm(action, b)
-        return pa is not None and pb is not None and np.array_equal(pa, pb)
-    if action.kind == ACTION_TRIVIAL:
-        return True
-    return False
+    pa = _realize_perm(action, a)
+    pb = _realize_perm(action, b)
+    return pa is not None and pb is not None and np.array_equal(pa, pb)
 
 
 def _realize_perm(action: GroupAction, g: GroupElement) -> np.ndarray | None:
@@ -527,31 +507,12 @@ def apply_to_rows(action: GroupAction, g: GroupElement, rows: np.ndarray) -> np.
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != action.dim:
         raise DimensionMismatchError(f"expected rows of dimension {action.dim}")
-    if action.kind == ACTION_TRIVIAL:
-        return rows.copy()
     if action.kind == ACTION_PERMUTATION:
         p = _realize_perm(action, g)
         if p is None:
             raise IncompatibleElementsError(f"{g!r} has no permutation realisation")
         return rows[:, p]
-    if action.kind == ACTION_PLANAR and isinstance(g, FiniteElement):
-        if g.table.size == 1:
-            return rows.copy()
-        if action.angles is None or g.table is not action.group.table:
-            raise IncompatibleElementsError(f"{g!r} has no angle realisation")
-        return _rotate_plane(rows, float(action.angles[g.index]), action.plane)
-    m = _realize_matrix(action, g)
-    return rows @ m.T
-
-
-def _rotate_plane(rows: np.ndarray, angle: float, plane: tuple[int, int]) -> np.ndarray:
-    """Rotate every row in ``plane`` by ``angle``."""
-    i, j = plane
-    out = rows.copy()
-    c, s = np.cos(angle), np.sin(angle)
-    out[:, i] = c * rows[:, i] - s * rows[:, j]
-    out[:, j] = s * rows[:, i] + c * rows[:, j]
-    return out
+    return np.einsum("ij,kj->ki", _realize_matrix(action, g), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -670,35 +631,35 @@ class ElementBatch(Sequence):
         return [MatrixElement(m) for m in self._matrices()]
 
     def _matrices(self) -> np.ndarray:
-        """The ``(m, d, d)`` stack of the draws' matrices (not for finite draws)."""
-        spec = self.spec
-        if spec.elements:
-            return np.stack([g.matrix for g in spec.elements])[self.params]
-        if spec.kind == HAAR_SO3:
+        """The ``(m, 3, 3)`` stack of a circle or ``haar-so3`` batch's matrices."""
+        if self.spec.kind == HAAR_SO3:
             return self.params
-        return _axis_rotations(spec.axis, self.params)
+        return _axis_rotations(self.spec.axis, self.params)
 
 
 def apply_elements(action: GroupAction, elements: ElementBatch,
                    rows: np.ndarray) -> np.ndarray:
     """Apply ``elements[k]`` to ``rows[k]`` for each k (the sampling hot path).
 
-    Finite elements act through ``apply_to_rows`` once per table index, and
-    matrix elements through one einsum over the batch's matrix stack.
+    A support's elements are realised once each, as matrices or permutations,
+    and gathered by the batch's positions; circle and ``haar-so3`` draws carry
+    their own matrices.  Matrices act through ``apply_to_rows``' einsum, so a
+    row moves to the same bits on either path.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] != len(elements):
-        raise DimensionMismatchError("one element per row is required")
+    if rows.shape != (len(elements), action.dim):
+        raise DimensionMismatchError(f"expected one row of dimension {action.dim} per element")
     support = elements.spec.elements
-    if support and isinstance(support[0], FiniteElement):
-        table = support[0].table
-        keys = np.array([g.index for g in support], dtype=np.int64)[elements.params]
-        out = np.empty_like(rows)
-        for key in np.unique(keys):
-            sel = keys == key
-            out[sel] = apply_to_rows(action, FiniteElement(table, int(key)), rows[sel])
-        return out
-    mats = elements._matrices()
+    if action.kind == ACTION_PERMUTATION:
+        perms = [_realize_perm(action, g) for g in support]
+        if not perms or any(p is None for p in perms):
+            raise IncompatibleElementsError(
+                f"{elements.spec.kind} draws have no permutation realisation")
+        return np.take_along_axis(rows, np.stack(perms)[elements.params], axis=1)
+    if support:
+        mats = np.stack([_realize_matrix(action, g) for g in support])[elements.params]
+    else:
+        mats = elements._matrices()
     if mats.shape[1:] != (action.dim, action.dim):
         raise DimensionMismatchError(f"{mats.shape[1]}x{mats.shape[2]} matrix elements "
                                      f"in a {action.dim}-d action")

@@ -10,7 +10,6 @@ with radial or single-coordinate sine targets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,16 +18,16 @@ import numpy as np
 from .data import RegressionDataset
 from .errors import ConfigError
 from .groups import (
-    ACTION_PLANAR,
+    ACTION_MATRIX,
     FINITE,
+    TWO_PI,
     GroupAction,
     GroupDescriptor,
     SamplerSpec,
     cyclic_table,
     non_identity_sampler,
+    planar_rotation_matrix,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +102,8 @@ def quarter_turn_actions(dim: int) -> tuple[GroupAction, GroupAction, SamplerSpe
     table = cyclic_table(4)
     group = GroupDescriptor(FINITE, "C4", table=table)
     base = TWO_PI * np.arange(4) / 4.0
-    rotation = GroupAction(group, dim, ACTION_PLANAR, angles=base, plane=(0, 1))
-    half_turn = GroupAction(group, dim, ACTION_PLANAR, angles=(2.0 * base) % TWO_PI,
-                            plane=(0, 1))
+    rotation, half_turn = (
+        GroupAction(group, dim, ACTION_MATRIX,
+                    matrices=[planar_rotation_matrix(a, (0, 1), dim) for a in angles])
+        for angles in (base, (2.0 * base) % TWO_PI))
     return rotation, half_turn, non_identity_sampler(group)

@@ -24,14 +24,12 @@ Lattice blocks::
 
     symlat-lattice v1
     dim <d>
-    action matrix | planar | permutation | trivial
-    plane <i> <j>             # planar action
+    action matrix | permutation
     elements <label> ...      # ambient finite table, when present
     table
     <rows>
     matrices                  # matrix action realisation, one line per element
     <d*d floats>
-    angles <floats>           # planar action realisation
     perms                     # permutation action realisation
     <d ints>
     node <id> <label> finite <member indices, comma separated>
@@ -60,7 +58,6 @@ from .errors import SymlatError
 from .groups import (
     ACTION_MATRIX,
     ACTION_PERMUTATION,
-    ACTION_PLANAR,
     FINITE,
     SL3,
     SO3,
@@ -190,8 +187,6 @@ def loads_group(text: str) -> GroupDescriptor:
 def dumps_lattice(lat: Lattice) -> str:
     action = lat.action
     out = [_LATTICE_HEADER, f"dim {action.dim}", f"action {action.kind}"]
-    if action.kind == ACTION_PLANAR:
-        out.append("plane " + _ints(action.plane))
     # The bottom is finite, so there is always a table; prefer a non-trivial one.
     tables = [node.group.table for node in lat.nodes if node.group.is_finite]
     ambient_table = next((t for t in tables if t.size > 1), tables[0])
@@ -199,8 +194,6 @@ def dumps_lattice(lat: Lattice) -> str:
     if action.kind == ACTION_MATRIX and action.matrices is not None:
         out.append("matrices")
         out += [_floats(mat.ravel()) for mat in action.matrices]
-    if action.kind == ACTION_PLANAR and action.angles is not None:
-        out.append("angles " + _floats(action.angles))
     if action.kind == ACTION_PERMUTATION and action.perms is not None:
         out.append("perms")
         out += [_ints(perm) for perm in action.perms]
@@ -231,10 +224,8 @@ def loads_lattice(text: str) -> Lattice:
     line = cur.take()
     dim, = _numbers(line, _expect_key(line, "dim").split(), count=1)
     action_kind = _expect_key(cur.take(), "action")
-    plane = None
     ambient_table = None
     matrices = None
-    angles = None
     perms = None
     node_specs: list[tuple[str, str, str, str]] = []   # (line, label, kind, payload)
     covers: list[tuple[int, int]] = []
@@ -243,9 +234,7 @@ def loads_lattice(text: str) -> Lattice:
         if line == "end":
             break
         key, _, rest = line.partition(" ")
-        if key == "plane":
-            plane = tuple(_numbers(line, rest.split(), count=2))
-        elif key == "elements":
+        if key == "elements":
             ambient_table = _read_table(cur, rest)
         elif key == "matrices":
             if ambient_table is None:
@@ -256,8 +245,6 @@ def loads_lattice(text: str) -> Lattice:
             if ambient_table is None:
                 raise SymlatError("'perms' needs a preceding table")
             perms = np.array(cur.rows(ambient_table.size, count=dim))
-        elif key == "angles":
-            angles = np.array(_numbers(line, rest.split(), float))
         elif key == "node":
             parts = rest.split(None, 3)
             if len(parts) < 3:
@@ -284,8 +271,7 @@ def loads_lattice(text: str) -> Lattice:
     else:
         ambient_group = GroupDescriptor(FINITE, "trivial",
                                         table=CayleyTable(np.array([[0]]), ["e"]))
-    action = GroupAction(ambient_group, dim, action_kind, matrices=matrices,
-                         angles=angles, plane=plane, perms=perms)
+    action = GroupAction(ambient_group, dim, action_kind, matrices=matrices, perms=perms)
 
     trivial_table = CayleyTable(np.array([[0]]), ["e"])
     nodes = []

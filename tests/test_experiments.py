@@ -585,9 +585,14 @@ AXES_TEXT = dumps_lattice(so3_axes_lattice(icosahedral_axes()))
     (loads_group, None, PLANE_GROUP.replace("plane 0 1\n", ""), "'s1-plane'"),
     (loads_lattice, None, AXES_TEXT.replace("\nnode 7 SO3 so3\n", "\nnode 7 SO3 so3 0.1 junk\n"),
      "'node 7 SO3 so3 0.1 junk'"),
+    (loads_lattice, "action matrix", "action planar", "'planar'"),
+    (loads_lattice, "action matrix", "action trivial", "'trivial'"),
+    (loads_lattice, "action matrix", "action matrix\nplane 0 1", "'plane 0 1'"),
+    (loads_lattice, "action matrix", "action matrix\nangles 0.0 3.14", "'angles 0.0 3.14'"),
 ], ids=["node-9", "duplicate-node", "cover-past-end", "cover-negative",
         "cover-not-a-number", "cover-one-id", "dim-not-a-number", "member-past-end",
-        "plane-group", "plane-kind", "so3-payload"])
+        "plane-group", "plane-kind", "so3-payload", "planar-action", "trivial-action",
+        "plane-line", "angles-line"])
 def test_loaders_reject_bad_ids_numbers_and_kinds(load, old, new, quoted):
     text = new if old is None else _chain_text(old, new)
     with pytest.raises(SymlatError) as err:
@@ -621,6 +626,20 @@ def test_cli_runs_and_exit_codes(tmp_path):
     # data errors -> 2
     missing_csv = tmp_path / "missing.csv"
     assert cli_main(["ingest-check", str(missing_csv), "--format", "csv"]) == 2
+
+
+@pytest.mark.parametrize("old, new", [("orders = 1 2 4", "orders = 1 3 4"),
+                                      ("dim = 2\n\n[search]", "dim = 1\n\n[search]")],
+                         ids=["orders", "dim"])
+def test_cli_lattice_errors_name_the_config_file(tmp_path, capsys, old, new):
+    # a builder's error surfaces when the experiment runs, after the config
+    # loaded, and is reported like a load-time error: path, then section
+    text = (Path(__file__).resolve().parents[1] / "configs" / "group_recovery.ini").read_text()
+    assert old in text
+    cfg_path = _write(tmp_path, "chain.ini", text.replace(old, new))
+    assert cli_main(["group-recovery", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {cfg_path}: [lattice] cyclic-chain: " in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_search_choices(tmp_path, capsys):

@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from symlat.builders import (
     D4_LABELS,
+    c2xc2_lattice,
     cyclic_chain_lattice,
     d4_action,
     d4_lattice,
@@ -15,6 +16,7 @@ from symlat.builders import (
     d4_table,
     icosahedral_axes,
     sl3_extended_lattice,
+    so3_axes_lattice,
 )
 from symlat.errors import (
     DimensionMismatchError,
@@ -47,6 +49,7 @@ from symlat.groups import (
     sample_elements,
     uniform_sampler,
 )
+from symlat.scenarios import quarter_turn_actions
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,9 +200,24 @@ def test_planar_rotation_action_quarter_turn():
         act(d4_action(3), g, np.zeros(3))
 
 
+def test_permutation_action_rejects_matrix_draws_on_every_path():
+    # a matrix draw has no permutation realisation, even where its matrix
+    # would fit the rows
+    from symlat.groups import ACTION_PERMUTATION, GroupAction
+    table = cyclic_table(2)
+    action = GroupAction(GroupDescriptor("finite", "C2", table=table), 3, ACTION_PERMUTATION,
+                         perms=[[0, 1, 2], [1, 0, 2]])
+    rows = np.ones((4, 3))
+    for sampler in (SamplerSpec("haar-so3"), uniform_sampler(default_sl3_generators())):
+        batch = sample_elements(sampler, np.random.default_rng(0), 4)
+        with pytest.raises(IncompatibleElementsError):
+            apply_elements(action, batch, rows)
+        with pytest.raises(IncompatibleElementsError):
+            apply_to_rows(action, batch[0], rows)
+
+
 def test_half_turn_action_is_square_of_rotation_action():
     # the alternative action realises g as the square of its rotation matrix
-    from symlat.scenarios import quarter_turn_actions
     rotation, half_turn, _ = quarter_turn_actions(4)
     table = rotation.group.table
     rng = np.random.default_rng(0)
@@ -482,3 +500,57 @@ def test_joined_batches_keep_every_draw_and_bit(case, seed, sizes):
     with pytest.raises(InvalidGroupError):
         ElementBatch.concat([batches[0], sample_elements(point_mass_sampler(
             FiniteElement(cyclic_table(2), 1)), rng, 1)])
+
+
+# ---------------------------------------------------------------------------
+# one element moves a row to the same bits on every path
+# ---------------------------------------------------------------------------
+
+def _rotate_plane(rows, angle, plane):
+    """Rotate every row in ``plane`` by ``angle``, coordinate by coordinate:
+    the reference the planar rotation matrices must reproduce bit for bit."""
+    i, j = plane
+    out = rows.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    out[:, i] = c * rows[:, i] - s * rows[:, j]
+    out[:, j] = s * rows[:, i] + c * rows[:, j]
+    return out
+
+
+def _path_cases():
+    """(action, sampler) for every node sampler of every builder lattice and
+    for both quarter-turn actions; then (action, angles) for each action
+    that rotates the first coordinate plane by its elements' angles."""
+    axes, base = icosahedral_axes(), TWO_PI * np.arange(4) / 4.0
+    chain = cyclic_chain_lattice([1, 2, 4])
+    lattices = (chain, d4_lattice(2), d4_lattice(3), c2xc2_lattice(), d4_pixel_lattice(4),
+                so3_axes_lattice(axes), so3_axes_lattice(axes, angle_std=0.5),
+                sl3_extended_lattice())
+    cases = [(lat.action, node.sampler) for lat in lattices for node in lat.nodes]
+    planar = [(chain.action, base)]
+    for dim in (2, 3):
+        rotation, half_turn, sampler = quarter_turn_actions(dim)
+        cases += [(rotation, sampler), (half_turn, sampler)]
+        planar += [(rotation, base), (half_turn, (2.0 * base) % TWO_PI)]
+    return cases, planar
+
+
+PATH_CASES, PLANAR_CASES = _path_cases()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30))
+def test_one_element_moves_a_row_to_the_same_bits_on_every_path(seed, m):
+    rng = np.random.default_rng(seed)
+    for action, sampler in PATH_CASES:
+        batch = sample_elements(sampler, rng, m)
+        X = rng.normal(size=(m, action.dim))
+        moved = apply_elements(action, batch, X)
+        for k, g in enumerate(batch):
+            assert np.array_equal(apply_to_rows(action, g, X)[k], moved[k])
+            assert np.array_equal(act(action, g, X[k]), moved[k])
+    for action, angles in PLANAR_CASES:
+        X = rng.normal(size=(m, action.dim))
+        for i, angle in enumerate(angles):
+            assert np.array_equal(apply_to_rows(action, FiniteElement(action.group.table, i), X),
+                                  _rotate_plane(X, angle, (0, 1)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from symlat import invariance
-from symlat.builders import cyclic_chain_lattice, so3_axes_lattice
+from symlat.builders import cyclic_chain_lattice, sl3_extended_lattice, so3_axes_lattice
 from symlat.data import NeighborIndex, RegressionDataset
 from symlat.errors import DegenerateMetricError, SymlatError
 from symlat.groups import (
@@ -23,6 +23,7 @@ from symlat.groups import (
     uniform_sampler,
 )
 from symlat.invariance import (
+    PairingTables,
     binom_tail,
     custom_bound,
     exceedance_test,
@@ -676,6 +677,29 @@ def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, l
     # one, and the identity replicate's kept draws
     assert out.p_value == float(np.sum(quantiles <= baseline)) / B
     assert out.effective_m == baseline_m
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40))
+def test_image_tables_and_moved_blocks_pair_alike(seed, n):
+    # the five SL(3) generators' images come from the pairing tables at
+    # B = 10 and are moved block by block at B = 9; with the same orders and
+    # elements both must give the same ratios and liveness, bit for bit
+    sl3 = sl3_extended_lattice()
+    sampler = sl3.node_by_label("SL3").sampler
+    rng = np.random.default_rng(seed)
+    tables = PairingTables(_layout_data("smooth", rng, n, 3))
+    imaged = invariance._RatioDraws(tables, sl3.action, sampler, order_bound(), 10)
+    moved = invariance._RatioDraws(tables, sl3.action, sampler, order_bound(), 9)
+    assert imaged.imaged and not moved.imaged
+    reps = 4
+    orders = np.stack([rng.permutation(n) for _ in range(reps)])
+    elements = [sample_elements(sampler, rng, n - n // 2) for _ in range(reps)]
+    for transforms in (reps - 1, reps):
+        want_ratios, want_live = imaged.pair(orders, elements, transforms)
+        ratios, live = moved.pair(orders, elements, transforms)
+        assert np.array_equal(live, want_live)
+        assert np.array_equal(ratios, want_ratios, equal_nan=True)
 
 
 @pytest.mark.parametrize("layout", ["smooth", "duplicated"])

@@ -259,7 +259,7 @@ def test_feature_average_trivial_group_is_identity():
     from symlat.groups import cyclic_table
     table = cyclic_table(1, ["e"])
     group = GroupDescriptor("finite", "I", table=table)
-    action = GroupAction(group, 2, "trivial")
+    action = GroupAction(group, 2, ACTION_MATRIX)
     data = RegressionDataset(np.random.default_rng(0).normal(size=(20, 2)),
                              np.arange(20.0))
     reg = fit_lce(data, bandwidth=1.0)
