@@ -17,6 +17,11 @@ built once, before the timing.  The action kernel is timed as
 ``apply_elements`` on 2000 Haar-SO(3) draws of 3-d rows (the batch shape of
 the ``search-sl3`` workload) and as ``apply_to_rows`` of the C4 quarter turn
 on that permutation test's 300 rows (the image each pairing table holds).
+``binom_tail`` is timed at the shape of one ``search-sl3`` test: m = 2000 and
+the 20 threshold probabilities of the default grid of ``gaussian_noise(0.01)``,
+at counts of 2 (below every row's largest term) and of 565 (past it for most
+of them), once on new term rows (the first test of a search) and once on rows
+that earlier calls built (every later test).
 Each figure is the fastest of several repeats after one warm-up call, with
 BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO and
 permutation-test time stands the peak of memory that ``tracemalloc`` saw
@@ -42,7 +47,7 @@ from symlat.groups import (  # noqa: E402
     apply_to_rows,
     sample_elements,
 )
-from symlat.invariance import order_bound  # noqa: E402
+from symlat.invariance import _TailRows, binom_tail, gaussian_noise, order_bound  # noqa: E402
 from symlat.projections import radial_projection  # noqa: E402
 from symlat.regression import (  # noqa: E402
     BANDWIDTH_GRID_SIZE,
@@ -57,6 +62,8 @@ from symlat.search import PermutationTester  # noqa: E402
 SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5))
 # queries of each estimator-compare fit: the workload's held-out set
 FIT_QUERIES = 200
+# draws per exceedance test and noise level of the search-sl3 workload
+SEARCH_M, SEARCH_SIGMA = 2000, 0.01
 
 
 def bench(fn, *args, repeat=10):
@@ -142,6 +149,16 @@ def main():
     quarter = FiniteElement(chain.action.group.table, 1)
     t = bench(apply_to_rows, chain.action, quarter, data.X)
     print(f"{'apply_to_rows (C4 quarter)':<28} {'n=300 d=2':<18} {t * 1e6:>8.1f}us")
+    noise = gaussian_noise(SEARCH_SIGMA)
+    ps = np.array([noise.p_exceed(float(t)) for t in noise.default_thresholds()])
+    rows = _TailRows(SEARCH_M, 0)
+    for count in (2, 565):
+        ks = np.full(ps.size, count, dtype=np.int64)
+        size = f"m={SEARCH_M} T={ps.size} k={count}"
+        cold = bench(lambda: binom_tail(SEARCH_M, ks, ps, _TailRows(SEARCH_M, 0)))
+        warm = bench(binom_tail, SEARCH_M, ks, ps, rows)
+        print(f"{'binom_tail (new rows)':<28} {size:<18} {cold * 1e6:>8.1f}us")
+        print(f"{'binom_tail (built rows)':<28} {size:<18} {warm * 1e6:>8.1f}us")
 
 
 if __name__ == "__main__":

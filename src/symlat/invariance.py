@@ -5,17 +5,19 @@ bound on the function class and a concentration bound on the noise: it counts
 how often ``|Y_i - Y_j| - V(g . X_i, X_j)`` (with ``X_j`` the nearest
 neighbour of the transformed point) exceeds each threshold in a grid, and
 bounds the p-value with an exact binomial tail, taking the minimum over the
-grid.  The permutation test only needs the variation bound's order: it
-compares a quantile of the ratios ``|Y_i - Y_j| / V(g . X_i, X_j)``, with
-``X_j`` the nearest row of a random reference half to ``g . X_i`` and ``X_i``
-from the other half, against the same quantile with ``g`` fixed at the
-identity, approximating the p-value by the proportion of transform replicates
-whose quantile falls at or below the identity one.  Its replicates are paired
-and reduced to quantiles as arrays, a block of replicates at a time, so its
-working memory grows with ``n`` and ``m``, not with ``B``.  The neighbour
-index, the rows' own ranked neighbour lists and the ranked images of the rows
-under each element tested are ``PairingTables`` of the data set, which a
-``PermutationTester`` builds once and shares across the tests of a search.
+grid; an ``ExceedanceTester`` keeps the grid's probabilities and binomial
+term rows (``_TailRows``) for every test of a search.  The permutation test
+only needs the variation bound's order: it compares a quantile of the ratios
+``|Y_i - Y_j| / V(g . X_i, X_j)``, with ``X_j`` the nearest row of a random
+reference half to ``g . X_i`` and ``X_i`` from the other half, against the
+same quantile with ``g`` fixed at the identity, approximating the p-value by
+the proportion of transform replicates whose quantile falls at or below the
+identity one.  Its replicates are paired and reduced to quantiles as arrays,
+a block of replicates at a time, so its working memory grows with ``n`` and
+``m``, not with ``B``.  The neighbour index, the rows' own ranked neighbour
+lists and the ranked images of the rows under each element tested are
+``PairingTables`` of the data set, which a ``PermutationTester`` builds once
+and shares across the tests of a search.
 
 Each test samples from the tested subgroup's own sampler and keeps every
 draw; a search gives each node its own random stream.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, fsum
 from typing import Callable, Sequence
 
@@ -53,61 +56,113 @@ _EXACT_TAIL_LIMIT = 500
 # Numeric primitives
 # ---------------------------------------------------------------------------
 
-def binom_tail(m: int, k, p):
+class _TailRows:
+    """The terms of ``P(Binom(m, p) >= k)`` over ``j = start..m``, one row
+    per probability, built on first use and read by every later tail.
+
+    A term depends on ``(m, p, j)`` and never on ``k``, so the tail at ``k``
+    is a sum over the slice ``j >= k`` of its row, computed by the same
+    operations as a row built for that ``k`` alone.  Small ``m`` keeps the
+    exact terms ``float(comb(m, j)) p^j (1 - p)^(m - j)``, summed with
+    ``fsum``.  Large ``m`` (up to ~1e6), or a ``p`` whose powers would
+    underflow, keeps one row of log-space terms shifted by their maximum and
+    exponentiated, with the maximum left out as ``_logsumexp`` leaves it out:
+    a slice that holds every maximum, which is any slice starting at or
+    before the first, is summed as it stands; a later slice has its own
+    maximum, so its log terms are rebuilt from the shared ``gammaln``
+    coefficients and combined by ``_logsumexp``.  Rows for ``T``
+    probabilities hold ``(T + 1)(m + 1 - start)`` floats.
+    """
+
+    def __init__(self, m: int, start: int):
+        self.m, self.start = m, start
+        self._rows: dict[float, list | tuple] = {}
+
+    @cached_property
+    def _log_coeffs(self) -> np.ndarray:
+        js = np.arange(self.start, self.m + 1, dtype=np.float64)
+        m = self.m
+        return gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+
+    @cached_property
+    def _coeffs(self) -> list[float]:
+        # float(comb(m, j)) from exact integers, rounded as comb(m, j) * p ** j
+        # rounds the int
+        coeffs = []
+        c = comb(self.m, self.start)
+        for j in range(self.start, self.m + 1):
+            coeffs.append(float(c))
+            c = c * (self.m - j) // (j + 1)
+        return coeffs
+
+    def _logs(self, k: int, p: float) -> np.ndarray:
+        """The log terms for ``j = k..m``."""
+        m = self.m
+        js = np.arange(k, m + 1, dtype=np.float64)
+        return (self._log_coeffs[k - self.start:] + js * math.log(p)
+                + (m - js) * math.log1p(-p))
+
+    def _row(self, p: float) -> list | tuple:
+        m, start = self.m, self.start
+        # direct summation is exact to a few ulp, but individual powers
+        # underflow once m log p drops past the subnormal range; use log space
+        if m <= _EXACT_TAIL_LIMIT and m * math.log(min(p, 1.0 - p)) > -700.0:
+            return [c * p ** j * (1.0 - p) ** (m - j)
+                    for j, c in enumerate(self._coeffs, start)]
+        logs = self._logs(start, p)
+        a_max = logs.max()
+        at_max = logs == a_max
+        shifted = np.exp(np.where(at_max, -np.inf, logs) - a_max)
+        return shifted, a_max, np.count_nonzero(at_max), start + int(np.argmax(at_max))
+
+    def tail(self, k: int, p: float) -> float:
+        """P(Binom(m, p) >= k) for ``start <= k <= m`` and ``p`` in [0, 1]."""
+        if k == 0 or p == 1.0:
+            return 1.0
+        if p == 0.0:
+            return 0.0
+        row = self._rows.get(p)
+        if row is None:
+            row = self._rows[p] = self._row(p)
+        if isinstance(row, list):
+            return min(1.0, fsum(row[k - self.start:]))
+        shifted, a_max, count, first_max = row
+        if k <= first_max:
+            log_tail = _log_total(shifted[k - self.start:].sum(), count, a_max)
+        else:
+            log_tail = _logsumexp(self._logs(k, p))
+        return min(1.0, math.exp(log_tail))
+
+
+def binom_tail(m: int, k, p, rows: _TailRows | None = None):
     """Upper binomial tails P(Binom(m, p) >= k) for one ``m``.
 
     ``k`` and ``p`` broadcast against each other: a pair of scalars gives one
     float, arrays give an array of tails, one per ``(k, p)`` pair.  Small
     ``m`` sums exact integer binomial coefficients with compensated float
     summation; large ``m`` (up to ~1e6) switches to log-space terms combined
-    with log-sum-exp.  The coefficient row depending only on ``m`` is built
-    once per call and shared by every pair.
+    with log-sum-exp.  Each tail is a slice sum of its probability's term
+    row (``_TailRows``), built once per ``(m, p)``: ``rows`` passes rows
+    that earlier calls built, as an ``ExceedanceTester`` does for the fixed
+    ``m`` and threshold probabilities of its tests, at ``T + 1`` rows of
+    ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` the call
+    builds its own, from its smallest ``k``.
     """
     ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
     if ks.dtype.kind not in "iu":
         raise SymlatError(f"tail counts must be integers, got {k!r}")
     pairs = list(zip(ks.ravel().tolist(), ps.ravel().tolist()))
-    out = np.empty(len(pairs))
-    exact, logspace = [], []
-    for i, (kk, pp) in enumerate(pairs):
+    for kk, pp in pairs:
         if not 0 <= kk <= m:
             raise SymlatError(f"need 0 <= k <= m, got k={kk}, m={m}")
         if not 0.0 <= pp <= 1.0:
             raise SymlatError(f"probability must lie in [0, 1], got {pp}")
-        if kk == 0 or pp == 1.0:
-            out[i] = 1.0
-        elif pp == 0.0:
-            out[i] = 0.0
-        # direct summation is exact to a few ulp, but individual powers
-        # underflow once m log p drops past the subnormal range; use log space
-        elif m <= _EXACT_TAIL_LIMIT and m * math.log(min(pp, 1.0 - pp)) > -700.0:
-            exact.append(i)
-        else:
-            logspace.append(i)
-    if exact:
-        # float(comb(m, j)) for j >= k0 from exact integers, rounded as
-        # comb(m, j) * p ** j rounds the int
-        k0 = min(pairs[i][0] for i in exact)
-        coeffs = []
-        c = comb(m, k0)
-        for j in range(k0, m + 1):
-            coeffs.append(float(c))
-            c = c * (m - j) // (j + 1)
-        for i in exact:
-            kk, pp = pairs[i]
-            terms = [coeffs[j - k0] * pp ** j * (1.0 - pp) ** (m - j)
-                     for j in range(kk, m + 1)]
-            out[i] = min(1.0, fsum(terms))
-    if logspace:
-        k0 = min(pairs[i][0] for i in logspace)
-        js = np.arange(k0, m + 1, dtype=np.float64)
-        log_coeffs = gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
-        for i in logspace:
-            kk, pp = pairs[i]
-            tail = js[kk - k0:]
-            logs = (log_coeffs[kk - k0:] + tail * math.log(pp)
-                    + (m - tail) * math.log1p(-pp))
-            out[i] = min(1.0, math.exp(_logsumexp(logs)))
+    if rows is None:
+        rows = _TailRows(m, min((kk for kk, _ in pairs), default=0))
+    elif rows.m != m or any(kk < rows.start for kk, _ in pairs):
+        raise SymlatError(f"tail rows span j = {rows.start}..{rows.m}, not every "
+                          f"count of m = {m}")
+    out = np.array([rows.tail(kk, pp) for kk, pp in pairs], dtype=float)
     return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
 
 
@@ -118,8 +173,13 @@ def _logsumexp(a: np.ndarray) -> float:
     a_max = a.max()
     at_max = a == a_max
     count = np.count_nonzero(at_max)
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / count
-    return np.log1p(s) + np.log(count) + a_max
+    return _log_total(np.exp(np.where(at_max, -np.inf, a) - a_max).sum(), count, a_max)
+
+
+def _log_total(shifted_sum, count: int, a_max) -> float:
+    """``_logsumexp`` from the sum of the shifted terms other than the
+    ``count`` maxima ``a_max``."""
+    return np.log1p(shifted_sum / count) + np.log(count) + a_max
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -339,16 +399,25 @@ def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------
 
+def _threshold_p(noise: NoiseModel, thresholds: np.ndarray) -> np.ndarray:
+    """The noise bound's exceedance probability at each threshold."""
+    return np.array([noise.p_exceed(float(t)) for t in thresholds])
+
+
 def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
                     bound: VariationBound, noise: NoiseModel,
                     rng: np.random.Generator, m: int, alpha: float = 0.05,
-                    thresholds=None, index: NeighborIndex | None = None) -> TestOutcome:
+                    thresholds=None, index: NeighborIndex | None = None,
+                    threshold_p=None, rows: _TailRows | None = None) -> TestOutcome:
     """Invariance test from a known variation bound.
 
     Draws ``m`` transform/index pairs, pairs each transformed point with its
     nearest data neighbour, and compares the per-threshold exceedance counts
     of ``|Y_i - Y_j| - V(g . X_i, X_j)`` to a binomial tail under the noise
     concentration bound; the reported p-value is the minimum over the grid.
+    ``threshold_p`` holds the bound's probabilities at ``thresholds`` and
+    ``rows`` the ``_TailRows`` of ``m``, when the caller keeps them across
+    tests; each is computed here when not given.
     """
     if m < 1:
         raise SymlatError("sample count m must be >= 1")
@@ -367,9 +436,9 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     gx = apply_elements(action, elements, data.X[picks])
     nbrs = index.query_many(gx)
     excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
-    pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
-    counts = np.array([(excess >= t).sum() for t in thresholds], dtype=np.int64)
-    pvals = binom_tail(m, counts, pts)
+    pts = _threshold_p(noise, thresholds) if threshold_p is None else threshold_p
+    counts = m - np.searchsorted(np.sort(excess), thresholds, side="left")
+    pvals = binom_tail(m, counts, pts, rows)
     return _finish(float(pvals.min()), alpha, effective_m=m, statistics=excess,
                    thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
                    warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())

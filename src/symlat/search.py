@@ -30,7 +30,9 @@ from .invariance import (
     VariationBound,
     exceedance_test,
     ratio_permutation_test,
+    _TailRows,
     _finish,
+    _threshold_p,
 )
 from .lattice import Lattice, SubgroupNode
 
@@ -100,7 +102,10 @@ def _tie_rng(seed: int) -> np.random.Generator:
 
 
 class ExceedanceTester:
-    """Known-bound exceedance test bound to one dataset."""
+    """Known-bound exceedance test bound to one dataset, whose threshold
+    probabilities and binomial term rows serve every test of a search.  The
+    rows are built by the tests' ``binom_tail`` calls, one per threshold
+    probability on first use."""
 
     def __init__(self, data: RegressionDataset, bound: VariationBound,
                  noise: NoiseModel, m: int, thresholds=None):
@@ -108,14 +113,18 @@ class ExceedanceTester:
         self.bound = bound
         self.noise = noise
         self.m = m
-        self.thresholds = thresholds
+        self.thresholds = np.asarray(
+            noise.default_thresholds() if thresholds is None else thresholds, dtype=float)
+        self.threshold_p = _threshold_p(noise, self.thresholds)
+        self.rows = _TailRows(m, 0)
         self.index = NeighborIndex.from_dataset(data)
 
     def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
              rng: np.random.Generator) -> TestOutcome:
         return exceedance_test(self.data, action, sampler, self.bound, self.noise, rng,
                                self.m, alpha=alpha, thresholds=self.thresholds,
-                               index=self.index)
+                               index=self.index, threshold_p=self.threshold_p,
+                               rows=self.rows)
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:

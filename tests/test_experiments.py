@@ -18,7 +18,7 @@ from symlat.cli import main as cli_main
 from symlat.config import build_lattice, load_config
 from symlat.data import RegressionDataset
 from symlat.errors import ConfigError, DataError, InvalidGroupError, SymlatError
-from symlat.experiments import plot_power_curve, run_experiment
+from symlat.experiments import plot_group_recovery, plot_power_curve, run_experiment
 from symlat.ingest import ingest_csv, ingest_idx
 from symlat.invariance import gaussian_noise, known_bound
 from symlat.scenarios import make_scenario
@@ -307,6 +307,19 @@ def test_plots_regenerate_identically(tmp_path):
     original = svg.read_bytes()
     plot_power_curve(out / "power_curve.csv", svg, cfg.test.alpha)
     assert svg.read_bytes() == original
+
+
+def test_group_recovery_plot_renders_a_small_table(tmp_path):
+    csv_path = tmp_path / "recovery.csv"
+    csv_path.write_text("test,n,prop_exact,prop_invariant\n"
+                        "exceedance,100,0.25,0.5\n"
+                        "exceedance,200,0.75,1.0\n", encoding="utf-8")
+    svg = tmp_path / "recovery.svg"
+    plot_group_recovery(csv_path, svg)
+    text = svg.read_text(encoding="utf-8")
+    assert "<svg" in text
+    assert "estimated-subgroup proportions" in text
+    assert "exceedance exact" in text and "exceedance invariant" in text
 
 
 def test_single_search_with_oracle(tmp_path):

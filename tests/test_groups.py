@@ -25,6 +25,7 @@ from symlat.errors import (
     NotFiniteError,
 )
 from symlat.groups import (
+    ORTHO_TOL,
     CayleyTable,
     ElementBatch,
     FiniteElement,
@@ -167,6 +168,23 @@ def test_long_composition_chain_stays_orthogonal():
     for k in rng.integers(0, len(gens), size=500):
         h = compose(h, gens[k])
     assert abs(np.linalg.det(h.matrix) - 1.0) <= 1e-9
+
+
+def test_composing_drifted_rotations_reorthonormalises():
+    # each factor is a rotation whose orthogonality error is 0.6 ORTHO_TOL;
+    # their product drifts to 1.2 ORTHO_TOL and is snapped back to a rotation
+    eps = 0.3 * ORTHO_TOL
+    drift = np.eye(3) + eps * np.diag([0.5, 0.5, -1.0])
+    a = MatrixElement(axis_rotation([0.0, 0.0, 1.0], 0.7).matrix @ drift)
+    b = MatrixElement(axis_rotation([0.0, 0.0, 1.0], 1.1).matrix @ drift)
+    for f in (a.matrix, b.matrix):
+        assert 0.5 * ORTHO_TOL < np.max(np.abs(f.T @ f - np.eye(3))) <= ORTHO_TOL
+    raw = a.matrix @ b.matrix
+    assert np.max(np.abs(raw.T @ raw - np.eye(3))) > ORTHO_TOL
+    m = compose(a, b).matrix
+    assert np.max(np.abs(m.T @ m - np.eye(3))) <= ORTHO_TOL
+    assert math.isclose(np.linalg.det(m), 1.0, abs_tol=1e-12)
+    assert np.allclose(m, axis_rotation([0.0, 0.0, 1.0], 1.8).matrix, atol=1e-8)
 
 
 def test_inverse_round_trips():

@@ -36,7 +36,7 @@ from symlat.invariance import (
     _logsumexp,
 )
 from symlat.scenarios import make_scenario, quarter_turn_actions
-from symlat.search import PermutationTester
+from symlat.search import ExceedanceTester, PermutationTester
 
 
 def exact_tail(m, k, p):
@@ -148,6 +148,87 @@ def test_vector_binom_tail_is_bit_identical_to_scalar_formula(args):
     assert got.shape == (len(pairs),)
     assert got.tolist() == want
     assert [binom_tail(m, k, p) for k, p in pairs] == want
+
+
+# probabilities at the edges of [0, 1], and the smallest and largest doubles
+# strictly inside it
+EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53)
+
+
+@st.composite
+def shared_row_calls(draw):
+    """An ``m``, a few probabilities, and calls that read them in any order.
+
+    Counts favour 0, m and the integers around the mode floor((m + 1) p),
+    where the first maximum of a row's terms lies.  A p with (m + 1) p an
+    integer gives two equal largest terms."""
+    m = draw(st.one_of(st.integers(1, 500), st.integers(501, 3000)))
+    tied = draw(st.integers(1, m)) / (m + 1)
+    probs = draw(st.lists(st.one_of(st.sampled_from(EDGE_PROBABILITIES + (tied,)),
+                                    st.floats(min_value=1e-300, max_value=1.0)),
+                          min_size=1, max_size=5, unique=True))
+
+    def pair(p):
+        mode = math.floor((m + 1) * p)
+        near = [k for k in (0, m, mode - 1, mode, mode + 1) if 0 <= k <= m]
+        count = st.one_of(st.sampled_from(near), st.integers(0, m))
+        return st.tuples(count, st.just(p))
+
+    call = st.lists(st.sampled_from(probs).flatmap(pair), min_size=1, max_size=8)
+    return m, draw(st.lists(call, min_size=1, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_row_calls())
+@example((2000, [[(140, 0.07), (139, 0.07), (141, 0.07), (2000, 0.07)],
+                 [(1, 0.07), (565, 0.07), (0, 0.07)]]))
+@example((499, [[(250, 0.5), (249, 0.5), (251, 0.5), (499, 0.5)], [(1, 0.5)]]))
+@example((600, [[(1, 5e-324), (600, 1.0 - 2.0 ** -53), (300, 0.5)],
+                [(599, 1.0 - 2.0 ** -53), (1, 1.0 - 2.0 ** -53)]]))
+def test_shared_tail_rows_match_the_scalar_formula(args):
+    # one set of rows serves every call, as an ExceedanceTester's does
+    m, calls = args
+    rows = invariance._TailRows(m, 0)
+    for pairs in calls:
+        ks = np.array([k for k, _ in pairs], dtype=np.int64)
+        ps = np.array([p for _, p in pairs])
+        got = binom_tail(m, ks, ps, rows)
+        assert got.tolist() == [reference_binom_tail(m, k, p) for k, p in pairs]
+
+
+def test_tail_rows_read_both_sides_of_the_first_maximum():
+    # p = 0.5 at m = 2001 puts equal largest terms at j = 1000 and 1001
+    m, p = 2001, 0.5
+    rows = invariance._TailRows(m, 0)
+    assert binom_tail(m, 1, p, rows) == reference_binom_tail(m, 1, p)
+    _, _, count, first_max = rows._rows[p]
+    assert (count, first_max) == (2, 1000)
+    for k in (999, 1000, 1001, 1002, m):
+        assert binom_tail(m, k, p, rows) == reference_binom_tail(m, k, p)
+
+
+def test_tail_rows_reject_counts_outside_their_span():
+    rows = invariance._TailRows(50, 10)
+    with pytest.raises(SymlatError, match="span"):
+        binom_tail(50, 9, 0.3, rows)
+    with pytest.raises(SymlatError, match="span"):
+        binom_tail(60, 20, 0.3, rows)
+
+
+def test_tester_rows_stay_within_one_row_per_probability():
+    # T + 1 rows of m + 1 floats: the coefficients and one row per probability
+    m, noise = 20_000, gaussian_noise(0.01)
+    ps = np.array([noise.p_exceed(float(t)) for t in noise.default_thresholds()])
+    rows_bytes = (ps.size + 1) * (m + 1) * 8
+    rows = invariance._TailRows(m, 0)
+    tracemalloc.start()
+    try:
+        binom_tail(m, np.ones(ps.size, dtype=np.int64), ps, rows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows._rows) == ps.size
+    assert rows_bytes <= held and peak < 1.5 * rows_bytes
 
 
 def test_vector_binom_tail_validates_every_pair():
@@ -367,6 +448,28 @@ def test_outcome_invariants_and_determinism():
     assert np.array_equal(a.exceed_counts, b.exceed_counts)
     assert (a.decision == -1) == (a.p_value <= a.alpha)
     assert 0.0 <= a.p_value <= 1.0
+
+
+@pytest.mark.parametrize("m", [150, 700])
+def test_tester_rows_and_probabilities_change_no_outcome(m):
+    # m = 150 sums exact terms, m = 700 log-space ones; the tester keeps its
+    # rows across its tests, a direct call builds its own
+    data = _toy_invariant_data(np.random.default_rng(3), n=120, sigma=0.05)
+    rotation, half_turn, sampler = quarter_turn_actions(2)
+    bound, noise = known_bound(1.0 / math.e), gaussian_noise(0.05)
+    tester = ExceedanceTester(data, bound, noise, m)
+    for seed, action in itertools.product(range(3), (rotation, half_turn)):
+        shared = tester.test(action, sampler, 0.05, np.random.default_rng(seed))
+        alone = exceedance_test(data, action, sampler, bound, noise,
+                                np.random.default_rng(seed), m)
+        assert shared.p_value == alone.p_value
+        for a, b in ((shared.exceed_counts, alone.exceed_counts),
+                     (shared.threshold_p, alone.threshold_p)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert alone.exceed_counts.dtype == np.int64
+        assert alone.exceed_counts.tolist() == \
+            [int((alone.statistics >= t).sum()) for t in alone.thresholds]
+    assert len(tester.rows._rows) > 0
 
 
 def test_exceedance_validation_errors():
