@@ -20,8 +20,9 @@ on that permutation test's 300 rows (the image each pairing table holds).
 ``binom_tail`` is timed at the shape of one ``search-sl3`` test: m = 2000 and
 the 20 threshold probabilities of the default grid of ``gaussian_noise(0.01)``,
 at counts of 2 (below every row's largest term) and of 565 (past it for most
-of them), once on new term rows (the first test of a search) and once on rows
-that earlier calls built (every later test).
+of them), once without kept rows (a one-off call), once on new term rows (the
+first test of a search) and once on rows that earlier calls built (every later
+test).
 Each figure is the fastest of several repeats after one warm-up call, with
 BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO and
 permutation-test time stands the peak of memory that ``tracemalloc`` saw
@@ -155,8 +156,10 @@ def main():
     for count in (2, 565):
         ks = np.full(ps.size, count, dtype=np.int64)
         size = f"m={SEARCH_M} T={ps.size} k={count}"
+        once = bench(binom_tail, SEARCH_M, ks, ps)
         cold = bench(lambda: binom_tail(SEARCH_M, ks, ps, _TailRows(SEARCH_M, 0)))
         warm = bench(binom_tail, SEARCH_M, ks, ps, rows)
+        print(f"{'binom_tail (no rows kept)':<28} {size:<18} {once * 1e6:>8.1f}us")
         print(f"{'binom_tail (new rows)':<28} {size:<18} {cold * 1e6:>8.1f}us")
         print(f"{'binom_tail (built rows)':<28} {size:<18} {warm * 1e6:>8.1f}us")
 

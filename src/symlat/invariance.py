@@ -72,10 +72,14 @@ class _TailRows:
     maximum, so its log terms are rebuilt from the shared ``gammaln``
     coefficients and combined by ``_logsumexp``.  Rows for ``T``
     probabilities hold ``(T + 1)(m + 1 - start)`` floats.
+
+    A row is built only where it can be read again: ``keep=False`` (rows
+    made for one call) builds none, and a log-space tail past the mode
+    ``(m + 1) p`` is computed from its own slice, as it would be from a row.
     """
 
-    def __init__(self, m: int, start: int):
-        self.m, self.start = m, start
+    def __init__(self, m: int, start: int, keep: bool = True):
+        self.m, self.start, self.keep = m, start, keep
         self._rows: dict[float, list | tuple] = {}
 
     @cached_property
@@ -95,6 +99,12 @@ class _TailRows:
             c = c * (self.m - j) // (j + 1)
         return coeffs
 
+    def _terms(self, k: int, p: float) -> list[float]:
+        """The exact terms for ``j = k..m``."""
+        m = self.m
+        return [c * p ** j * (1.0 - p) ** (m - j)
+                for j, c in enumerate(self._coeffs[k - self.start:], k)]
+
     def _logs(self, k: int, p: float) -> np.ndarray:
         """The log terms for ``j = k..m``."""
         m = self.m
@@ -102,18 +112,12 @@ class _TailRows:
         return (self._log_coeffs[k - self.start:] + js * math.log(p)
                 + (m - js) * math.log1p(-p))
 
-    def _row(self, p: float) -> list | tuple:
-        m, start = self.m, self.start
-        # direct summation is exact to a few ulp, but individual powers
-        # underflow once m log p drops past the subnormal range; use log space
-        if m <= _EXACT_TAIL_LIMIT and m * math.log(min(p, 1.0 - p)) > -700.0:
-            return [c * p ** j * (1.0 - p) ** (m - j)
-                    for j, c in enumerate(self._coeffs, start)]
-        logs = self._logs(start, p)
+    def _shifted_row(self, p: float) -> tuple:
+        logs = self._logs(self.start, p)
         a_max = logs.max()
         at_max = logs == a_max
         shifted = np.exp(np.where(at_max, -np.inf, logs) - a_max)
-        return shifted, a_max, np.count_nonzero(at_max), start + int(np.argmax(at_max))
+        return shifted, a_max, np.count_nonzero(at_max), self.start + int(np.argmax(at_max))
 
     def tail(self, k: int, p: float) -> float:
         """P(Binom(m, p) >= k) for ``start <= k <= m`` and ``p`` in [0, 1]."""
@@ -121,13 +125,16 @@ class _TailRows:
             return 1.0
         if p == 0.0:
             return 0.0
+        # direct summation is exact to a few ulp, but individual powers
+        # underflow once m log p drops past the subnormal range; use log space
+        exact = self.m <= _EXACT_TAIL_LIMIT and self.m * math.log(min(p, 1.0 - p)) > -700.0
         row = self._rows.get(p)
-        if row is None:
-            row = self._rows[p] = self._row(p)
-        if isinstance(row, list):
-            return min(1.0, fsum(row[k - self.start:]))
-        shifted, a_max, count, first_max = row
-        if k <= first_max:
+        if row is None and self.keep and (exact or k <= (self.m + 1) * p):
+            row = self._rows[p] = self._terms(self.start, p) if exact else self._shifted_row(p)
+        if exact:
+            return min(1.0, fsum(self._terms(k, p) if row is None else row[k - self.start:]))
+        if row is not None and k <= row[3]:
+            shifted, a_max, count, _ = row
             log_tail = _log_total(shifted[k - self.start:].sum(), count, a_max)
         else:
             log_tail = _logsumexp(self._logs(k, p))
@@ -145,8 +152,9 @@ def binom_tail(m: int, k, p, rows: _TailRows | None = None):
     row (``_TailRows``), built once per ``(m, p)``: ``rows`` passes rows
     that earlier calls built, as an ``ExceedanceTester`` does for the fixed
     ``m`` and threshold probabilities of its tests, at ``T + 1`` rows of
-    ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` the call
-    builds its own, from its smallest ``k``.
+    ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` nothing is
+    kept: each tail sums its own slice, from a coefficient row built from
+    the call's smallest ``k``.
     """
     ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
     if ks.dtype.kind not in "iu":
@@ -158,7 +166,7 @@ def binom_tail(m: int, k, p, rows: _TailRows | None = None):
         if not 0.0 <= pp <= 1.0:
             raise SymlatError(f"probability must lie in [0, 1], got {pp}")
     if rows is None:
-        rows = _TailRows(m, min((kk for kk, _ in pairs), default=0))
+        rows = _TailRows(m, min((kk for kk, _ in pairs), default=0), keep=False)
     elif rows.m != m or any(kk < rows.start for kk, _ in pairs):
         raise SymlatError(f"tail rows span j = {rows.start}..{rows.m}, not every "
                           f"count of m = {m}")
@@ -399,25 +407,19 @@ def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------
 
-def _threshold_p(noise: NoiseModel, thresholds: np.ndarray) -> np.ndarray:
-    """The noise bound's exceedance probability at each threshold."""
-    return np.array([noise.p_exceed(float(t)) for t in thresholds])
-
-
 def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
                     bound: VariationBound, noise: NoiseModel,
                     rng: np.random.Generator, m: int, alpha: float = 0.05,
                     thresholds=None, index: NeighborIndex | None = None,
-                    threshold_p=None, rows: _TailRows | None = None) -> TestOutcome:
+                    rows: _TailRows | None = None) -> TestOutcome:
     """Invariance test from a known variation bound.
 
     Draws ``m`` transform/index pairs, pairs each transformed point with its
     nearest data neighbour, and compares the per-threshold exceedance counts
     of ``|Y_i - Y_j| - V(g . X_i, X_j)`` to a binomial tail under the noise
     concentration bound; the reported p-value is the minimum over the grid.
-    ``threshold_p`` holds the bound's probabilities at ``thresholds`` and
-    ``rows`` the ``_TailRows`` of ``m``, when the caller keeps them across
-    tests; each is computed here when not given.
+    ``rows`` holds the ``_TailRows`` of ``m`` when the caller keeps them
+    across tests; without it the tails keep no rows.
     """
     if m < 1:
         raise SymlatError("sample count m must be >= 1")
@@ -436,7 +438,7 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     gx = apply_elements(action, elements, data.X[picks])
     nbrs = index.query_many(gx)
     excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
-    pts = _threshold_p(noise, thresholds) if threshold_p is None else threshold_p
+    pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
     counts = m - np.searchsorted(np.sort(excess), thresholds, side="left")
     pvals = binom_tail(m, counts, pts, rows)
     return _finish(float(pvals.min()), alpha, effective_m=m, statistics=excess,

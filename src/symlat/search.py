@@ -32,7 +32,6 @@ from .invariance import (
     ratio_permutation_test,
     _TailRows,
     _finish,
-    _threshold_p,
 )
 from .lattice import Lattice, SubgroupNode
 
@@ -102,10 +101,9 @@ def _tie_rng(seed: int) -> np.random.Generator:
 
 
 class ExceedanceTester:
-    """Known-bound exceedance test bound to one dataset, whose threshold
-    probabilities and binomial term rows serve every test of a search.  The
-    rows are built by the tests' ``binom_tail`` calls, one per threshold
-    probability on first use."""
+    """Known-bound exceedance test bound to one dataset, whose binomial term
+    rows serve every test of a search.  The rows are built by the tests'
+    ``binom_tail`` calls, one per threshold probability on first use."""
 
     def __init__(self, data: RegressionDataset, bound: VariationBound,
                  noise: NoiseModel, m: int, thresholds=None):
@@ -113,9 +111,7 @@ class ExceedanceTester:
         self.bound = bound
         self.noise = noise
         self.m = m
-        self.thresholds = np.asarray(
-            noise.default_thresholds() if thresholds is None else thresholds, dtype=float)
-        self.threshold_p = _threshold_p(noise, self.thresholds)
+        self.thresholds = thresholds
         self.rows = _TailRows(m, 0)
         self.index = NeighborIndex.from_dataset(data)
 
@@ -123,8 +119,7 @@ class ExceedanceTester:
              rng: np.random.Generator) -> TestOutcome:
         return exceedance_test(self.data, action, sampler, self.bound, self.noise, rng,
                                self.m, alpha=alpha, thresholds=self.thresholds,
-                               index=self.index, threshold_p=self.threshold_p,
-                               rows=self.rows)
+                               index=self.index, rows=self.rows)
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:

@@ -207,6 +207,24 @@ def test_tail_rows_read_both_sides_of_the_first_maximum():
         assert binom_tail(m, k, p, rows) == reference_binom_tail(m, k, p)
 
 
+def test_tail_rows_are_kept_only_where_they_can_be_read_again():
+    # past the mode a log-space tail sums its own slice, so it keeps no row;
+    # rows made for one call keep none at all
+    m, p = 2000, 0.07
+    rows = invariance._TailRows(m, 0)
+    assert binom_tail(m, 565, p, rows) == reference_binom_tail(m, 565, p)
+    assert rows._rows == {}
+    assert binom_tail(m, 2, p, rows) == reference_binom_tail(m, 2, p)
+    assert list(rows._rows) == [p]
+    once = invariance._TailRows(m, 0, keep=False)
+    for k, q in ((2, p), (565, p), (3, 0.3), (10, 0.3)):
+        assert binom_tail(m, k, q, once) == reference_binom_tail(m, k, q)
+    assert once._rows == {}
+    once = invariance._TailRows(150, 0, keep=False)
+    assert binom_tail(150, 7, 0.05, once) == reference_binom_tail(150, 7, 0.05)
+    assert once._rows == {}
+
+
 def test_tail_rows_reject_counts_outside_their_span():
     rows = invariance._TailRows(50, 10)
     with pytest.raises(SymlatError, match="span"):
@@ -451,9 +469,9 @@ def test_outcome_invariants_and_determinism():
 
 
 @pytest.mark.parametrize("m", [150, 700])
-def test_tester_rows_and_probabilities_change_no_outcome(m):
+def test_tester_rows_change_no_outcome(m):
     # m = 150 sums exact terms, m = 700 log-space ones; the tester keeps its
-    # rows across its tests, a direct call builds its own
+    # rows across its tests, a direct call keeps none
     data = _toy_invariant_data(np.random.default_rng(3), n=120, sigma=0.05)
     rotation, half_turn, sampler = quarter_turn_actions(2)
     bound, noise = known_bound(1.0 / math.e), gaussian_noise(0.05)
