@@ -3,17 +3,19 @@ permutation test, and the group-action kernel at two workload shapes.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
-``nw_predict`` is timed at one bandwidth vector; ``loo_cv_sse`` is timed for
-one whole bandwidth grid, the work of one ``select_bandwidth`` call.  The
-first three sizes draw normal features and responses with unit scales.  The
-last three are the fits of one ``estimator-compare`` workload op, on its
-scenario 1 data (n = 600) with per-feature scales as ``select_bandwidth``
-takes them: the plain fit on the three features, and the fits on the radial
-coordinate of all rows and of the second half (the split variant).  The
-permutation test runs at the shape of the ``recovery-perm`` benchmark
-workload (n = 300, B = 100, m = 300, the C4 sampler of the non-identity
-quarter turns), through one ``PermutationTester``, so its pairing tables are
-built once, before the timing.  The action kernel is timed as
+``nw_predict`` is timed at two bandwidth vectors, half and a twentieth of the
+feature scales; at the smaller one many weights underflow to subnormal numbers
+or to 0.  ``loo_cv_sse`` is timed for one whole bandwidth grid, the work of
+one ``select_bandwidth`` call.  The first three sizes draw normal features
+and responses with unit scales.  The last three are the fits of one
+``estimator-compare`` workload op, on its scenario 1 data (n = 600) with
+per-feature scales as ``select_bandwidth`` takes them: the plain fit on the
+three features, and the fits on the radial coordinate of all rows and of the
+second half (the split variant).  The permutation test runs at the shape of
+the ``recovery-perm`` benchmark workload (n = 300, B = 100, m = 300, the C4
+sampler of the non-identity quarter turns), through one
+``PermutationTester``, so its pairing tables are built once, before the
+timing.  The action kernel is timed as
 ``apply_elements`` on 2000 Haar-SO(3) draws of 3-d rows (the batch shape of
 the ``search-sl3`` workload) and as ``apply_to_rows`` of the C4 quarter turn
 on that permutation test's 300 rows (the image each pairing table holds).
@@ -124,8 +126,10 @@ def main():
     print(f"{'kernel':<28} {'size':<18} {'time':>10} {'peak':>10} {'evaluated':>10}")
     for xt, yt, scales, xq in problems(rng):
         (n, d), q = xt.shape, len(xq)
-        t = bench(_kernels.nw_predict, xt, yt, xq, 0.5 * scales)
-        print(f"{'nw_predict':<28} {f'n={n} q={q} d={d}':<18} {t * 1e3:>8.2f}ms")
+        for factor in (0.5, 0.05):
+            t = bench(_kernels.nw_predict, xt, yt, xq, factor * scales)
+            print(f"{f'nw_predict (h = {factor} s)':<28} {f'n={n} q={q} d={d}':<18} "
+                  f"{t * 1e3:>8.2f}ms")
         t = bench(_kernels.loo_cv_sse, xt, yt, scales, cs, repeat=3)
         peak = traced_peak(_kernels.loo_cv_sse, xt, yt, scales, cs)
         share = evaluated_share(xt, yt, scales, cs)
@@ -152,12 +156,12 @@ def main():
     print(f"{'apply_to_rows (C4 quarter)':<28} {'n=300 d=2':<18} {t * 1e6:>8.1f}us")
     noise = gaussian_noise(SEARCH_SIGMA)
     ps = np.array([noise.p_exceed(float(t)) for t in noise.default_thresholds()])
-    rows = _TailRows(SEARCH_M, 0)
+    rows = _TailRows(SEARCH_M)
     for count in (2, 565):
         ks = np.full(ps.size, count, dtype=np.int64)
         size = f"m={SEARCH_M} T={ps.size} k={count}"
         once = bench(binom_tail, SEARCH_M, ks, ps)
-        cold = bench(lambda: binom_tail(SEARCH_M, ks, ps, _TailRows(SEARCH_M, 0)))
+        cold = bench(lambda: binom_tail(SEARCH_M, ks, ps, _TailRows(SEARCH_M)))
         warm = bench(binom_tail, SEARCH_M, ks, ps, rows)
         print(f"{'binom_tail (no rows kept)':<28} {size:<18} {once * 1e6:>8.1f}us")
         print(f"{'binom_tail (new rows)':<28} {size:<18} {cold * 1e6:>8.1f}us")

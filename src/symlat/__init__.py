@@ -11,7 +11,6 @@ from .groups import (
     act,
     compose,
     elements_of,
-    sample,
     sample_elements,
 )
 from .invariance import (

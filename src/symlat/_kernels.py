@@ -1,10 +1,12 @@
 """Numeric kernels of the Gaussian local-constant regressor, in numpy.
 
-Both kernels work on blocks of rows, so their working memory stays linear in
-the number of training rows: ``nw_predict`` takes PREDICT_CHUNK_ROWS queries
-at a time, and ``loo_cv_sse`` runs its bandwidth grid on one cache-sized block
-of training rows before it moves to the next.  A row's arithmetic does not
-depend on the block it sits in, so the blocking changes no result bit.
+Both kernels build their exponents in a caller's buffer with one routine,
+``_half_sq_dists``.  Both work on blocks of rows, so their working memory
+stays linear in the number of training rows: ``nw_predict`` takes
+PREDICT_CHUNK_ROWS queries at a time, and ``loo_cv_sse`` runs its bandwidth
+grid on one cache-sized block of training rows before it moves to the next.
+A row's arithmetic does not depend on the block it sits in, so the blocking
+changes no result bit.
 ``loo_cv_sse`` abandons a grid point once its partial sum of squares proves
 that it cannot be the minimum and reports it as ``+inf``; every sum it does
 report has the bits of the full-grid computation.
@@ -38,39 +40,63 @@ _LOO_ROW_GROUP = 8
 # path, up to 90 times slower, for results in or below the subnormal range.
 _MIN_EXPONENT = -700.0
 
+# ``nw_predict`` lowers every exponent below this to -inf before
+# exponentiation.  exp(-750) is already exactly 0.0, as exp(-inf) is, so no
+# weight changes, but np.exp reaches a result below the subnormal range on a
+# scalar path about five times slower than the one for -inf.
+_ZERO_EXPONENT = -750.0
+
+
+def _half_sq_dists(a: np.ndarray, x: np.ndarray, scales: np.ndarray,
+                   out: np.ndarray, wb: np.ndarray) -> float:
+    """Fill ``out`` with ``1/2 sum_k ((a_ik - x_jk) / s_k)^2`` for the rows
+    of ``a`` against the rows of ``x``, using ``wb`` as scratch; return its
+    largest entry.
+
+    The squares are summed one coordinate at a time, in order, as a
+    row-by-row ``(((a_i - x) / s) ** 2).sum(axis=1)`` sums them: far from the
+    data one unit in the last place of a sum moves a weight ratio.  The
+    first coordinate's squares go straight into ``out``, as ``0.0 + a`` is
+    ``a``.
+    """
+    np.subtract.outer(a[:, 0], x[:, 0], out=out)
+    out /= scales[0]
+    out *= out
+    for k in range(1, x.shape[1]):
+        np.subtract.outer(a[:, k], x[:, k], out=wb)
+        wb /= scales[k]
+        wb *= wb
+        out += wb
+    out *= 0.5
+    return out.max()
+
 
 def nw_predict(xt: np.ndarray, yt: np.ndarray, xq: np.ndarray,
                h: np.ndarray) -> np.ndarray:
     """Gaussian-kernel locally-constant prediction.
 
-    Per query the quadratic exponents are shifted by their row minimum before
-    exponentiation; the common factor cancels in the weight ratio, and when
-    every other weight underflows the prediction degrades to the nearest
-    training response instead of 0/0.  Queries are taken PREDICT_CHUNK_ROWS
-    at a time; each row's arithmetic does not depend on the others.
-
-    The squared coordinates are summed one coordinate at a time, in order, as
-    a row-by-row ``(((x - xt) / h) ** 2).sum(axis=1)`` sums them.  Far from
-    the data the exponents are large and one unit in their last place moves
-    the weight ratio, so a different summation order moves the prediction.
+    Per query the quadratic exponents (``_half_sq_dists`` at bandwidth ``h``)
+    are shifted by their row minimum before exponentiation; the common factor
+    cancels in the weight ratio, and when every other weight underflows the
+    prediction degrades to the nearest training response instead of 0/0.
+    Exponents below _ZERO_EXPONENT, whose weights are exactly 0.0, are
+    lowered to -inf first.  Queries are taken PREDICT_CHUNK_ROWS at a
+    time; each row's arithmetic does not depend on the others.
     """
     out = np.empty(xq.shape[0])
+    w = np.empty((min(xq.shape[0], PREDICT_CHUNK_ROWS), xt.shape[0]))
+    wb = np.empty_like(w)
     for start in range(0, xq.shape[0], PREDICT_CHUNK_ROWS):
         block = xq[start:start + PREDICT_CHUNK_ROWS]
-        w = np.subtract.outer(block[:, 0], xt[:, 0])
-        w /= h[0]
-        w *= w
-        wb = np.empty_like(w)
-        for k in range(1, xt.shape[1]):
-            np.subtract.outer(block[:, k], xt[:, k], out=wb)
-            wb /= h[k]
-            wb *= wb
-            w += wb
-        w *= 0.5
-        w -= w.min(axis=1, keepdims=True)
-        np.negative(w, out=w)
-        np.exp(w, out=w)
-        out[start:start + block.shape[0]] = (w @ yt) / w.sum(axis=1)
+        e, eb = w[:block.shape[0]], wb[:block.shape[0]]
+        top = _half_sq_dists(block, xt, h, e, eb)
+        # min - e is -(e - min) to the bit, and the shift only lowers
+        # entries, so no exponent is below -top
+        np.subtract(e.min(axis=1, keepdims=True), e, out=e)
+        if -top < _ZERO_EXPONENT:
+            np.copyto(e, -np.inf, where=e < _ZERO_EXPONENT)
+        np.exp(e, out=e)
+        out[start:start + block.shape[0]] = (e @ yt) / e.sum(axis=1)
     return out
 
 
@@ -79,22 +105,9 @@ def _distance_block(xt: np.ndarray, scales: np.ndarray, start: int, stop: int,
     """Fill ``block`` with ``D = 1/2 sum_k ((x_ik - x_jk) / s_k)^2`` for the
     rows ``start:stop`` against every row, its diagonal at infinity and each
     row shifted by its minimum, using ``wb`` as scratch; return the largest
-    entry before the diagonal and the shift.
-
-    The first coordinate's squares go straight into ``block``: ``0.0 + a`` is
-    ``a``, so this is the sum a zeroed block would hold.
-    """
+    entry before the diagonal and the shift."""
     n = xt.shape[0]
-    np.subtract.outer(xt[start:stop, 0], xt[:, 0], out=block)
-    block /= scales[0]
-    block *= block
-    for k in range(1, xt.shape[1]):
-        np.subtract.outer(xt[start:stop, k], xt[:, k], out=wb)
-        wb /= scales[k]
-        wb *= wb
-        block += wb
-    block *= 0.5
-    top = block.max()
+    top = _half_sq_dists(xt[start:stop], xt, scales, block, wb)
     block.reshape(-1)[start::n + 1] = np.inf  # the block's own diagonal
     block -= block.min(axis=1, keepdims=True)
     return top

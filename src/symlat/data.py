@@ -149,6 +149,3 @@ class NeighborIndex:
             idx[sq >= dist[:, -1:] ** 2 * (1.0 - 1e-9)] = -1
         idx[sq <= _SAME_POINT_RTOL ** 2 * _sq_dists(queries, 0.0)[:, None]] = -1
         return idx
-
-    def query(self, point: np.ndarray) -> int:
-        return int(self.query_many(np.asarray(point, dtype=float)[None, :])[0])

@@ -98,12 +98,10 @@ def _search_config(cfg: ExperimentConfig, seed: int) -> SearchConfig:
 # ---------------------------------------------------------------------------
 
 def _power_task(args) -> bool:
-    cfg, test_name, hyp, n, rep = args
+    cfg, action, sampler, test_name, hyp, n, rep = args
     rng = _rng_for(cfg, _TEST_CODE[test_name], _HYP_CODE[hyp], n, rep)
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     data = scenario.sample_train(rng, n)
-    rotation, half_turn, sampler = quarter_turn_actions(scenario.dim)
-    action = rotation if hyp == "non-invariant" else half_turn
     tester = _tester(cfg, test_name, data, gaussian_noise(_noise_sigma(cfg, scenario)))
     return tester.test(action, sampler, cfg.test.alpha, rng).rejected
 
@@ -116,11 +114,15 @@ def run_power_curve(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     if cfg.scenario_id != "fd-rotation":
         raise ConfigError("power-curve needs the fd-rotation scenario "
                           "(it defines both an invariant and a non-invariant action)")
+    scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
+    rotation, half_turn, sampler = quarter_turn_actions(scenario.dim)
+    actions = {"non-invariant": rotation, "invariant": half_turn}
     rows = []
     for test_name in cfg.test.types:
         for hyp in ("non-invariant", "invariant"):
             for n in cfg.sample_sizes:
-                tasks = [(cfg, test_name, hyp, n, rep) for rep in range(cfg.replicates)]
+                tasks = [(cfg, actions[hyp], sampler, test_name, hyp, n, rep)
+                         for rep in range(cfg.replicates)]
                 rejected = _run_tasks(_power_task, tasks, cfg.jobs)
                 rate = sum(rejected) / cfg.replicates
                 rows.append([test_name, hyp, n, float(rate), cfg.replicates])
@@ -222,14 +224,11 @@ def plot_group_recovery(csv_path, svg_path) -> None:
 # ---------------------------------------------------------------------------
 
 def _estimator_task(args):
-    cfg, n, rep = args
+    cfg, lattice, noise, thresholds, n, rep = args
     rng = _rng_for(cfg, n, rep)
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     train = scenario.sample_train(rng, n)
     held_out = scenario.sample_test(rng, n if cfg.test_size is None else cfg.test_size)
-    lattice = build_lattice(cfg.lattice)
-    noise = gaussian_noise(_noise_sigma(cfg, scenario))
-    thresholds = _exceedance_thresholds(cfg, noise)
 
     def factory(data: RegressionDataset):
         return _tester(cfg, cfg.search.test, data, noise, thresholds)
@@ -252,10 +251,14 @@ def run_estimator_comparison(cfg: ExperimentConfig, out_dir: Path) -> dict[str, 
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.scenario_id not in ("1", "2", "3", "4"):
         raise ConfigError("estimator-compare needs scenario id 1, 2, 3, or 4")
+    lattice = build_lattice(cfg.lattice)
+    scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
+    noise = gaussian_noise(_noise_sigma(cfg, scenario))
+    thresholds = _exceedance_thresholds(cfg, noise)
     rows = []
     mean_rows = []
     for n in cfg.sample_sizes:
-        tasks = [(cfg, n, rep) for rep in range(cfg.replicates)]
+        tasks = [(cfg, lattice, noise, thresholds, n, rep) for rep in range(cfg.replicates)]
         results = _run_tasks(_estimator_task, tasks, cfg.jobs)
         for rep, (a, b, c, node_b, node_c) in enumerate(results):
             rows.append([cfg.scenario_id, n, rep, float(a), float(b), float(c),

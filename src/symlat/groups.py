@@ -10,10 +10,13 @@ R^3 by its elements' matrices.  Products of rotations are re-orthonormalised
 once numerical drift exceeds ``ORTHO_TOL``; other matrix products are
 rescaled to determinant 1.
 
-Samplers draw an ``ElementBatch``: one parameter array for all draws (support
-positions, circle angles or a rotation stack), applied to feature rows as a
-whole.  Indexing a batch builds its scalar elements.  Every matrix acts through
-one einsum, so a row moves to the same bits alone or in a batch.
+There are four sampler kinds: uniform over a support of elements (a
+one-element support is a point mass), Haar on a circle about an axis,
+Gaussian angles about an axis, and Haar on SO(3).  Samplers draw an
+``ElementBatch``: one parameter array for all draws (support positions,
+circle angles or a rotation stack), applied to feature rows as a whole.
+Indexing a batch builds its scalar elements.  Every matrix acts through one
+einsum, so a row moves to the same bits alone or in a batch.
 """
 
 from __future__ import annotations
@@ -289,15 +292,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return MatrixElement(np.linalg.inv(g.matrix))
 
 
-def elements_equal(a: GroupElement, b: GroupElement, tol: float = MEMBERSHIP_TOL) -> bool:
-    if isinstance(a, FiniteElement) and isinstance(b, FiniteElement):
-        return a.table is b.table and a.index == b.index
-    if isinstance(a, MatrixElement) and isinstance(b, MatrixElement):
-        return a.matrix.shape == b.matrix.shape and \
-            bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Group descriptors
 # ---------------------------------------------------------------------------
@@ -523,31 +517,25 @@ UNIFORM = "uniform"
 HAAR_CIRCLE = "haar-circle"
 HAAR_SO3 = "haar-so3"
 GAUSSIAN_ANGLE = "gaussian-angle"
-POINT_MASS = "point-mass"
 
 
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """A distribution over group elements; the random source is caller-owned.
 
-    ``elements`` is the support of a uniform or point-mass sampler (a point
-    mass's one ``element``) and empty for the other kinds.  A support holds
-    finite elements of one table or matrix elements of one size.  Circle
-    samplers rotate about the unit 3-vector ``axis``.
+    ``elements`` is the support of a uniform sampler and empty for the other
+    kinds.  A support holds finite elements of one table or matrix elements
+    of one size; a one-element support is a point mass.  Circle samplers
+    rotate about the unit 3-vector ``axis``.
     """
 
     kind: str
     elements: tuple[GroupElement, ...] = ()
-    element: GroupElement | None = None
     axis: np.ndarray | None = None
     std: float = 0.0
 
     def __post_init__(self):
-        if self.kind in (UNIFORM, POINT_MASS):
-            if self.kind == POINT_MASS:
-                if self.element is None:
-                    raise InvalidGroupError("point-mass sampler needs an element")
-                object.__setattr__(self, "elements", (self.element,))
+        if self.kind == UNIFORM:
             if not self.elements:
                 raise InvalidGroupError("uniform sampler needs a non-empty element list")
             # a table compares by identity, a matrix size by value
@@ -570,16 +558,11 @@ def uniform_sampler(elements: Iterable[GroupElement]) -> SamplerSpec:
     return SamplerSpec(UNIFORM, elements=tuple(elements))
 
 
-def point_mass_sampler(g: GroupElement) -> SamplerSpec:
-    return SamplerSpec(POINT_MASS, element=g)
-
-
 def non_identity_sampler(group: GroupDescriptor) -> SamplerSpec:
-    """Uniform over the non-identity elements of a finite group."""
+    """Uniform over the non-identity elements of a finite group; the trivial
+    group's sampler draws its identity."""
     els = [g for g in elements_of(group) if g.index != group.table.identity]
-    if not els:
-        return point_mass_sampler(group.identity_element())
-    return uniform_sampler(els)
+    return uniform_sampler(els or [group.identity_element()])
 
 
 def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
@@ -601,9 +584,9 @@ def _quaternions_to_matrices(q: np.ndarray) -> np.ndarray:
 class ElementBatch(Sequence):
     """Draws of one sampler as one parameter array.
 
-    ``params`` holds positions in the support of a uniform or point-mass
-    sampler, angles of a circle sampler about its axis, or the ``(m, 3, 3)``
-    stack of a ``haar-so3`` sampler.  Indexing or iterating builds the scalar
+    ``params`` holds positions in the support of a uniform sampler, angles
+    of a circle sampler about its axis, or the ``(m, 3, 3)`` stack of a
+    ``haar-so3`` sampler.  Indexing or iterating builds the scalar
     elements, once, on first use.
     """
 
@@ -671,7 +654,7 @@ def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Elem
     in a fixed order, so a seed pins the whole stream."""
     if m < 0:
         raise InvalidGroupError("sample count must be non-negative")
-    if spec.elements:   # a point mass's one-position range consumes no randomness
+    if spec.elements:   # a one-position range consumes no randomness
         return ElementBatch(spec, rng.integers(0, len(spec.elements), size=m))
     if spec.kind == HAAR_SO3:
         q = rng.normal(size=(m, 4))
@@ -682,7 +665,3 @@ def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Elem
     if spec.kind == HAAR_CIRCLE:
         return ElementBatch(spec, rng.uniform(0.0, TWO_PI, size=m))
     return ElementBatch(spec, rng.normal(0.0, spec.std, size=m))
-
-
-def sample(spec: SamplerSpec, rng: np.random.Generator) -> GroupElement:
-    return sample_elements(spec, rng, 1)[0]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, fsum
+from math import fsum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,8 +57,8 @@ _EXACT_TAIL_LIMIT = 500
 # ---------------------------------------------------------------------------
 
 class _TailRows:
-    """The terms of ``P(Binom(m, p) >= k)`` over ``j = start..m``, one row
-    per probability, built on first use and read by every later tail.
+    """The terms of ``P(Binom(m, p) >= k)`` over ``j = 0..m``, one row per
+    probability, built on first use and read by every later tail.
 
     A term depends on ``(m, p, j)`` and never on ``k``, so the tail at ``k``
     is a sum over the slice ``j >= k`` of its row, computed by the same
@@ -71,20 +71,20 @@ class _TailRows:
     before the first, is summed as it stands; a later slice has its own
     maximum, so its log terms are rebuilt from the shared ``gammaln``
     coefficients and combined by ``_logsumexp``.  Rows for ``T``
-    probabilities hold ``(T + 1)(m + 1 - start)`` floats.
+    probabilities hold ``(T + 1)(m + 1)`` floats.
 
     A row is built only where it can be read again: ``keep=False`` (rows
     made for one call) builds none, and a log-space tail past the mode
     ``(m + 1) p`` is computed from its own slice, as it would be from a row.
     """
 
-    def __init__(self, m: int, start: int, keep: bool = True):
-        self.m, self.start, self.keep = m, start, keep
+    def __init__(self, m: int, keep: bool = True):
+        self.m, self.keep = m, keep
         self._rows: dict[float, list | tuple] = {}
 
     @cached_property
     def _log_coeffs(self) -> np.ndarray:
-        js = np.arange(self.start, self.m + 1, dtype=np.float64)
+        js = np.arange(self.m + 1, dtype=np.float64)
         m = self.m
         return gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
 
@@ -93,8 +93,8 @@ class _TailRows:
         # float(comb(m, j)) from exact integers, rounded as comb(m, j) * p ** j
         # rounds the int
         coeffs = []
-        c = comb(self.m, self.start)
-        for j in range(self.start, self.m + 1):
+        c = 1
+        for j in range(self.m + 1):
             coeffs.append(float(c))
             c = c * (self.m - j) // (j + 1)
         return coeffs
@@ -103,24 +103,24 @@ class _TailRows:
         """The exact terms for ``j = k..m``."""
         m = self.m
         return [c * p ** j * (1.0 - p) ** (m - j)
-                for j, c in enumerate(self._coeffs[k - self.start:], k)]
+                for j, c in enumerate(self._coeffs[k:], k)]
 
     def _logs(self, k: int, p: float) -> np.ndarray:
         """The log terms for ``j = k..m``."""
         m = self.m
         js = np.arange(k, m + 1, dtype=np.float64)
-        return (self._log_coeffs[k - self.start:] + js * math.log(p)
+        return (self._log_coeffs[k:] + js * math.log(p)
                 + (m - js) * math.log1p(-p))
 
     def _shifted_row(self, p: float) -> tuple:
-        logs = self._logs(self.start, p)
+        logs = self._logs(0, p)
         a_max = logs.max()
         at_max = logs == a_max
         shifted = np.exp(np.where(at_max, -np.inf, logs) - a_max)
-        return shifted, a_max, np.count_nonzero(at_max), self.start + int(np.argmax(at_max))
+        return shifted, a_max, np.count_nonzero(at_max), int(np.argmax(at_max))
 
     def tail(self, k: int, p: float) -> float:
-        """P(Binom(m, p) >= k) for ``start <= k <= m`` and ``p`` in [0, 1]."""
+        """P(Binom(m, p) >= k) for ``0 <= k <= m`` and ``p`` in [0, 1]."""
         if k == 0 or p == 1.0:
             return 1.0
         if p == 0.0:
@@ -130,12 +130,12 @@ class _TailRows:
         exact = self.m <= _EXACT_TAIL_LIMIT and self.m * math.log(min(p, 1.0 - p)) > -700.0
         row = self._rows.get(p)
         if row is None and self.keep and (exact or k <= (self.m + 1) * p):
-            row = self._rows[p] = self._terms(self.start, p) if exact else self._shifted_row(p)
+            row = self._rows[p] = self._terms(0, p) if exact else self._shifted_row(p)
         if exact:
-            return min(1.0, fsum(self._terms(k, p) if row is None else row[k - self.start:]))
+            return min(1.0, fsum(self._terms(k, p) if row is None else row[k:]))
         if row is not None and k <= row[3]:
             shifted, a_max, count, _ = row
-            log_tail = _log_total(shifted[k - self.start:].sum(), count, a_max)
+            log_tail = _log_total(shifted[k:].sum(), count, a_max)
         else:
             log_tail = _logsumexp(self._logs(k, p))
         return min(1.0, math.exp(log_tail))
@@ -153,8 +153,7 @@ def binom_tail(m: int, k, p, rows: _TailRows | None = None):
     that earlier calls built, as an ``ExceedanceTester`` does for the fixed
     ``m`` and threshold probabilities of its tests, at ``T + 1`` rows of
     ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` nothing is
-    kept: each tail sums its own slice, from a coefficient row built from
-    the call's smallest ``k``.
+    kept: each tail sums its own slice of the coefficient row.
     """
     ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
     if ks.dtype.kind not in "iu":
@@ -166,10 +165,9 @@ def binom_tail(m: int, k, p, rows: _TailRows | None = None):
         if not 0.0 <= pp <= 1.0:
             raise SymlatError(f"probability must lie in [0, 1], got {pp}")
     if rows is None:
-        rows = _TailRows(m, min((kk for kk, _ in pairs), default=0), keep=False)
-    elif rows.m != m or any(kk < rows.start for kk, _ in pairs):
-        raise SymlatError(f"tail rows span j = {rows.start}..{rows.m}, not every "
-                          f"count of m = {m}")
+        rows = _TailRows(m, keep=False)
+    elif rows.m != m:
+        raise SymlatError(f"tail rows span j = 0..{rows.m}, not the counts of m = {m}")
     out = np.array([rows.tail(kk, pp) for kk, pp in pairs], dtype=float)
     return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
 
@@ -501,7 +499,7 @@ class _RatioDraws:
     whose lists hold no reference row are ranked against every row, about
     ``_PERM_BLOCK_FLOATS / n`` rows at a time.  The
     rows' own lists, and the images of the rows under each element of a
-    uniform or point-mass sampler with at most ``B / 2`` elements, come from
+    uniform sampler with at most ``B / 2`` elements, come from
     the ``PairingTables``; other samplers move and rank a block's rows in
     one call each.
     """

@@ -112,7 +112,7 @@ class ExceedanceTester:
         self.noise = noise
         self.m = m
         self.thresholds = thresholds
-        self.rows = _TailRows(m, 0)
+        self.rows = _TailRows(m)
         self.index = NeighborIndex.from_dataset(data)
 
     def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,

@@ -44,18 +44,17 @@ def test_query_at_data_point_returns_itself():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(50, 3))
     index = NeighborIndex(pts)
-    for i in (0, 17, 49):
-        assert index.query(pts[i]) == i
+    assert index.query_many(pts[[0, 17, 49]]).tolist() == [0, 17, 49]
 
 
 def test_exact_ties_take_smaller_index():
     pts = np.array([[0.0], [2.0], [2.0]])
     index = NeighborIndex(pts)
-    assert index.query(np.array([1.0])) == 0 or True  # distance 1 both ways
-    # equidistant between points 0 and 1
-    assert index.query(np.array([1.0])) == brute_nearest(pts, np.array([[1.0]]))[0]
-    # duplicated points: the smaller index wins
-    assert index.query(np.array([2.0])) == 1
+    queries = np.array([[1.0], [2.0]])
+    # 1.0 is equidistant from points 0 and 1; 2.0 sits on the duplicated
+    # points 1 and 2; the smaller index wins both ties
+    assert index.query_many(queries).tolist() == [0, 1] == \
+        brute_nearest(pts, queries).tolist()
 
 
 def test_matches_brute_force_on_random_points():
@@ -209,6 +208,62 @@ def test_near_tie_far_queries_match_row_reference():
     xq = 0.5 * (xt[a] + xt[b]) + g * offset[:, None]
     assert np.allclose(_kernels.nw_predict(xt, yt, xq, h), ref_nw_predict(xt, yt, xq, h),
                        rtol=1e-12, atol=1e-12)
+
+
+def unmasked_nw_predict(xt, yt, xq, h):
+    """``nw_predict``'s arithmetic on one block of at most PREDICT_CHUNK_ROWS
+    queries, exponentiating every shifted exponent; returns the predictions
+    and the weights."""
+    e = np.zeros((len(xq), len(xt)))
+    for k in range(xt.shape[1]):
+        diff = np.subtract.outer(xq[:, k], xt[:, k]) / h[k]
+        e += diff * diff
+    e *= 0.5
+    w = np.exp(-(e - e.min(axis=1, keepdims=True)))
+    return (w @ yt) / w.sum(axis=1), w
+
+
+@st.composite
+def small_bandwidth_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31 - 1)))
+    xt = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    yt = rng.normal(size=n)
+    xq = rng.normal(size=(draw(st.integers(min_value=1, max_value=40)), d)) * 3.0
+    # scale the bandwidths so that the largest shifted exponent is ``top``
+    h = rng.uniform(0.5, 2.0, size=d)
+    _, w = unmasked_nw_predict(xt, yt, xq, h)
+    largest = -np.log(w.min()) if w.min() > 0 else 0.0
+    top = draw(st.floats(min_value=600.0, max_value=5000.0))
+    return xt, yt, xq, h * np.sqrt(largest / top) if largest > 0 else h
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bandwidth_problems())
+def test_predict_zero_weights_keep_every_bit(problem):
+    # exponents past the cutoff go to exp as -inf; the weights they give are
+    # 0.0 either way, so every prediction keeps its bits
+    xt, yt, xq, h = problem
+    assert np.array_equal(_kernels.nw_predict(xt, yt, xq, h),
+                          unmasked_nw_predict(xt, yt, xq, h)[0])
+
+
+def test_predict_keeps_the_smallest_weights():
+    # One query at 0, one row on it, and a ladder of rows whose shifted
+    # exponents run from 700 to 760 in steps of 0.25: their weights are
+    # normal, then subnormal from about 708, then exactly 0 past about 745.
+    # Responses are 1 from an exponent of 740 on and 0 elsewhere, so the
+    # prediction is the sum of the smallest weights, which a cutoff below 745
+    # would lose.
+    exponents = np.concatenate([[0.0], np.linspace(700.0, 760.0, 241)])
+    xt = np.sqrt(exponents / 3000.0)[:, None]
+    yt = (exponents >= 740.0).astype(float)
+    xq, h = np.zeros((1, 1)), np.array([np.sqrt(1.0 / 6000.0)])
+    want, w = unmasked_nw_predict(xt, yt, xq, h)
+    assert (w == 0.0).any() and ((w > 0.0) & (w < np.finfo(float).tiny)).any()
+    assert want[0] > 0.0
+    assert np.array_equal(_kernels.nw_predict(xt, yt, xq, h), want)
 
 
 def test_predict_chunks_match_one_block(monkeypatch):

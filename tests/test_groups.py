@@ -40,13 +40,10 @@ from symlat.groups import (
     cyclic_table,
     default_sl3_generators,
     direct_product_table,
-    elements_equal,
     elements_of,
     inverse,
     non_identity_sampler,
     planar_rotation_matrix,
-    point_mass_sampler,
-    sample,
     sample_elements,
     uniform_sampler,
 )
@@ -234,6 +231,15 @@ def test_permutation_action_rejects_matrix_draws_on_every_path():
             apply_to_rows(action, batch[0], rows)
 
 
+def test_foreign_finite_element_is_named_in_the_error():
+    # an element of another Cayley table has no realisation under either
+    # action kind, and the error names it by its label
+    stranger = FiniteElement(cyclic_table(4), 1)
+    for action in (cyclic_chain_lattice([1, 2, 4]).action, d4_pixel_lattice(3).action):
+        with pytest.raises(IncompatibleElementsError, match=r"FiniteElement\('r1'\)"):
+            apply_to_rows(action, stranger, np.zeros((2, action.dim)))
+
+
 def test_half_turn_action_is_square_of_rotation_action():
     # the alternative action realises g as the square of its rotation matrix
     rotation, half_turn, _ = quarter_turn_actions(4)
@@ -377,11 +383,18 @@ def test_planar_angle_membership_uses_realisation():
 # samplers
 # ---------------------------------------------------------------------------
 
-def test_point_mass_sampler():
-    g = d4_elem("r180")
-    rng = np.random.default_rng(0)
-    draws = sample_elements(point_mass_sampler(g), rng, 50)
-    assert all(d.index == g.index for d in draws)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), m=st.integers(0, 300),
+       finite=st.booleans())
+def test_point_mass_sampler(seed, m, finite):
+    # a point mass is a uniform sampler over one element: it draws that
+    # element every time and leaves the random stream where it was
+    g = d4_elem("r180") if finite else default_sl3_generators()[2]
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    draws = sample_elements(uniform_sampler([g]), rng, m)
+    assert len(draws) == m and all(d is g for d in draws)
+    assert rng.bit_generator.state == before
 
 
 def test_uniform_sampler_frequencies():
@@ -431,7 +444,7 @@ def test_sampler_validation():
         SamplerSpec("uniform", elements=())
     with pytest.raises(InvalidGroupError):
         SamplerSpec("gaussian-angle", axis=np.array([0.0, 0.0, 1.0]), std=0.0)
-    with pytest.raises(InvalidGroupError):
+    with pytest.raises(InvalidGroupError, match="unknown sampler kind"):
         SamplerSpec("point-mass")
     with pytest.raises(InvalidGroupError, match="needs an axis"):
         SamplerSpec("haar-circle")
@@ -450,9 +463,9 @@ def test_sampler_validation():
 
 def test_single_sample_matches_stream_head():
     spec = SamplerSpec("haar-so3")
-    one = sample(spec, np.random.default_rng(9))
+    one = sample_elements(spec, np.random.default_rng(9), 1)[0]
     first = sample_elements(spec, np.random.default_rng(9), 3)[0]
-    assert elements_equal(one, first, tol=0.0)
+    assert np.array_equal(one.matrix, first.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +482,7 @@ def _batch_cases():
         "uniform-planar": (chain.action, non_identity_sampler(chain.node(chain.top).group)),
         "uniform-permutation": (pixels.action,
                                 non_identity_sampler(pixels.node(pixels.top).group)),
-        "point-mass": (d4.action, point_mass_sampler(FiniteElement(d4.action.group.table, 2))),
+        "point-mass": (d4.action, uniform_sampler([FiniteElement(d4.action.group.table, 2)])),
         "haar-circle-axis": (sl3.action, SamplerSpec("haar-circle", axis=axis)),
         "gaussian-angle": (sl3.action, SamplerSpec("gaussian-angle", axis=axis, std=0.7)),
         "haar-so3": (sl3.action, SamplerSpec("haar-so3")),
@@ -496,6 +509,12 @@ def test_element_batch_matches_scalar_reference(case, seed, m):
         assert np.max(np.abs(moved[k:k + 1] - want)) <= 1e-12
 
 
+def _same_element(a, b):
+    if isinstance(a, FiniteElement):
+        return isinstance(b, FiniteElement) and a.table is b.table and a.index == b.index
+    return isinstance(b, MatrixElement) and np.array_equal(a.matrix, b.matrix)
+
+
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -509,15 +528,15 @@ def test_joined_batches_keep_every_draw_and_bit(case, seed, sizes):
     joined = ElementBatch.concat(batches)
     assert len(joined) == sum(sizes)
     drawn = [g for batch in batches for g in batch]
-    assert all(elements_equal(a, b, tol=0.0) for a, b in zip(joined, drawn))
+    assert all(_same_element(a, b) for a, b in zip(joined, drawn))
     rows = np.random.default_rng(seed + 1).normal(size=(len(joined), action.dim))
     if len(joined):
         parts = np.split(rows, np.cumsum(sizes)[:-1])
         want = np.concatenate([apply_elements(action, b, r) for b, r in zip(batches, parts)])
         assert np.array_equal(apply_elements(action, joined, rows), want)
     with pytest.raises(InvalidGroupError):
-        ElementBatch.concat([batches[0], sample_elements(point_mass_sampler(
-            FiniteElement(cyclic_table(2), 1)), rng, 1)])
+        ElementBatch.concat([batches[0], sample_elements(uniform_sampler(
+            [FiniteElement(cyclic_table(2), 1)]), rng, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,8 @@ def test_add_top():
     from symlat.groups import ACTION_MATRIX, GroupAction
     action = GroupAction(GroupDescriptor("so3", "SO3"), 3, ACTION_MATRIX)
     single = Lattice([SubgroupNode(0, trivial,
-                                   sampler=SamplerSpec("point-mass",
-                                                       element=trivial.identity_element()))],
+                                   sampler=SamplerSpec("uniform",
+                                                       elements=(trivial.identity_element(),)))],
                      np.eye(1, dtype=bool), action)
     two = add_top(single, GroupDescriptor("so3", "SO3"))
     assert len(two) == 2 and two.top != two.bottom
