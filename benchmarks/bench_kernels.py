@@ -5,7 +5,8 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
 ``nw_predict`` is timed at two bandwidth vectors, half and a twentieth of the
 feature scales; at the smaller one many weights underflow to subnormal numbers
-or to 0.  ``loo_cv_sse`` is timed for one whole bandwidth grid, the work of
+or to 0, as about a quarter of them do at the bandwidths that the
+``estimator-compare`` workload selects.  ``loo_cv_sse`` is timed for one whole bandwidth grid, the work of
 one ``select_bandwidth`` call.  The first three sizes draw normal features
 and responses with unit scales.  The last three are the fits of one
 ``estimator-compare`` workload op, on its scenario 1 data (n = 600) with

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import fsum
 from typing import Callable, Sequence
 
@@ -76,40 +75,45 @@ class _TailRows:
     A row is built only where it can be read again: ``keep=False`` (rows
     made for one call) builds none, and a log-space tail past the mode
     ``(m + 1) p`` is computed from its own slice, as it would be from a row.
+    The coefficients are built from ``j = m`` down, only as far as the
+    lowest count read, so a call whose counts lie near ``m`` builds few.
     """
 
     def __init__(self, m: int, keep: bool = True):
         self.m, self.keep = m, keep
         self._rows: dict[float, list | tuple] = {}
+        # coefficients from j = m down to the lowest count read so far
+        self._top, self._low_comb, self._top_logs = [1.0], 1, np.empty(0)
 
-    @cached_property
-    def _log_coeffs(self) -> np.ndarray:
-        js = np.arange(self.m + 1, dtype=np.float64)
-        m = self.m
-        return gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+    def _coeffs(self, k: int) -> list[float]:
+        # float(comb(m, j)) for j = k..m from exact integers, rounded as
+        # comb(m, j) * p ** j rounds the int
+        m, c = self.m, self._low_comb
+        for j in range(m - len(self._top), k - 1, -1):
+            c = c * (j + 1) // (m - j)
+            self._top.append(float(c))
+        self._low_comb = c
+        return self._top[m - k::-1]
 
-    @cached_property
-    def _coeffs(self) -> list[float]:
-        # float(comb(m, j)) from exact integers, rounded as comb(m, j) * p ** j
-        # rounds the int
-        coeffs = []
-        c = 1
-        for j in range(self.m + 1):
-            coeffs.append(float(c))
-            c = c * (self.m - j) // (j + 1)
-        return coeffs
+    def _log_coeffs(self, k: int) -> np.ndarray:
+        m, low = self.m, self.m + 1 - self._top_logs.size
+        if k < low:
+            js = np.arange(k, low, dtype=np.float64)
+            logs = gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
+            self._top_logs = np.concatenate((logs, self._top_logs))
+        return self._top_logs[k - m - 1:]
 
     def _terms(self, k: int, p: float) -> list[float]:
         """The exact terms for ``j = k..m``."""
         m = self.m
         return [c * p ** j * (1.0 - p) ** (m - j)
-                for j, c in enumerate(self._coeffs[k:], k)]
+                for j, c in enumerate(self._coeffs(k), k)]
 
     def _logs(self, k: int, p: float) -> np.ndarray:
         """The log terms for ``j = k..m``."""
         m = self.m
         js = np.arange(k, m + 1, dtype=np.float64)
-        return (self._log_coeffs[k:] + js * math.log(p)
+        return (self._log_coeffs(k) + js * math.log(p)
                 + (m - js) * math.log1p(-p))
 
     def _shifted_row(self, p: float) -> tuple:
@@ -153,7 +157,8 @@ def binom_tail(m: int, k, p, rows: _TailRows | None = None):
     that earlier calls built, as an ``ExceedanceTester`` does for the fixed
     ``m`` and threshold probabilities of its tests, at ``T + 1`` rows of
     ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` nothing is
-    kept: each tail sums its own slice of the coefficient row.
+    kept: each tail sums its own slice, and coefficients are built down to
+    the call's smallest ``k`` only.
     """
     ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
     if ks.dtype.kind not in "iu":

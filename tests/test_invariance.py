@@ -224,6 +224,17 @@ def test_tail_rows_are_kept_only_where_they_can_be_read_again():
     assert once._rows == {}
 
 
+def test_tail_coefficients_are_built_only_down_to_the_counts_read():
+    # a tail near m builds the coefficients of its own slice, exact or
+    # gammaln; a lower count extends them, and every read keeps its bits
+    for m, p in ((300, 0.3), (2000, 0.07)):
+        rows = invariance._TailRows(m, keep=False)
+        assert binom_tail(m, m - 50, p, rows) == reference_binom_tail(m, m - 50, p)
+        assert max(len(rows._top), rows._top_logs.size) == 51
+        for k in (3, m - 50, m):
+            assert binom_tail(m, k, p, rows) == reference_binom_tail(m, k, p)
+
+
 def test_tail_rows_reject_counts_outside_their_span():
     rows = invariance._TailRows(50)
     with pytest.raises(SymlatError, match="span"):
