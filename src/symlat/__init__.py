@@ -29,7 +29,6 @@ from .lattice import Lattice, SubgroupNode, add_top
 from .projections import ProjectionMap
 from .regression import (
     KernelRegressor,
-    feature_average,
     fit_lce,
     mspe,
     project_dataset,

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import traceback
 from pathlib import Path
@@ -60,12 +61,9 @@ def main(argv=None) -> int:
         if cfg.kind != args.command:
             raise ConfigError(f"config kind {cfg.kind!r} does not match "
                               f"subcommand {args.command!r}")
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        if args.format is not None:
-            cfg.fmt = args.format
+        # replace() reruns the config's checks on the overridden values
+        overrides = {"seed": args.seed, "jobs": args.jobs, "fmt": args.format}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out)
         try:
             paths = run_experiment(cfg, out_dir)

@@ -110,6 +110,10 @@ class DataSettings:
     response: str = "y"
     n: int = 200
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ConfigError(f"[data] n: {self.n} is not >= 2")
+
 
 @dataclass
 class ExperimentConfig:
@@ -132,6 +136,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"[experiment] seed: {self.seed} is not >= 0")
+        if self.jobs < 1:
+            raise ConfigError(f"[experiment] jobs: {self.jobs} is not >= 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.test_size is not None and self.test_size < 1:

@@ -5,8 +5,8 @@ unique bottom (the trivial group) and top (the search group), precomputed
 meet/join tables, the cover relation (Hasse diagram), and height levels by
 longest chain from the bottom.  Finite-group order relations are computed
 from member sets; continuous relations are declared by the builders.  The
-builders and the lattice loader make every node with :func:`standard_node`,
-which attaches its kind's sampler and projection map.
+builders make every node with :func:`standard_node`, which attaches its
+kind's sampler and projection map.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ import numpy as np
 from . import _kernels
 from .data import RegressionDataset
 from .errors import SymlatError
-from .groups import GroupAction, apply_to_rows, elements_of
 from .lattice import Lattice
 from .projections import ProjectionMap
 from .search import SearchConfig, SearchResult, run_search
@@ -104,9 +103,7 @@ def project_dataset(data: RegressionDataset, pmap: ProjectionMap) -> RegressionD
 
 def mspe(predictor, test_data: RegressionDataset) -> float:
     """Mean squared prediction error on held-out rows."""
-    preds = predictor.predict(test_data.X) if hasattr(predictor, "predict") \
-        else predictor(test_data.X)
-    resid = np.asarray(preds, dtype=float) - test_data.Y
+    resid = np.asarray(predictor.predict(test_data.X), dtype=float) - test_data.Y
     return float(resid @ resid / test_data.n)
 
 
@@ -156,31 +153,4 @@ def symmetrized_estimator(data: RegressionDataset, lattice: Lattice, tester_fact
     return SymmetrizedRegressor(lattice=lattice, search_result=result,
                                 node_id=node.node_id, projection=node.projection,
                                 regressor=regressor)
-
-
-@dataclass(frozen=True, eq=False)
-class AveragedPredictor:
-    """Average of a base predictor over a finite group's action (exactly
-    invariant by construction, and a no-op on already invariant predictors)."""
-
-    base: object
-    action: GroupAction
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=float)
-        elements = elements_of(self.action.group)
-        total = np.zeros(queries.shape[0])
-        for g in elements:
-            moved = apply_to_rows(self.action, g, queries)
-            preds = self.base.predict(moved) if hasattr(self.base, "predict") \
-                else self.base(moved)
-            total += np.asarray(preds, dtype=float)
-        return total / len(elements)
-
-
-def feature_average(base, action: GroupAction) -> AveragedPredictor:
-    """Orbit-average a predictor over a finite group (continuous groups would
-    need quadrature and are rejected)."""
-    elements_of(action.group)  # raises NotFiniteError for continuous groups
-    return AveragedPredictor(base=base, action=action)
 

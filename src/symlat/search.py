@@ -101,9 +101,11 @@ def _tie_rng(seed: int) -> np.random.Generator:
 
 
 class ExceedanceTester:
-    """Known-bound exceedance test bound to one dataset, whose binomial term
-    rows serve every test of a search.  The rows are built by the tests'
-    ``binom_tail`` calls, one per threshold probability on first use."""
+    """Known-bound exceedance test bound to one dataset, whose threshold grid
+    and binomial term rows serve every test of a search.  ``thresholds=None``
+    takes the noise model's default grid, built here once.  The rows are
+    built by the tests' ``binom_tail`` calls, one per threshold probability
+    on first use."""
 
     def __init__(self, data: RegressionDataset, bound: VariationBound,
                  noise: NoiseModel, m: int, thresholds=None):
@@ -111,7 +113,7 @@ class ExceedanceTester:
         self.bound = bound
         self.noise = noise
         self.m = m
-        self.thresholds = thresholds
+        self.thresholds = noise.default_thresholds() if thresholds is None else thresholds
         self.rows = _TailRows(m)
         self.index = NeighborIndex.from_dataset(data)
 

@@ -6,24 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlat.builders import (
-    c2xc2_lattice,
-    cyclic_chain_lattice,
-    d4_lattice,
-    sl3_extended_lattice,
-    so3_axes_lattice,
-    icosahedral_axes,
-)
 from symlat.cli import main as cli_main
 from symlat.config import build_lattice, load_config
-from symlat.data import RegressionDataset
-from symlat.errors import ConfigError, DataError, InvalidGroupError, SymlatError
+from symlat.errors import ConfigError, DataError
 from symlat.experiments import plot_group_recovery, plot_power_curve, run_experiment
 from symlat.ingest import ingest_csv, ingest_idx
-from symlat.invariance import gaussian_noise, known_bound
 from symlat.scenarios import make_scenario
-from symlat.search import ExceedanceTester, SearchConfig, run_search
-from symlat.serialize import dumps_group, dumps_lattice, loads_group, loads_lattice
 
 MINI_POWER = """
 [experiment]
@@ -152,6 +140,18 @@ def test_config_errors(tmp_path):
     # configparser lowercases keys, so upper-case spellings of known keys load
     cfg = load_config(_write(tmp_path, "b.ini", base + "[test]\nB = 10\n"))
     assert cfg.test.B == 10
+    # values that would fail only once the experiment runs, or that it would
+    # quietly replace, fail at load and name the key
+    for extra, named in (("seed = -1\n", "[experiment] seed: -1 is not >= 0"),
+                         ("jobs = 0\n", "[experiment] jobs: 0 is not >= 1"),
+                         ("jobs = -4\n", "[experiment] jobs: -4 is not >= 1"),
+                         ("[data]\nn = -5\n", "[data] n: -5 is not >= 2"),
+                         ("[data]\nn = 1\n", "[data] n: 1 is not >= 2")):
+        with pytest.raises(ConfigError) as err:
+            load_config(_write(tmp_path, "v.ini", base + extra))
+        assert named in str(err.value)
+    cfg = load_config(_write(tmp_path, "v.ini", base + "seed = 0\njobs = 1\n[data]\nn = 2\n"))
+    assert (cfg.seed, cfg.jobs, cfg.data.n) == (0, 1, 2)
 
 
 def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
@@ -501,118 +501,6 @@ def test_ingest_idx_errors(tmp_path):
     assert "magic" in str(err.value)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_group_serialization_round_trip():
-    lat = d4_lattice()
-    for node in lat.nodes:
-        text = dumps_group(node.group)
-        again = loads_group(text)
-        assert dumps_group(again) == text
-        assert again.kind == node.group.kind
-        if node.group.is_finite:
-            assert again.members == node.group.members
-    s1 = so3_axes_lattice(icosahedral_axes()).node_by_label("S1_u1").group
-    text = dumps_group(s1)
-    again = loads_group(text)
-    assert dumps_group(again) == text
-    assert np.array_equal(again.axis, s1.axis)
-    sl3 = sl3_extended_lattice()
-    for label in ("SO3", "SL3"):
-        text = dumps_group(sl3.node_by_label(label).group)
-        assert text == f"symlat-group v1\nlabel {label}\nkind {label.lower()}\nend\n"
-        assert dumps_group(loads_group(text)) == text
-
-
-def test_lattice_serialization_round_trip():
-    from symlat.builders import d4_pixel_lattice
-    for lat in (d4_lattice(), cyclic_chain_lattice([1, 2, 4]), c2xc2_lattice(),
-                so3_axes_lattice(icosahedral_axes()), sl3_extended_lattice(),
-                d4_pixel_lattice(3)):
-        text = dumps_lattice(lat)
-        again = loads_lattice(text)
-        assert dumps_lattice(again) == text
-        assert len(again) == len(lat)
-        assert np.array_equal(again.leq, lat.leq)
-        assert [n.label for n in again.nodes] == [n.label for n in lat.nodes]
-        for a, b in zip(again.nodes, lat.nodes):
-            assert a.group.kind == b.group.kind
-            assert a.sampler.kind == b.sampler.kind
-            assert a.projection.kind == b.projection.kind
-            if b.group.is_finite:
-                assert a.group.members == b.group.members
-
-        # the reattached samplers draw what the built ones draw
-        rng = np.random.default_rng(12)
-        X = rng.normal(size=(60, lat.action.dim))
-        Y = np.linalg.norm(X, axis=1) + 0.3 * X[:, 0] + 0.1 * rng.normal(size=60)
-        tester = ExceedanceTester(RegressionDataset(X, Y), known_bound(1.0),
-                                  gaussian_noise(0.1), m=60)
-        config = SearchConfig(seed=21)
-        built = run_search(lat, tester, config)
-        loaded = run_search(again, tester, config)
-        assert (built.estimate, built.statuses) == (loaded.estimate, loaded.statuses)
-        assert {k: o.p_value for k, o in built.outcomes.items()} == \
-            {k: o.p_value for k, o in loaded.outcomes.items()}
-
-
-def test_lattice_loader_rejects_fact_lines():
-    text = dumps_lattice(so3_axes_lattice(icosahedral_axes()))
-    assert "\nfact " not in text
-    with pytest.raises(SymlatError, match="unknown lattice line 'fact 7 1 2'"):
-        loads_lattice(text.replace("\nend\n", "\nfact 7 1 2\nend\n"))
-
-
-def test_lattice_loader_rejects_an_unknown_action_kind():
-    text = dumps_lattice(d4_lattice())
-    assert "\naction matrix\n" in text
-    with pytest.raises(InvalidGroupError, match="unknown action kind 'bogus'"):
-        loads_lattice(text.replace("\naction matrix\n", "\naction bogus\n"))
-
-
-def _chain_text(old, new):
-    """The I < C2 < C4 chain's lattice text with line ``old`` replaced by ``new``."""
-    text = dumps_lattice(cyclic_chain_lattice([1, 2, 4]))
-    assert f"\n{old}\n" in text
-    return text.replace(f"\n{old}\n", f"\n{new}\n")
-
-
-PLANE_GROUP = "symlat-group v1\nlabel P\nkind s1-plane\nplane 0 1\nend\n"
-AXES_TEXT = dumps_lattice(so3_axes_lattice(icosahedral_axes()))
-
-
-@pytest.mark.parametrize("load, old, new, quoted", [
-    (loads_lattice, "node 2 C4 finite 0,1,2,3", "node 9 C4 finite 0,1,2,3",
-     "'node 9 C4 finite 0,1,2,3'"),
-    (loads_lattice, "node 2 C4 finite 0,1,2,3", "node 1 C4 finite 0,1,2,3",
-     "'node 1 C4 finite 0,1,2,3'"),
-    (loads_lattice, "cover 1 2", "cover 1 7", "'cover 1 7'"),
-    (loads_lattice, "cover 0 1", "cover -1 2", "'cover -1 2'"),
-    (loads_lattice, "cover 1 2", "cover 1 x", "'cover 1 x'"),
-    (loads_lattice, "cover 1 2", "cover 1", "'cover 1'"),
-    (loads_lattice, "dim 2", "dim x", "'dim x'"),
-    (loads_lattice, "node 1 C2 finite 0,2", "node 1 C2 finite 0,9", "member index 9"),
-    (loads_group, None, PLANE_GROUP, "'plane 0 1'"),
-    (loads_group, None, PLANE_GROUP.replace("plane 0 1\n", ""), "'s1-plane'"),
-    (loads_lattice, None, AXES_TEXT.replace("\nnode 7 SO3 so3\n", "\nnode 7 SO3 so3 0.1 junk\n"),
-     "'node 7 SO3 so3 0.1 junk'"),
-    (loads_lattice, "action matrix", "action planar", "'planar'"),
-    (loads_lattice, "action matrix", "action trivial", "'trivial'"),
-    (loads_lattice, "action matrix", "action matrix\nplane 0 1", "'plane 0 1'"),
-    (loads_lattice, "action matrix", "action matrix\nangles 0.0 3.14", "'angles 0.0 3.14'"),
-], ids=["node-9", "duplicate-node", "cover-past-end", "cover-negative",
-        "cover-not-a-number", "cover-one-id", "dim-not-a-number", "member-past-end",
-        "plane-group", "plane-kind", "so3-payload", "planar-action", "trivial-action",
-        "plane-line", "angles-line"])
-def test_loaders_reject_bad_ids_numbers_and_kinds(load, old, new, quoted):
-    text = new if old is None else _chain_text(old, new)
-    with pytest.raises(SymlatError) as err:
-        load(text)
-    assert quoted in str(err.value)
-
-
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 
@@ -626,7 +514,7 @@ def test_shipped_configs_load_and_build(path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_runs_and_exit_codes(tmp_path):
+def test_cli_runs_and_exit_codes(tmp_path, capsys):
     cfg_path = _write(tmp_path, "p.ini", MINI_POWER)
     out = tmp_path / "cli_out"
     assert cli_main(["power-curve", "--config", str(cfg_path),
@@ -636,6 +524,21 @@ def test_cli_runs_and_exit_codes(tmp_path):
     assert cli_main(["power-curve", "--config", str(tmp_path / "nope.ini")]) == 1
     bad = _write(tmp_path, "bad.ini", "[experiment]\nkind = group-recovery\n")
     assert cli_main(["power-curve", "--config", str(bad)]) == 1
+    # a negative seed, fewer than one job or fewer than two data rows -> 1,
+    # naming the key, whether the file or the command line sets it
+    neg = _write(tmp_path, "neg.ini", MINI_POWER.replace("seed = 77", "seed = -1"))
+    rows = _write(tmp_path, "rows.ini", "[experiment]\nkind = search\n[data]\nn = -5\n")
+    capsys.readouterr()
+    for kind, config, flags, named in (
+            ("power-curve", neg, [], "[experiment] seed: -1 is not >= 0"),
+            ("power-curve", cfg_path, ["--seed", "-3"], "[experiment] seed: -3 is not >= 0"),
+            ("power-curve", cfg_path, ["--jobs", "-4"], "[experiment] jobs: -4 is not >= 1"),
+            ("power-curve", cfg_path, ["--jobs", "0"], "[experiment] jobs: 0 is not >= 1"),
+            ("search", rows, [], "[data] n: -5 is not >= 2")):
+        assert cli_main([kind, "--config", str(config),
+                         "--out", str(tmp_path / "rejected")] + flags) == 1
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
     # data errors -> 2
     missing_csv = tmp_path / "missing.csv"
     assert cli_main(["ingest-check", str(missing_csv), "--format", "csv"]) == 2

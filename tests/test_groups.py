@@ -29,6 +29,7 @@ from symlat.groups import (
     CayleyTable,
     ElementBatch,
     FiniteElement,
+    GroupAction,
     GroupDescriptor,
     MatrixElement,
     SamplerSpec,
@@ -200,6 +201,13 @@ def test_element_validation():
         MatrixElement(np.ones((2, 3)))                   # not square
     with pytest.raises(InvalidGroupError):
         FiniteElement(cyclic_table(3), 3)                # index outside the table
+    # descriptors and actions take only the kinds the library realises
+    with pytest.raises(InvalidGroupError, match="unknown group kind 's1-plane'"):
+        GroupDescriptor("s1-plane", "P")
+    c2 = GroupDescriptor("finite", "C2", table=cyclic_table(2))
+    for kind in ("bogus", "planar", "trivial"):
+        with pytest.raises(InvalidGroupError, match=f"unknown action kind '{kind}'"):
+            GroupAction(c2, 2, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,9 @@ def test_invalid_orders_rejected():
                          [False, True, True]])
     with pytest.raises(LatticeError):
         Lattice(nodes, leq_full, nodes_action.action)
+    # a cyclic cover list orders two distinct nodes both ways
+    with pytest.raises(LatticeError, match="leq must be antisymmetric"):
+        Lattice(nodes, order_from_covers(3, [(0, 1), (1, 2), (2, 1)]), nodes_action.action)
 
 
 def test_order_from_covers_closes_long_chains():

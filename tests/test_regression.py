@@ -10,7 +10,7 @@ from symlat.builders import (
     sl3_extended_lattice,
 )
 from symlat.data import RegressionDataset
-from symlat.errors import NotFiniteError, SymlatError
+from symlat.errors import SymlatError
 from symlat.groups import (
     ACTION_MATRIX,
     GroupAction,
@@ -28,14 +28,13 @@ from symlat.projections import (
     radial_projection,
 )
 from symlat.regression import (
-    feature_average,
     fit_lce,
     mspe,
     project_dataset,
     select_bandwidth,
     symmetrized_estimator,
 )
-from symlat.scenarios import make_scenario, quarter_turn_actions
+from symlat.scenarios import make_scenario
 from symlat.search import ExceedanceTester, OracleTester, SearchConfig
 
 
@@ -233,46 +232,8 @@ def test_symmetrised_beats_plain_on_radial_scenario():
 
 
 # ---------------------------------------------------------------------------
-# feature averaging and MSPE
+# MSPE
 # ---------------------------------------------------------------------------
-
-def test_feature_average_invariance():
-    rotation, _, _ = quarter_turn_actions(2)
-    scen = make_scenario("fd-rotation", 2)
-    data = scen.sample_train(np.random.default_rng(1), 50)
-    reg = fit_lce(data, bandwidth=0.8)
-    avg = feature_average(reg, rotation)
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(20, 2))
-    base = avg.predict(X)
-    from symlat.groups import FiniteElement
-    for i in range(4):
-        g = FiniteElement(rotation.group.table, i)
-        moved = apply_to_rows(rotation, g, X)
-        assert np.max(np.abs(avg.predict(moved) - base)) <= 1e-12
-    # averaging an already invariant predictor changes nothing
-    again = feature_average(avg, rotation)
-    assert np.allclose(again.predict(X), base, atol=1e-12)
-
-
-def test_feature_average_trivial_group_is_identity():
-    from symlat.groups import cyclic_table
-    table = cyclic_table(1, ["e"])
-    group = GroupDescriptor("finite", "I", table=table)
-    action = GroupAction(group, 2, ACTION_MATRIX)
-    data = RegressionDataset(np.random.default_rng(0).normal(size=(20, 2)),
-                             np.arange(20.0))
-    reg = fit_lce(data, bandwidth=1.0)
-    avg = feature_average(reg, action)
-    X = np.random.default_rng(1).normal(size=(10, 2))
-    assert np.array_equal(avg.predict(X), reg.predict(X))
-
-
-def test_feature_average_rejects_continuous_groups():
-    action = GroupAction(GroupDescriptor("so3", "SO3"), 3, ACTION_MATRIX)
-    with pytest.raises(NotFiniteError):
-        feature_average(lambda X: np.zeros(len(X)), action)
-
 
 def test_mspe_identities():
     X = np.arange(10.0)[:, None]

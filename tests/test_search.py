@@ -22,7 +22,7 @@ from symlat.data import RegressionDataset
 from symlat.errors import SymlatError
 from symlat.groups import (ACTION_MATRIX, GroupAction, GroupDescriptor, cyclic_table,
                            direct_product_table)
-from symlat.invariance import gaussian_noise, known_bound, order_bound
+from symlat.invariance import NoiseModel, gaussian_noise, known_bound, order_bound
 from symlat.scenarios import make_scenario
 from symlat.search import (
     ACCEPTED,
@@ -459,6 +459,38 @@ def test_d4_search_with_real_tester_runs():
     for node in lat.nodes:
         out, valid = node.projection.apply(X)
         assert valid.all() and out.shape == (10, 2)
+
+
+def test_default_threshold_grid_is_built_once_per_tester(monkeypatch):
+    # the README quickstart's search: no grid given, several nodes tested
+    rng = np.random.default_rng(0)
+    X = rng.normal(0, np.sqrt(2), size=(200, 3))
+    data = RegressionDataset(X, np.sin(-np.linalg.norm(X, axis=1))
+                             + rng.normal(0, 0.01, size=200))
+    noise, lattice, config = gaussian_noise(0.01), sl3_extended_lattice(), SearchConfig(seed=1)
+    built = []
+    default_thresholds = NoiseModel.default_thresholds
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return default_thresholds(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseModel, "default_thresholds", counted)
+    result = run_search(lattice, ExceedanceTester(data, known_bound(1.0), noise, m=200), config)
+    assert result.tests_performed > 1
+    assert built == [noise]
+    monkeypatch.undo()
+
+    given = ExceedanceTester(data, known_bound(1.0), noise, m=200,
+                             thresholds=noise.default_thresholds())
+    again = run_search(lattice, given, config)
+    assert (again.estimate, again.statuses) == (result.estimate, result.statuses)
+    assert result.outcomes.keys() == again.outcomes.keys()
+    for key, outcome in result.outcomes.items():
+        other = again.outcomes[key]
+        assert outcome.p_value == other.p_value
+        assert np.array_equal(outcome.thresholds, other.thresholds)
+        assert np.array_equal(outcome.exceed_counts, other.exceed_counts)
 
 
 def test_d4_pixel_lattice_search():

@@ -2,13 +2,16 @@
 are config texts; a rename or a config key that stops parsing must fail here."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from symlat.config import load_config
 from symlat.experiments import run_experiment
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -61,3 +64,17 @@ def test_every_traced_layer_is_reached(tmp_path):
         counts = tracer.metrics()
         for counter in REACHED[name]:
             assert counts[counter] > 0, f"{name}: {counter} reads 0"
+
+
+def test_the_cli_reaches_every_module():
+    # a module that the command line never imports is reached by nothing
+    # but its own tests
+    src = ROOT / "src"
+    probe = "import sys, symlat.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    modules = {f"symlat.{p.stem}" for p in (src / "symlat").glob("*.py") if p.stem != "__init__"}
+    assert modules
+    assert modules <= loaded, sorted(modules - loaded)
