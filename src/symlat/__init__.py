@@ -22,7 +22,6 @@ from .invariance import (
     gaussian_noise,
     known_bound,
     order_bound,
-    quantile,
     ratio_permutation_test,
 )
 from .lattice import Lattice, SubgroupNode, add_top

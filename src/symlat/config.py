@@ -105,7 +105,6 @@ class SearchSettings:
 class DataSettings:
     source: str = "scenario"
     path: str = ""
-    images: str = ""
     labels: str = ""
     response: str = "y"
     n: int = 200
@@ -222,8 +221,8 @@ _KEYS = {
                 "axes": _axes, "angle_std": float},
     "search": {"algorithm": str, "tie_rule": str, "test": str, "batch": _bool,
                "oracle_reject": _words},
-    "data": {"source": str, "path": str, "images": str, "labels": str,
-             "response": str, "n": int},
+    "data": {"source": str, "path": str, "labels": str, "response": str,
+             "n": int},
 }
 
 # Keys whose dataclass field has another name.

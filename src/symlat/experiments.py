@@ -316,7 +316,7 @@ def run_single_search(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
         data = scenario.sample_train(rng, cfg.data.n)
         sigma = _noise_sigma(cfg, scenario)
     elif cfg.data.source in ("csv", "idx"):
-        data = ingest(cfg.data.path or cfg.data.images, cfg.data.source,
+        data = ingest(cfg.data.path, cfg.data.source,
                       labels=cfg.data.labels or None, response=cfg.data.response)
         sigma = cfg.test.noise_sigma if cfg.test.noise_sigma is not None else 0.0
     else:

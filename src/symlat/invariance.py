@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -213,48 +213,34 @@ def quantile(values: Sequence[float], q: float) -> float:
 
 KNOWN = "known"
 ORDER_ONLY = "order-only"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
 class VariationBound:
-    """Bound on |f(x) - f(y)| over the assumed function class.
+    """Bound ``L * ||x - y||^alpha`` on |f(x) - f(y)| over the assumed
+    function class.
 
-    ``known``: L * ||x - y||^alpha with known scale L.  ``order-only``: the
-    same shape with unknown scale (usable by the permutation test, where
-    constants cancel).  ``custom``: caller-supplied symmetric non-negative
-    row-wise function.
+    ``known``: the scale L is known.  ``order-only``: the scale is unknown and
+    held at 1 (usable by the permutation test, where constants cancel).
     """
 
     kind: str
     scale: float = 1.0
     exponent: float = 1.0
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in (KNOWN, ORDER_ONLY, CUSTOM):
+        if self.kind not in (KNOWN, ORDER_ONLY):
             raise SymlatError(f"unknown bound kind {self.kind!r}")
         if self.kind == KNOWN and not self.scale > 0:
             raise SymlatError("known bound needs scale > 0")
-        if self.kind in (KNOWN, ORDER_ONLY) and not 0.0 < self.exponent <= 1.0:
+        if self.kind == ORDER_ONLY and self.scale != 1.0:
+            raise SymlatError("an order-only bound has scale 1")
+        if not 0.0 < self.exponent <= 1.0:
             raise SymlatError("bound exponent must lie in (0, 1]")
-        if self.kind == CUSTOM and self.func is None:
-            raise SymlatError("custom bound needs a function")
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == CUSTOM:
-            out = np.asarray(self.func(a, b), dtype=float)
-            if out.shape != (a.shape[0],):
-                raise SymlatError("custom bound must return one value per row")
-            if not np.all(out >= 0):
-                raise SymlatError("variation bound must be non-negative and not NaN")
-            return out
-        dist = np.linalg.norm(a - b, axis=1)
-        if self.exponent != 1.0:
-            dist = dist ** self.exponent
-        if self.kind == KNOWN:
-            dist = self.scale * dist
-        return dist
+        # x ** 1.0 and 1.0 * x are exact, so each kind keeps its bits
+        return self.scale * np.linalg.norm(a - b, axis=1) ** self.exponent
 
 
 def known_bound(scale: float, exponent: float = 1.0) -> VariationBound:
@@ -263,10 +249,6 @@ def known_bound(scale: float, exponent: float = 1.0) -> VariationBound:
 
 def order_bound(exponent: float = 1.0) -> VariationBound:
     return VariationBound(ORDER_ONLY, exponent=exponent)
-
-
-def custom_bound(func: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> VariationBound:
-    return VariationBound(CUSTOM, func=func)
 
 
 GAUSSIAN = "gaussian"
@@ -567,10 +549,16 @@ class _RatioDraws:
         paired = np.flatnonzero(nbr >= 0)
         den = self.bound(points.take(look.take(paired), axis=0),
                          X.take(nbr.take(paired), axis=0))
-        live = paired[den > 0.0]
+        positive = den > 0.0
+        live = paired[positive]
         ratios = np.full(rows.size, np.nan)
-        ratios[live] = np.abs(Y.take(rows.take(live)) - Y.take(nbr.take(live))) \
-            / den[den > 0.0]
+        with np.errstate(over="ignore"):   # an overflow raises below
+            ratios[live] = np.abs(Y.take(rows.take(live)) - Y.take(nbr.take(live))) \
+                / den[positive]
+        if not np.isfinite(ratios[live]).all():
+            raise DegenerateMetricError(
+                "a response difference over its variation bound overflows: the "
+                "bound is too small for the response differences")
         is_live = np.zeros(rows.size, dtype=bool)
         is_live[live] = True
         return ratios, is_live
@@ -607,7 +595,8 @@ def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
     quantile, computed the same way by one more replicate.  The identity
     replicate samples transforms too, so every replicate consumes the stream
     alike.  A replicate none of whose drawn positions is paired raises
-    ``DegenerateMetricError``.
+    ``DegenerateMetricError``, as does a paired ratio that overflows (a
+    bound too small for the response differences).
 
     Each replicate draws, in this order, a permutation of the rows, one
     element per query row and ``m`` positions in the query half.  The

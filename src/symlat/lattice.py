@@ -64,9 +64,8 @@ class Lattice:
         self.leq = leq.copy()
         self.leq.setflags(write=False)
         self.action = action
-        self._validate_partial_order()
+        self._covers = self._validate_partial_order()
         self._bottom, self._top = self._find_extremes()
-        self._covers = self._transitive_reduction()
         heights = self._heights_by_longest_chain()
         self.nodes = [replace(node, node_id=i, height=int(heights[i]))
                       for i, node in enumerate(nodes)]
@@ -79,16 +78,21 @@ class Lattice:
 
     # -- validation helpers ---------------------------------------------------
 
-    def _validate_partial_order(self) -> None:
+    def _validate_partial_order(self) -> np.ndarray:
+        """Check that ``leq`` is a partial order and return its covers."""
         leq = self.leq
-        n = leq.shape[0]
         if not np.all(np.diag(leq)):
             raise LatticeError("leq must be reflexive")
-        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
+        lt = leq & ~np.eye(len(leq), dtype=bool)
+        if np.any(lt & lt.T):
             raise LatticeError("leq must be antisymmetric")
-        closure = leq @ leq
-        if np.any(closure & ~leq):
+        # with leq reflexive, leq @ leq is I | lt | lt @ lt
+        two = lt @ lt
+        if np.any(two & ~leq):
             raise LatticeError("leq must be transitive")
+        covers = lt & ~two
+        covers.setflags(write=False)
+        return covers
 
     def _find_extremes(self) -> tuple[int, int]:
         bottoms = np.flatnonzero(self.leq.all(axis=1))
@@ -98,12 +102,6 @@ class Lattice:
         if len(tops) != 1:
             raise LatticeError(f"lattice needs a unique top, found {len(tops)}")
         return int(bottoms[0]), int(tops[0])
-
-    def _transitive_reduction(self) -> np.ndarray:
-        lt = self.leq & ~np.eye(len(self.leq), dtype=bool)
-        covers = lt & ~(lt @ lt)
-        covers.setflags(write=False)
-        return covers
 
     def _heights_by_longest_chain(self) -> np.ndarray:
         n = len(self.leq)

@@ -1,6 +1,6 @@
-"""Minimal deterministic SVG scatter plots (points, error ticks, reference
-lines).  Output depends only on the data passed in, so regenerating a plot
-from the same CSV reproduces it byte for byte."""
+"""Minimal deterministic SVG scatter plots (points and reference lines).
+Output depends only on the data passed in, so regenerating a plot from the
+same CSV reproduces it byte for byte."""
 
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ class Series:
     marker: str = "circle"
     filled: bool = True
     color: str = "black"
-    yerr: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.marker not in MARKERS:
@@ -64,10 +63,6 @@ def write_svg(path, series: Sequence[Series], xlabel: str, ylabel: str,
     ys = [v for s in series for v in s.y]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    for s in series:
-        if s.yerr:
-            ys.extend(v + e for v, e in zip(s.y, s.yerr))
-            ys.extend(v - e for v, e in zip(s.y, s.yerr))
     ys.extend(hlines)
     if log_y:
         ys = [v for v in ys if v > 0]
@@ -134,20 +129,10 @@ def write_svg(path, series: Sequence[Series], xlabel: str, ylabel: str,
         out.append(f'<line x1="{MARGIN_L}" y1="{py:.2f}" x2="{MARGIN_L + plot_w}" '
                    f'y2="{py:.2f}" stroke="gray" stroke-dasharray="6 4"/>')
     for s in series:
-        for i, (vx, vy) in enumerate(zip(s.x, s.y)):
+        for vx, vy in zip(s.x, s.y):
             if log_y and vy <= 0:
                 continue
-            px, py = sx(vx), sy(vy)
-            if s.yerr is not None and s.yerr[i] > 0:
-                top, bot = vy + s.yerr[i], vy - s.yerr[i]
-                if not log_y or bot > 0:
-                    pt, pb = sy(top), sy(bot)
-                    out.append(f'<line x1="{px:.2f}" y1="{pt:.2f}" x2="{px:.2f}" '
-                               f'y2="{pb:.2f}" stroke="{s.color}"/>')
-                    for pe in (pt, pb):
-                        out.append(f'<line x1="{px - 3:.2f}" y1="{pe:.2f}" '
-                                   f'x2="{px + 3:.2f}" y2="{pe:.2f}" stroke="{s.color}"/>')
-            out.append(_marker_svg(s, px, py))
+            out.append(_marker_svg(s, sx(vx), sy(vy)))
     ly = MARGIN_T + 14
     for s in series:
         lx = MARGIN_L + plot_w + 14

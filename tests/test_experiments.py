@@ -112,7 +112,7 @@ def test_config_round_trip(tmp_path):
     assert cfg.test.m is None  # "n"
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
     bad = _write(tmp_path, "bad.ini", "[experiment]\nkind = sideways\n")
@@ -133,10 +133,18 @@ def test_config_errors(tmp_path):
                          ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
                          ("[search]\nalgoritm = depth\n", "[search] unknown key 'algoritm'"),
                          ("[lattice]\naxis = 0 0 1\n", "[lattice] unknown key 'axis'"),
-                         ("[test]\nBB = 10\n", "[test] unknown key 'bb'")):
+                         ("[test]\nBB = 10\n", "[test] unknown key 'bb'"),
+                         ("[data]\nimages = imgs.idx\n", "[data] unknown key 'images'")):
         with pytest.raises(ConfigError) as err:
             load_config(_write(tmp_path, "u.ini", base + extra))
         assert named in str(err.value)
+    # [data] path names the image file of an idx source; the old images key
+    # is a configuration error, exit code 1
+    capsys.readouterr()
+    assert cli_main(["search", "--config", str(tmp_path / "u.ini"),
+                     "--out", str(tmp_path / "rejected")]) == 1
+    assert "[data] unknown key 'images'" in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
     # configparser lowercases keys, so upper-case spellings of known keys load
     cfg = load_config(_write(tmp_path, "b.ini", base + "[test]\nB = 10\n"))
     assert cfg.test.B == 10
@@ -400,7 +408,7 @@ noise_sigma = 0.0
 lipschitz = 4.0
 [data]
 source = idx
-images = {images}
+path = {images}
 labels = {tmp_path / 'labels.idx'}
 """
     cfg = load_config(_write(tmp_path, "s.ini", config_text))

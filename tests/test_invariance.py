@@ -24,7 +24,6 @@ from symlat.groups import (
 from symlat.invariance import (
     PairingTables,
     binom_tail,
-    custom_bound,
     exceedance_test,
     gaussian_noise,
     known_bound,
@@ -401,8 +400,17 @@ def test_variation_bounds():
         known_bound(0.0)
     with pytest.raises(SymlatError):
         known_bound(1.0, 1.5)
-    cb = custom_bound(lambda x, y: np.abs(x[:, 0] - y[:, 0]))
-    assert cb(a, c)[0] == 3.0
+    with pytest.raises(SymlatError):
+        order_bound(0.0)
+    with pytest.raises(SymlatError, match="scale 1"):
+        invariance.VariationBound(invariance.ORDER_ONLY, scale=2.0)
+    # an order-only bound is the distance power itself, bit for bit
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+    dist = np.linalg.norm(x - y, axis=1)
+    assert np.array_equal(order_bound()(x, y), dist)
+    assert np.array_equal(order_bound(0.5)(x, y), dist ** 0.5)
+    assert np.array_equal(known_bound(3.0, 0.5)(x, y), 3.0 * dist ** 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +420,6 @@ def test_variation_bounds():
 def _toy_invariant_data(rng, n=80, sigma=0.0):
     scen = make_scenario("fd-rotation", 2, sigma)
     return scen.sample_train(rng, n)
-
-
-def test_nan_custom_bound_raises():
-    # NaN fails every comparison, so an unchecked NaN bound would never count
-    # an exceedance and accept any group
-    rng = np.random.default_rng(0)
-    data = _toy_invariant_data(rng, sigma=0.0)
-    rotation, _, sampler = quarter_turn_actions(2)
-    for func in (lambda x, y: np.full(x.shape[0], np.nan),
-                 lambda x, y: np.where(x[:, 0] > 0, np.nan, 1.0)):
-        with pytest.raises(SymlatError, match="NaN"):
-            exceedance_test(data, rotation, sampler, custom_bound(func),
-                            gaussian_noise(0.05), rng, m=200)
 
 
 def test_zero_noise_violation_gives_zero_pvalue():
@@ -679,6 +674,20 @@ def test_perm_degenerate_metric_raises():
                                np.random.default_rng(1), m=10, B=3)
 
 
+def test_perm_raises_when_ratios_overflow():
+    # the half turn leaves the target invariant; a bound too small for the
+    # response differences overflows the ratios to inf, and inf - inf in a
+    # quantile is NaN, which ranked every replicate below the identity one
+    data = make_scenario("fd-rotation", 2).sample_train(np.random.default_rng(1), 200)
+    _, half_turn, sampler = quarter_turn_actions(2)
+    out = ratio_permutation_test(data, half_turn, sampler, known_bound(1.0),
+                                 np.random.default_rng(2), m=200, B=20)
+    assert out.p_value == 0.55
+    with pytest.raises(DegenerateMetricError, match="too small"):
+        ratio_permutation_test(data, half_turn, sampler, known_bound(1e-310),
+                               np.random.default_rng(2), m=200, B=20)
+
+
 def test_perm_validation():
     data = _toy_invariant_data(np.random.default_rng(0))
     rotation, _, sampler = quarter_turn_actions(2)
@@ -763,11 +772,9 @@ def _layout_data(layout, rng, n, dim):
     if layout == "duplicated":
         X = np.round(X)   # a few grid points, each held by many rows
     Y = np.linalg.norm(X, axis=1) + rng.normal(scale=0.1, size=n)
+    if layout == "zero-bound":
+        Y = Y * 1e-17   # keeps the ratios over a subnormal bound finite
     return RegressionDataset(X, Y)
-
-
-def _zero_where_first_positive(a, b):
-    return np.where(a[:, 0] > 0.0, 0.0, np.linalg.norm(a - b, axis=1))
 
 
 @pytest.mark.parametrize("case", sorted(BLOCKED_PASS_CASES))
@@ -782,8 +789,9 @@ def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, l
     action, sampler = BLOCKED_PASS_CASES[case]
     B = block + past - 1
     data = _layout_data(layout, np.random.default_rng(seed), n, action.dim)
-    bound = custom_bound(_zero_where_first_positive) if layout == "zero-bound" \
-        else order_bound()
+    # the least subnormal scale rounds the bound to zero below half a unit
+    # of distance, so those rows are unpaired
+    bound = known_bound(5e-324) if layout == "zero-bound" else order_bound()
     try:
         want = _replicate_loop(data, action, sampler, bound,
                                np.random.default_rng(seed), m, B, q)

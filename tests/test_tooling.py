@@ -1,13 +1,15 @@
-"""The benchmark's tracer wraps symlat call sites by name, and its workloads
-are config texts; a rename or a config key that stops parsing must fail here."""
+"""The benchmark's tracer wraps symlat call sites by name, its workloads are
+config texts, and the README lists the config keys; a rename, a config key
+that stops parsing or a key the README leaves out must fail here."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from symlat.config import load_config
+from symlat.config import _KEYS, load_config
 from symlat.experiments import run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,3 +80,19 @@ def test_the_cli_reaches_every_module():
     modules = {f"symlat.{p.stem}" for p in (src / "symlat").glob("*.py") if p.stem != "__init__"}
     assert modules
     assert modules <= loaded, sorted(modules - loaded)
+
+
+def test_readme_config_grammar_lists_every_key():
+    # the README's ini block says its keys are the only ones accepted, so it
+    # must name each key the parser accepts, and no other
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    listed, section = {}, None
+    for line in blocks[0].splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = listed.setdefault(head.group(1), set())
+        elif re.match(r"\w+ =", line):
+            section.add(line.split("=")[0].strip().lower())
+    assert listed == {name: set(keys) for name, keys in _KEYS.items()}
