@@ -24,7 +24,7 @@ from .invariance import (
     order_bound,
     ratio_permutation_test,
 )
-from .lattice import Lattice, SubgroupNode, add_top
+from .lattice import Lattice, SubgroupNode
 from .projections import ProjectionMap
 from .regression import (
     KernelRegressor,

@@ -154,9 +154,9 @@ def loo_cv_sse(xt: np.ndarray, yt: np.ndarray, scales: np.ndarray,
     The grid is searched with early abandoning:
 
     1. The first block runs the whole grid.  The contenders are the points
-       whose first-block sum is at most ``n / m`` times the smallest one,
-       ``m`` being the first block's length.  This rule only picks which
-       points share the cheap pass; the bound below decides what is dropped.
+       whose first-block sum is the smallest, ties kept.  This rule only
+       picks which points share the cheap pass; the bound below decides what
+       is dropped.
     2. One pass over the other blocks builds each distance block once and
        runs only the contenders; their sums are ``r @ r`` over the whole
        residual row.  The least of them, ``best``, sets the bound
@@ -205,7 +205,7 @@ def loo_cv_sse(xt: np.ndarray, yt: np.ndarray, scales: np.ndarray,
     head = spans[0][1]
     run(grid, 0, head)
     running = sums(grid, 0, head)
-    contender = running <= running.min() * (n / head)
+    contender = running == running.min()
     for start, stop in spans[1:]:
         run(grid[contender], start, stop)
     sse = np.full(len(cs), np.inf)

@@ -27,7 +27,6 @@ from .groups import (
 )
 from .lattice import (
     Lattice,
-    add_top,
     lattice_from_member_sets,
     order_from_covers,
     standard_node,
@@ -243,12 +242,14 @@ def icosahedral_axes() -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattice:
-    """Trivial group, one circle group per axis, and SO(3) on top.
+def _axes_lattice(axes: np.ndarray, angle_std: float | None,
+                  chain: Sequence[str]) -> Lattice:
+    """Trivial group, one circle group per axis, then the continuous groups
+    of ``chain`` (kinds, SO3 first), each covering the one before.
 
     ``angle_std`` switches the circle-group samplers from Haar to mean-zero
     Gaussian angles (biasing small rotations).  Axes must be unit and pairwise
-    non-collinear.
+    non-collinear.  Every node acts through SO(3)'s matrix action on R^3.
     """
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 2 or axes.shape[1] != 3 or len(axes) == 0:
@@ -261,20 +262,28 @@ def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattic
         i, j = collinear[0]
         raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
     k = len(axes)
-    so3 = GroupDescriptor(SO3, "SO3")
-    action = GroupAction(so3, 3, ACTION_MATRIX)
+    upper = [GroupDescriptor(kind, kind.upper()) for kind in chain]
+    action = GroupAction(upper[0], 3, ACTION_MATRIX)
     groups = ([GroupDescriptor(FINITE, "I", table=cyclic_table(1, ["e"]))]
               + [GroupDescriptor(S1_AXIS, f"S1_u{i + 1}", axis=u) for i, u in enumerate(axes)]
-              + [so3])
+              + upper)
     nodes = [standard_node(g, action, angle_std=angle_std) for g in groups]
     circles = range(1, k + 1)
-    covers = [(0, i) for i in circles] + [(i, k + 1) for i in circles]
-    return Lattice(nodes, order_from_covers(k + 2, covers), action)
+    covers = ([(0, i) for i in circles] + [(i, k + 1) for i in circles]
+              + [(i, i + 1) for i in range(k + 1, len(groups) - 1)])
+    return Lattice(nodes, order_from_covers(len(groups), covers), action)
+
+
+def so3_axes_lattice(axes: np.ndarray, angle_std: float | None = None) -> Lattice:
+    """Trivial group, one circle group per axis, and SO(3) on top; see
+    ``_axes_lattice`` for ``angle_std`` and the axis checks."""
+    return _axes_lattice(axes, angle_std, [SO3])
 
 
 def sl3_extended_lattice(axes: np.ndarray | None = None,
                          angle_std: float | None = None) -> Lattice:
-    """The icosahedral-axis SO(3) lattice with SL(3, R) appended on top."""
+    """The SO(3) axis lattice (icosahedral axes by default) with SL(3, R)
+    directly above SO(3)."""
     if axes is None:
         axes = icosahedral_axes()
-    return add_top(so3_axes_lattice(axes, angle_std=angle_std), GroupDescriptor(SL3, "SL3"))
+    return _axes_lattice(axes, angle_std, [SO3, SL3])

@@ -48,10 +48,10 @@ class TestSettings:
             raise ConfigError(f"[test] q: {self.q!r} does not lie in (0, 1]")
         if not 0.0 < self.exponent <= 1.0:
             raise ConfigError(f"[test] exponent: {self.exponent!r} does not lie in (0, 1]")
-        if not self.lipschitz > 0.0:
-            raise ConfigError(f"[test] lipschitz: {self.lipschitz!r} is not > 0")
-        if self.noise_sigma is not None and not self.noise_sigma >= 0.0:
-            raise ConfigError(f"[test] noise_sigma: {self.noise_sigma!r} is not >= 0")
+        if not 0.0 < self.lipschitz < math.inf:
+            raise ConfigError(f"[test] lipschitz: {self.lipschitz!r} is not finite and > 0")
+        if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"[test] noise_sigma: {self.noise_sigma!r} is not finite and >= 0")
         for key in ("m", "perm_m", "B", "grid_size"):
             value = getattr(self, key)
             if value is not None and value < 1:
@@ -143,8 +143,9 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.test_size is not None and self.test_size < 1:
             raise ConfigError(f"[experiment] test_size: {self.test_size} is not >= 1")
-        if self.scenario_sigma is not None and not self.scenario_sigma >= 0.0:
-            raise ConfigError(f"[scenario] noise_sigma: {self.scenario_sigma!r} is not >= 0")
+        if self.scenario_sigma is not None and not 0.0 <= self.scenario_sigma < math.inf:
+            raise ConfigError(f"[scenario] noise_sigma: {self.scenario_sigma!r} "
+                              "is not finite and >= 0")
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(n <= 0 for n in sizes) or any(
                 b <= a for a, b in zip(sizes, sizes[1:])):

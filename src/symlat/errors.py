@@ -21,10 +21,6 @@ class NotFiniteError(SymlatError):
     """Raised when a finite-only operation is applied to a continuous group."""
 
 
-class NotASupergroupError(SymlatError):
-    """Raised when a group added on top of a lattice fails containment checks."""
-
-
 class InvalidGroupError(SymlatError):
     """Raised when a Cayley table or group descriptor violates the group axioms."""
 

@@ -231,8 +231,8 @@ class VariationBound:
     def __post_init__(self):
         if self.kind not in (KNOWN, ORDER_ONLY):
             raise SymlatError(f"unknown bound kind {self.kind!r}")
-        if self.kind == KNOWN and not self.scale > 0:
-            raise SymlatError("known bound needs scale > 0")
+        if self.kind == KNOWN and not 0.0 < self.scale < math.inf:
+            raise SymlatError("known bound needs a finite scale > 0")
         if self.kind == ORDER_ONLY and self.scale != 1.0:
             raise SymlatError("an order-only bound has scale 1")
         if not 0.0 < self.exponent <= 1.0:
@@ -273,8 +273,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind == GAUSSIAN:
-            if self.sigma < 0:
-                raise SymlatError("noise sigma must be >= 0")
+            if not 0.0 <= self.sigma < math.inf:
+                raise SymlatError("noise sigma must be finite and >= 0")
         elif self.kind == TABLE:
             ts = np.asarray(self.ts, dtype=float)
             ps = np.asarray(self.ps, dtype=float)

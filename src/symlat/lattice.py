@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LatticeError, NotASupergroupError
+from .errors import LatticeError
 from .groups import (FINITE, SO3, S1_AXIS, GroupAction, GroupDescriptor, SamplerSpec,
                      default_sl3_generators, elements_of, non_identity_sampler,
                      uniform_sampler)
@@ -268,25 +268,6 @@ def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
     for _ in range(n.bit_length()):  # each squaring doubles the chain length covered
         leq = leq | (leq @ leq)
     return leq
-
-
-def add_top(lat: Lattice, group: GroupDescriptor) -> Lattice:
-    """Append ``group`` as the unique top of ``lat``.
-
-    Containment is verified for finite kinds (member supersets over a shared
-    table); for continuous kinds the caller asserts it.
-    """
-    for node in lat.nodes:
-        g = node.group
-        if group.is_finite:
-            if not (g.is_finite and g.table is group.table and g.members <= group.members):
-                raise NotASupergroupError(
-                    f"{group.label!r} does not contain node {node.label!r}")
-    n = len(lat.nodes)
-    leq = np.zeros((n + 1, n + 1), dtype=bool)
-    leq[:n, :n] = lat.leq
-    leq[:, n] = True
-    return Lattice(list(lat.nodes) + [standard_node(group, lat.action)], leq, lat.action)
 
 
 def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) -> Lattice:

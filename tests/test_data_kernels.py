@@ -15,6 +15,7 @@ from symlat.regression import (
     _feature_scales,
     select_bandwidth,
 )
+from symlat.scenarios import make_scenario
 
 
 def brute_nearest(points, queries):
@@ -429,6 +430,20 @@ def test_loo_second_pass_is_reached(monkeypatch):
     blocks = len(set(builds))
     assert blocks > 1 and len(builds) > blocks and builds.count(0) == 1
     assert np.array_equal(out, full_grid_loo_sse(xt, yt, scales, cs))
+
+
+def test_loo_runs_under_three_quarters_of_the_grid_at_large_n(monkeypatch):
+    # 3-feature fits at n = 1000: only the least first-block sum contends, so
+    # the other grid points are abandoned as their running sums pass the bound
+    rows = []
+    residuals = _kernels._block_residuals
+    monkeypatch.setattr(_kernels, "_block_residuals",
+                        lambda *args: rows.append(len(args[6])) or residuals(*args))
+    train = make_scenario("1").sample_train(np.random.default_rng(1), 1000)
+    cs = np.geomspace(BANDWIDTH_SCALE_LO, BANDWIDTH_SCALE_HI, BANDWIDTH_GRID_SIZE)
+    out = _kernels.loo_cv_sse(train.X, train.Y, _feature_scales(train.X), cs)
+    assert train.X.shape == (1000, 3) and np.isfinite(out).any()
+    assert sum(rows) < 0.75 * 1000 * len(cs)
 
 
 def test_abandoning_keeps_ties_and_drops_losers(monkeypatch):

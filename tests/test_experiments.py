@@ -179,8 +179,9 @@ def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
 
     for key, value in (("q", "1.5"), ("q", "0"), ("m", "0"), ("m", "-2"), ("perm_m", "0"),
                        ("B", "0"), ("grid_size", "0"), ("lipschitz", "-1"),
-                       ("lipschitz", "0"), ("exponent", "2"), ("exponent", "0"),
-                       ("noise_sigma", "-1"), ("thresholds", "0.2 0.1"),
+                       ("lipschitz", "0"), ("lipschitz", "inf"), ("exponent", "2"),
+                       ("exponent", "0"), ("noise_sigma", "-1"), ("noise_sigma", "inf"),
+                       ("noise_sigma", "nan"), ("thresholds", "0.2 0.1"),
                        ("thresholds", "0.1 0.1"), ("thresholds", "-1"),
                        ("thresholds", "nan")):
         with pytest.raises(ConfigError, match=rf"\[test\] {key}:"):
@@ -193,9 +194,10 @@ def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
 
     # so do the [scenario] noise and the [lattice] keys; a lattice the
     # builder refuses is a config error too
-    text = MINI_POWER.replace("noise_sigma = 0.05", "noise_sigma = -1")
-    with pytest.raises(ConfigError, match=r"\[scenario\] noise_sigma:"):
-        load_config(_write(tmp_path, "s.ini", text))
+    for sigma in ("-1", "inf"):
+        text = MINI_POWER.replace("noise_sigma = 0.05", f"noise_sigma = {sigma}")
+        with pytest.raises(ConfigError, match=r"\[scenario\] noise_sigma:"):
+            load_config(_write(tmp_path, "s.ini", text))
     for key, value in (("angle_std", "0"), ("angle_std", "-0.5"), ("side", "0")):
         with pytest.raises(ConfigError, match=rf"\[lattice\] {key}:"):
             load_config(_write(tmp_path, "l.ini", MINI_RECOVERY + f"{key} = {value}\n"))
@@ -550,6 +552,38 @@ def test_cli_runs_and_exit_codes(tmp_path, capsys):
     # data errors -> 2
     missing_csv = tmp_path / "missing.csv"
     assert cli_main(["ingest-check", str(missing_csv), "--format", "csv"]) == 2
+
+
+INFINITE_SEARCH = """
+[experiment]
+kind = search
+seed = 5
+[scenario]
+id = 1
+{scenario}
+[test]
+{test}
+[lattice]
+builder = sl3-extended
+[search]
+test = exceedance
+[data]
+n = 300
+"""
+
+
+@pytest.mark.parametrize("scenario, test, named", [
+    ("", "lipschitz = inf", "[test] lipschitz: inf"),
+    ("", "noise_sigma = inf", "[test] noise_sigma: inf"),
+    ("noise_sigma = inf", "", "[scenario] noise_sigma: inf")],
+    ids=["lipschitz", "test-sigma", "scenario-sigma"])
+def test_cli_refuses_infinite_scales(tmp_path, capsys, scenario, test, named):
+    # an infinite test scale made every node pass with p = 1 and exit 0; an
+    # infinite scenario sigma failed only once the data were drawn (exit 2)
+    config = _write(tmp_path, "inf.ini", INFINITE_SEARCH.format(scenario=scenario, test=test))
+    assert cli_main(["search", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("old, new", [("orders = 1 2 4", "orders = 1 3 4"),

@@ -493,6 +493,25 @@ def test_tester_rows_change_no_outcome(m):
     assert len(tester.rows._rows) > 0
 
 
+def test_non_finite_bound_and_noise_scales_are_refused():
+    # on integer rows g . X_i often lands exactly on its neighbour, where an
+    # infinite scale would make the bound inf * 0 = NaN, and each NaN
+    # statistic would count as an exceedance (p = 1.9e-79 with 66 of them)
+    rng = np.random.default_rng(0)
+    X = rng.integers(-3, 4, (200, 2)).astype(float)
+    data = RegressionDataset(X, np.exp(-np.abs(X[:, 0])) + rng.normal(0.0, 0.05, 200))
+    _, half_turn, sampler = quarter_turn_actions(2)
+    out = exceedance_test(data, half_turn, sampler, known_bound(1e300), gaussian_noise(0.05),
+                          np.random.default_rng(1), m=200)
+    assert np.isfinite(out.statistics).all() and out.p_value > 0.5
+    with pytest.raises(SymlatError, match="finite"):
+        known_bound(math.inf)
+    # an infinite or NaN sigma would read p_exceed(t) = 1 at every t
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(SymlatError, match="finite"):
+            gaussian_noise(sigma)
+
+
 def test_exceedance_validation_errors():
     rng = np.random.default_rng(0)
     data = _toy_invariant_data(rng)

@@ -16,17 +16,15 @@ from symlat.builders import (
     sl3_extended_lattice,
     so3_axes_lattice,
 )
-from symlat.errors import LatticeError, NotASupergroupError
+from symlat.errors import LatticeError
 from symlat.groups import (
     FiniteElement,
     SL3,
     GroupDescriptor,
-    SamplerSpec,
     act,
     cyclic_table,
 )
-from symlat.lattice import (Lattice, SubgroupNode, add_top, lattice_from_member_sets,
-                            order_from_covers)
+from symlat.lattice import Lattice, SubgroupNode, lattice_from_member_sets, order_from_covers
 
 
 def brute_closure(table, seed):
@@ -143,35 +141,46 @@ def test_heights_are_topological():
         assert lat.node(lat.bottom).group.order == 1
 
 
-def test_add_top():
-    base = so3_axes_lattice(icosahedral_axes())
-    sl3 = GroupDescriptor("sl3", "SL3")
-    extended = add_top(base, sl3)
-    assert len(extended) == 9
-    assert extended.node(extended.top).label == "SL3"
-    levels_before = [len(l) for l in base.enumerate_by_height()]
-    levels_after = [len(l) for l in extended.enumerate_by_height()]
-    assert levels_after == levels_before + [1]
-
-    # two-node chain from a singleton
-    table = cyclic_table(1, ["e"])
-    trivial = GroupDescriptor("finite", "I", table=table)
-    from symlat.groups import ACTION_MATRIX, GroupAction
-    action = GroupAction(GroupDescriptor("so3", "SO3"), 3, ACTION_MATRIX)
-    single = Lattice([SubgroupNode(0, trivial,
-                                   sampler=SamplerSpec("uniform",
-                                                       elements=(trivial.identity_element(),)))],
-                     np.eye(1, dtype=bool), action)
-    two = add_top(single, GroupDescriptor("so3", "SO3"))
-    assert len(two) == 2 and two.top != two.bottom
+def _same_sampler(a, b):
+    """Equal kind, spread, axis and support; finite elements of two builds
+    sit on two tables, so they compare by label."""
+    return (a.kind == b.kind and a.std == b.std
+            and list(map(repr, a.elements)) == list(map(repr, b.elements))
+            and (a.axis is None) == (b.axis is None)
+            and (a.axis is None or np.array_equal(a.axis, b.axis)))
 
 
-def test_add_top_rejects_non_supergroup():
-    chain = cyclic_chain_lattice([1, 2, 4])
-    table = chain.nodes[0].group.table
-    c2 = GroupDescriptor("finite", "C2-again", table=table, members=frozenset({0, 2}))
-    with pytest.raises(NotASupergroupError):
-        add_top(chain, c2)
+TILTED_AXES = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
+
+
+@pytest.mark.parametrize("axes, angle_std", [(icosahedral_axes(), None),
+                                             (TILTED_AXES, None),
+                                             (icosahedral_axes(), 0.3)],
+                         ids=["icosahedral", "tilted", "gaussian-angles"])
+def test_sl3_extended_lattice_is_so3_lattice_plus_top(monkeypatch, axes, angle_std):
+    builds = []
+    init = Lattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "__init__", counting_init)
+    extended = sl3_extended_lattice(axes, angle_std=angle_std)
+    assert len(builds) == 1
+    base = so3_axes_lattice(axes, angle_std=angle_std)
+    k = len(axes)
+    assert len(extended) == k + 3
+    np.testing.assert_array_equal(extended.leq[:k + 2, :k + 2], base.leq)
+    for got, want in zip(extended.nodes, base.nodes):
+        assert got.label == want.label and got.height == want.height
+        assert _same_sampler(got.sampler, want.sampler)
+    top = extended.node(k + 2)
+    assert top.label == "SL3" and top.group.kind == SL3
+    assert extended.top == k + 2 and extended.leq[:, k + 2].all()
+    assert extended.covers[k + 1, k + 2] and extended.covers[:, k + 2].sum() == 1
+    assert top.sampler.kind == "uniform" and top.projection.kind == "nonzero"
+    assert extended.enumerate_by_height() == base.enumerate_by_height() + [[k + 2]]
 
 
 # every lattice builder, with the full subgroup lattice of D4
