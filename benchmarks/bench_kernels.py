@@ -21,11 +21,9 @@ timing.  The action kernel is timed as
 the ``search-sl3`` workload) and as ``apply_to_rows`` of the C4 quarter turn
 on that permutation test's 300 rows (the image each pairing table holds).
 ``binom_tail`` is timed at the shape of one ``search-sl3`` test: m = 2000 and
-the 20 threshold probabilities of the default grid of ``gaussian_noise(0.01)``,
-at counts of 2 (below every row's largest term) and of 565 (past it for most
-of them), once without kept rows (a one-off call), once on new term rows (the
-first test of a search) and once on rows that earlier calls built (every later
-test).
+the T = 20 threshold probabilities of the default grid of
+``gaussian_noise(0.01)``, at counts of 2 (below the mode of every
+probability's binomial) and of 565 (past it for the 6 smallest).
 Each figure is the fastest of several repeats after one warm-up call, with
 BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO and
 permutation-test time stands the peak of memory that ``tracemalloc`` saw
@@ -51,7 +49,7 @@ from symlat.groups import (  # noqa: E402
     apply_to_rows,
     sample_elements,
 )
-from symlat.invariance import _TailRows, binom_tail, gaussian_noise, order_bound  # noqa: E402
+from symlat.invariance import binom_tail, gaussian_noise, order_bound  # noqa: E402
 from symlat.projections import radial_projection  # noqa: E402
 from symlat.regression import (  # noqa: E402
     BANDWIDTH_GRID_SIZE,
@@ -157,16 +155,11 @@ def main():
     print(f"{'apply_to_rows (C4 quarter)':<28} {'n=300 d=2':<18} {t * 1e6:>8.1f}us")
     noise = gaussian_noise(SEARCH_SIGMA)
     ps = np.array([noise.p_exceed(float(t)) for t in noise.default_thresholds()])
-    rows = _TailRows(SEARCH_M)
     for count in (2, 565):
         ks = np.full(ps.size, count, dtype=np.int64)
-        size = f"m={SEARCH_M} T={ps.size} k={count}"
-        once = bench(binom_tail, SEARCH_M, ks, ps)
-        cold = bench(lambda: binom_tail(SEARCH_M, ks, ps, _TailRows(SEARCH_M)))
-        warm = bench(binom_tail, SEARCH_M, ks, ps, rows)
-        print(f"{'binom_tail (no rows kept)':<28} {size:<18} {once * 1e6:>8.1f}us")
-        print(f"{'binom_tail (new rows)':<28} {size:<18} {cold * 1e6:>8.1f}us")
-        print(f"{'binom_tail (built rows)':<28} {size:<18} {warm * 1e6:>8.1f}us")
+        t = bench(binom_tail, SEARCH_M, ks, ps)
+        print(f"{'binom_tail':<28} {f'm={SEARCH_M} T={ps.size} k={count}':<18} "
+              f"{t * 1e6:>8.1f}us")
 
 
 if __name__ == "__main__":

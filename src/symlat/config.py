@@ -57,10 +57,11 @@ class TestSettings:
             if value is not None and value < 1:
                 raise ConfigError(f"[test] {key}: {value} is not >= 1")
         ts = self.thresholds
-        if ts is not None and not (ts and ts[0] > 0.0
+        # an infinite threshold is never exceeded and has p_t = 0: its tail is 1
+        if ts is not None and not (ts and ts[0] > 0.0 and ts[-1] < math.inf
                                    and all(a < b for a, b in zip(ts, ts[1:]))):
             raise ConfigError(f"[test] thresholds: {' '.join(map(repr, ts))} are not "
-                              "positive and strictly increasing")
+                              "positive, finite and strictly increasing")
 
     def m_for(self, n: int) -> int:
         return n if self.m is None else self.m

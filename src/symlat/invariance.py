@@ -4,9 +4,9 @@ Two tests are provided.  The exceedance test needs a fully known variation
 bound on the function class and a concentration bound on the noise: it counts
 how often ``|Y_i - Y_j| - V(g . X_i, X_j)`` (with ``X_j`` the nearest
 neighbour of the transformed point) exceeds each threshold in a grid, and
-bounds the p-value with an exact binomial tail, taking the minimum over the
-grid; an ``ExceedanceTester`` keeps the grid's probabilities and binomial
-term rows (``_TailRows``) for every test of a search.  The permutation test
+bounds the p-value with a binomial tail (``scipy.special.bdtrc``), taking
+the minimum over the grid; an ``ExceedanceTester`` keeps the grid and the
+neighbour index for every test of a search.  The permutation test
 only needs the variation bound's order: it compares a quantile of the ratios
 ``|Y_i - Y_j| / V(g . X_i, X_j)``, with ``X_j`` the nearest row of a random
 reference half to ``g . X_i`` and ``X_i`` from the other half, against the
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtrc
 
 from .data import NeighborIndex, RegressionDataset
 from .errors import DegenerateMetricError, SymlatError
@@ -48,149 +47,31 @@ from .groups import (
 ACCEPT = 1
 REJECT = -1
 
-_EXACT_TAIL_LIMIT = 500
-
 
 # ---------------------------------------------------------------------------
 # Numeric primitives
 # ---------------------------------------------------------------------------
 
-class _TailRows:
-    """The terms of ``P(Binom(m, p) >= k)`` over ``j = 0..m``, one row per
-    probability, built on first use and read by every later tail.
-
-    A term depends on ``(m, p, j)`` and never on ``k``, so the tail at ``k``
-    is a sum over the slice ``j >= k`` of its row, computed by the same
-    operations as a row built for that ``k`` alone.  Small ``m`` keeps the
-    exact terms ``float(comb(m, j)) p^j (1 - p)^(m - j)``, summed with
-    ``fsum``.  Large ``m`` (up to ~1e6), or a ``p`` whose powers would
-    underflow, keeps one row of log-space terms shifted by their maximum and
-    exponentiated, with the maximum left out as ``_logsumexp`` leaves it out:
-    a slice that holds every maximum, which is any slice starting at or
-    before the first, is summed as it stands; a later slice has its own
-    maximum, so its log terms are rebuilt from the shared ``gammaln``
-    coefficients and combined by ``_logsumexp``.  Rows for ``T``
-    probabilities hold ``(T + 1)(m + 1)`` floats.
-
-    A row is built only where it can be read again: ``keep=False`` (rows
-    made for one call) builds none, and a log-space tail past the mode
-    ``(m + 1) p`` is computed from its own slice, as it would be from a row.
-    The coefficients are built from ``j = m`` down, only as far as the
-    lowest count read, so a call whose counts lie near ``m`` builds few.
-    """
-
-    def __init__(self, m: int, keep: bool = True):
-        self.m, self.keep = m, keep
-        self._rows: dict[float, list | tuple] = {}
-        # coefficients from j = m down to the lowest count read so far
-        self._top, self._low_comb, self._top_logs = [1.0], 1, np.empty(0)
-
-    def _coeffs(self, k: int) -> list[float]:
-        # float(comb(m, j)) for j = k..m from exact integers, rounded as
-        # comb(m, j) * p ** j rounds the int
-        m, c = self.m, self._low_comb
-        for j in range(m - len(self._top), k - 1, -1):
-            c = c * (j + 1) // (m - j)
-            self._top.append(float(c))
-        self._low_comb = c
-        return self._top[m - k::-1]
-
-    def _log_coeffs(self, k: int) -> np.ndarray:
-        m, low = self.m, self.m + 1 - self._top_logs.size
-        if k < low:
-            js = np.arange(k, low, dtype=np.float64)
-            logs = gammaln(m + 1.0) - gammaln(js + 1.0) - gammaln(m - js + 1.0)
-            self._top_logs = np.concatenate((logs, self._top_logs))
-        return self._top_logs[k - m - 1:]
-
-    def _terms(self, k: int, p: float) -> list[float]:
-        """The exact terms for ``j = k..m``."""
-        m = self.m
-        return [c * p ** j * (1.0 - p) ** (m - j)
-                for j, c in enumerate(self._coeffs(k), k)]
-
-    def _logs(self, k: int, p: float) -> np.ndarray:
-        """The log terms for ``j = k..m``."""
-        m = self.m
-        js = np.arange(k, m + 1, dtype=np.float64)
-        return (self._log_coeffs(k) + js * math.log(p)
-                + (m - js) * math.log1p(-p))
-
-    def _shifted_row(self, p: float) -> tuple:
-        logs = self._logs(0, p)
-        a_max = logs.max()
-        at_max = logs == a_max
-        shifted = np.exp(np.where(at_max, -np.inf, logs) - a_max)
-        return shifted, a_max, np.count_nonzero(at_max), int(np.argmax(at_max))
-
-    def tail(self, k: int, p: float) -> float:
-        """P(Binom(m, p) >= k) for ``0 <= k <= m`` and ``p`` in [0, 1]."""
-        if k == 0 or p == 1.0:
-            return 1.0
-        if p == 0.0:
-            return 0.0
-        # direct summation is exact to a few ulp, but individual powers
-        # underflow once m log p drops past the subnormal range; use log space
-        exact = self.m <= _EXACT_TAIL_LIMIT and self.m * math.log(min(p, 1.0 - p)) > -700.0
-        row = self._rows.get(p)
-        if row is None and self.keep and (exact or k <= (self.m + 1) * p):
-            row = self._rows[p] = self._terms(0, p) if exact else self._shifted_row(p)
-        if exact:
-            return min(1.0, fsum(self._terms(k, p) if row is None else row[k:]))
-        if row is not None and k <= row[3]:
-            shifted, a_max, count, _ = row
-            log_tail = _log_total(shifted[k:].sum(), count, a_max)
-        else:
-            log_tail = _logsumexp(self._logs(k, p))
-        return min(1.0, math.exp(log_tail))
-
-
-def binom_tail(m: int, k, p, rows: _TailRows | None = None):
+def binom_tail(m: int, k, p):
     """Upper binomial tails P(Binom(m, p) >= k) for one ``m``.
 
     ``k`` and ``p`` broadcast against each other: a pair of scalars gives one
-    float, arrays give an array of tails, one per ``(k, p)`` pair.  Small
-    ``m`` sums exact integer binomial coefficients with compensated float
-    summation; large ``m`` (up to ~1e6) switches to log-space terms combined
-    with log-sum-exp.  Each tail is a slice sum of its probability's term
-    row (``_TailRows``), built once per ``(m, p)``: ``rows`` passes rows
-    that earlier calls built, as an ``ExceedanceTester`` does for the fixed
-    ``m`` and threshold probabilities of its tests, at ``T + 1`` rows of
-    ``m + 1`` floats for ``T`` probabilities.  Without ``rows`` nothing is
-    kept: each tail sums its own slice, and coefficients are built down to
-    the call's smallest ``k`` only.
+    float, arrays give an array of tails, one per ``(k, p)`` pair.  Each tail
+    is ``scipy.special.bdtrc(k - 1, m, p)``, capped at 1.
     """
-    ks, ps = np.broadcast_arrays(np.asarray(k), np.asarray(p, dtype=float))
+    ks = np.asarray(k)
     if ks.dtype.kind not in "iu":
         raise SymlatError(f"tail counts must be integers, got {k!r}")
-    pairs = list(zip(ks.ravel().tolist(), ps.ravel().tolist()))
-    for kk, pp in pairs:
-        if not 0 <= kk <= m:
-            raise SymlatError(f"need 0 <= k <= m, got k={kk}, m={m}")
-        if not 0.0 <= pp <= 1.0:
-            raise SymlatError(f"probability must lie in [0, 1], got {pp}")
-    if rows is None:
-        rows = _TailRows(m, keep=False)
-    elif rows.m != m:
-        raise SymlatError(f"tail rows span j = 0..{rows.m}, not the counts of m = {m}")
-    out = np.array([rows.tail(kk, pp) for kk, pp in pairs], dtype=float)
-    return float(out[0]) if ks.ndim == 0 else out.reshape(ks.shape)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """``log(sum(exp(a)))`` of a finite 1-d array, in scipy.special.logsumexp's
-    arithmetic (every maximum is separated out of the shifted sum), without
-    the cost of its array-API wrapper."""
-    a_max = a.max()
-    at_max = a == a_max
-    count = np.count_nonzero(at_max)
-    return _log_total(np.exp(np.where(at_max, -np.inf, a) - a_max).sum(), count, a_max)
-
-
-def _log_total(shifted_sum, count: int, a_max) -> float:
-    """``_logsumexp`` from the sum of the shifted terms other than the
-    ``count`` maxima ``a_max``."""
-    return np.log1p(shifted_sum / count) + np.log(count) + a_max
+    tails = np.minimum(bdtrc(ks - 1.0, m, p), 1.0)  # NaN where p is outside [0, 1]
+    bad_k = (ks < 0) | (ks > m)
+    bad = np.flatnonzero(bad_k | np.isnan(tails))  # the first bad pair names the error
+    if bad.size and np.broadcast_to(bad_k, tails.shape).flat[bad[0]]:
+        k = np.broadcast_to(ks, tails.shape).flat[bad[0]]
+        raise SymlatError(f"need 0 <= k <= m, got k={k}, m={m}")
+    if bad.size:
+        p = np.broadcast_to(p, tails.shape).flat[bad[0]]
+        raise SymlatError(f"probability must lie in [0, 1], got {p}")
+    return float(tails) if tails.ndim == 0 else tails
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -395,16 +276,13 @@ def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
 def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: SamplerSpec,
                     bound: VariationBound, noise: NoiseModel,
                     rng: np.random.Generator, m: int, alpha: float = 0.05,
-                    thresholds=None, index: NeighborIndex | None = None,
-                    rows: _TailRows | None = None) -> TestOutcome:
+                    thresholds=None, index: NeighborIndex | None = None) -> TestOutcome:
     """Invariance test from a known variation bound.
 
     Draws ``m`` transform/index pairs, pairs each transformed point with its
     nearest data neighbour, and compares the per-threshold exceedance counts
     of ``|Y_i - Y_j| - V(g . X_i, X_j)`` to a binomial tail under the noise
     concentration bound; the reported p-value is the minimum over the grid.
-    ``rows`` holds the ``_TailRows`` of ``m`` when the caller keeps them
-    across tests; without it the tails keep no rows.
     """
     if m < 1:
         raise SymlatError("sample count m must be >= 1")
@@ -414,8 +292,10 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
         noise.default_thresholds() if thresholds is None else thresholds, dtype=float)
     if thresholds.size == 0:
         raise SymlatError("threshold grid must be non-empty")
-    if np.any(thresholds <= 0) or np.any(np.diff(thresholds) <= 0):
-        raise SymlatError("thresholds must be positive and strictly increasing")
+    # nothing exceeds an infinite threshold and its p_t is 0: its tail is 1
+    if not (np.all(thresholds > 0) and np.all(np.diff(thresholds) > 0)
+            and thresholds[-1] < np.inf):
+        raise SymlatError("thresholds must be positive, finite and strictly increasing")
     if index is None:
         index = NeighborIndex.from_dataset(data)
     elements = sample_elements(sampler, rng, m)
@@ -425,7 +305,7 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     excess = np.abs(data.Y[picks] - data.Y[nbrs]) - bound(gx, data.X[nbrs])
     pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
     counts = m - np.searchsorted(np.sort(excess), thresholds, side="left")
-    pvals = binom_tail(m, counts, pts, rows)
+    pvals = binom_tail(m, counts, pts)
     return _finish(float(pvals.min()), alpha, effective_m=m, statistics=excess,
                    thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
                    warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())

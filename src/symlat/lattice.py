@@ -261,13 +261,31 @@ def standard_node(group: GroupDescriptor, action: GroupAction,
 
 
 def order_from_covers(n: int, covers: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The order on ``n`` nodes generated by ``(lower, upper)`` cover pairs."""
+    """The order on ``n`` nodes generated by ``(lower, upper)`` cover pairs.
+
+    One pass in Kahn's top-down order ORs into each node's row the closed
+    rows of the nodes covering it.  Nodes on or below a cycle go last, and
+    the pass repeats until no row grows (``Lattice`` refuses that order)."""
     leq = np.eye(n, dtype=bool)
+    uppers, lowers = [[] for _ in range(n)], [[] for _ in range(n)]
     for lo, hi in covers:
-        leq[lo, hi] = True
-    for _ in range(n.bit_length()):  # each squaring doubles the chain length covered
-        leq = leq | (leq @ leq)
-    return leq
+        uppers[lo].append(hi)
+        lowers[hi].append(lo)
+    left = [len(u) for u in uppers]
+    order = [v for v in range(n) if not left[v]]
+    for u in order:  # the list grows as nodes have all their uppers placed
+        for v in lowers[u]:
+            left[v] -= 1
+            if not left[v]:
+                order.append(v)
+    order += [v for v in range(n) if left[v]]
+    while True:
+        before = np.count_nonzero(leq)
+        for v in order:
+            for u in uppers[v]:
+                leq[v] |= leq[u]
+        if not any(left) or np.count_nonzero(leq) == before:
+            return leq
 
 
 def lattice_from_member_sets(table, member_sets, labels, action: GroupAction) -> Lattice:

@@ -30,7 +30,6 @@ from .invariance import (
     VariationBound,
     exceedance_test,
     ratio_permutation_test,
-    _TailRows,
     _finish,
 )
 from .lattice import Lattice, SubgroupNode
@@ -102,10 +101,8 @@ def _tie_rng(seed: int) -> np.random.Generator:
 
 class ExceedanceTester:
     """Known-bound exceedance test bound to one dataset, whose threshold grid
-    and binomial term rows serve every test of a search.  ``thresholds=None``
-    takes the noise model's default grid, built here once.  The rows are
-    built by the tests' ``binom_tail`` calls, one per threshold probability
-    on first use."""
+    and neighbour index serve every test of a search.  ``thresholds=None``
+    takes the noise model's default grid, built here once."""
 
     def __init__(self, data: RegressionDataset, bound: VariationBound,
                  noise: NoiseModel, m: int, thresholds=None):
@@ -114,14 +111,13 @@ class ExceedanceTester:
         self.noise = noise
         self.m = m
         self.thresholds = noise.default_thresholds() if thresholds is None else thresholds
-        self.rows = _TailRows(m)
         self.index = NeighborIndex.from_dataset(data)
 
     def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
              rng: np.random.Generator) -> TestOutcome:
         return exceedance_test(self.data, action, sampler, self.bound, self.noise, rng,
                                self.m, alpha=alpha, thresholds=self.thresholds,
-                               index=self.index, rows=self.rows)
+                               index=self.index)
 
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:

@@ -183,7 +183,8 @@ def test_config_rejects_alpha_outside_the_unit_interval(tmp_path):
                        ("exponent", "0"), ("noise_sigma", "-1"), ("noise_sigma", "inf"),
                        ("noise_sigma", "nan"), ("thresholds", "0.2 0.1"),
                        ("thresholds", "0.1 0.1"), ("thresholds", "-1"),
-                       ("thresholds", "nan")):
+                       ("thresholds", "nan"), ("thresholds", "inf"),
+                       ("thresholds", "0.1 inf")):
         with pytest.raises(ConfigError, match=rf"\[test\] {key}:"):
             load_config(_write(tmp_path, "k.ini", with_key(key, value)))
     cfg = load_config(_write(tmp_path, "k.ini", with_key("thresholds", "0.1 0.2")
@@ -575,11 +576,13 @@ n = 300
 @pytest.mark.parametrize("scenario, test, named", [
     ("", "lipschitz = inf", "[test] lipschitz: inf"),
     ("", "noise_sigma = inf", "[test] noise_sigma: inf"),
-    ("noise_sigma = inf", "", "[scenario] noise_sigma: inf")],
-    ids=["lipschitz", "test-sigma", "scenario-sigma"])
+    ("noise_sigma = inf", "", "[scenario] noise_sigma: inf"),
+    ("", "thresholds = inf", "[test] thresholds: inf")],
+    ids=["lipschitz", "test-sigma", "scenario-sigma", "thresholds"])
 def test_cli_refuses_infinite_scales(tmp_path, capsys, scenario, test, named):
-    # an infinite test scale made every node pass with p = 1 and exit 0; an
-    # infinite scenario sigma failed only once the data were drawn (exit 2)
+    # an infinite test scale or threshold made every node pass with p = 1 and
+    # exit 0; an infinite scenario sigma failed only once the data were drawn
+    # (exit 2)
     config = _write(tmp_path, "inf.ini", INFINITE_SEARCH.format(scenario=scenario, test=test))
     assert cli_main(["search", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err

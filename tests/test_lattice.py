@@ -349,6 +349,29 @@ def test_order_from_covers_closes_long_chains():
         assert np.array_equal(order_from_covers(n, covers), np.triu(np.ones((n, n), dtype=bool)))
 
 
+def squared_closure(n, covers):
+    """The order closed by squaring the cover relation log2(n) times."""
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        leq[lo, hi] = True
+    for _ in range(n.bit_length()):  # each squaring doubles the chain length covered
+        leq = leq | (leq @ leq)
+    return leq
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=3 * n))))
+@example((3, [(0, 1), (1, 2), (2, 1)]))
+@example((4, [(2, 2), (0, 1)]))
+@example((5, [(3, 4), (2, 3), (1, 2), (0, 1), (0, 1)]))
+def test_order_from_covers_matches_squared_closure(args):
+    # random cover lists, cycles and repeated pairs included
+    n, covers = args
+    assert np.array_equal(order_from_covers(n, covers), squared_closure(n, covers))
+
+
 def test_collinear_axes_rejected():
     axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     with pytest.raises(LatticeError):
