@@ -24,11 +24,13 @@ on that permutation test's 300 rows (the image each pairing table holds).
 the T = 20 threshold probabilities of the default grid of
 ``gaussian_noise(0.01)``, at counts of 2 (below the mode of every
 probability's binomial) and of 565 (past it for the 6 smallest).
+``so3_axes_lattice`` is built on 499 Fibonacci axes of the upper hemisphere
+(501 nodes), the cost that bounds how fine a grid of axes a search can use.
 Each figure is the fastest of several repeats after one warm-up call, with
-BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO and
-permutation-test time stands the peak of memory that ``tracemalloc`` saw
-during one more call; each LOO call also shows the share of its
-block-by-grid evaluations that early abandoning left to run.
+BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO,
+permutation-test and lattice-build time stands the peak of memory that
+``tracemalloc`` saw during one more call; each LOO call also shows the share
+of its block-by-grid evaluations that early abandoning left to run.
 """
 
 import os
@@ -42,7 +44,11 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 
 from symlat import _kernels  # noqa: E402
-from symlat.builders import cyclic_chain_lattice, sl3_extended_lattice  # noqa: E402
+from symlat.builders import (  # noqa: E402
+    cyclic_chain_lattice,
+    sl3_extended_lattice,
+    so3_axes_lattice,
+)
 from symlat.groups import (  # noqa: E402
     FiniteElement,
     apply_elements,
@@ -66,6 +72,8 @@ SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5))
 FIT_QUERIES = 200
 # draws per exceedance test and noise level of the search-sl3 workload
 SEARCH_M, SEARCH_SIGMA = 2000, 0.01
+# axes of the timed lattice build
+LATTICE_AXES = 499
 
 
 def bench(fn, *args, repeat=10):
@@ -107,6 +115,15 @@ def evaluated_share(xt, yt, scales, cs):
     finally:
         _kernels._distance_block, _kernels._block_residuals = build, residuals
     return len(runs) / (len(starts) * len(cs))
+
+
+def fibonacci_axes(k):
+    """``k`` unit axes spread evenly over the upper hemisphere."""
+    i = np.arange(k) + 0.5
+    z = 1.0 - i / k
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def problems(rng):
@@ -160,6 +177,11 @@ def main():
         t = bench(binom_tail, SEARCH_M, ks, ps)
         print(f"{'binom_tail':<28} {f'm={SEARCH_M} T={ps.size} k={count}':<18} "
               f"{t * 1e6:>8.1f}us")
+    axes = fibonacci_axes(LATTICE_AXES)
+    t = bench(so3_axes_lattice, axes, repeat=3)
+    peak = traced_peak(so3_axes_lattice, axes)
+    print(f"{'so3_axes_lattice':<28} {f'K={LATTICE_AXES} axes':<18} "
+          f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
 
 
 if __name__ == "__main__":

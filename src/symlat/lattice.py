@@ -1,12 +1,12 @@
 """Finite sub-lattices of the closed-subgroup lattice of a search group.
 
 A :class:`Lattice` is a validated partial order over subgroup nodes with a
-unique bottom (the trivial group) and top (the search group), precomputed
-meet/join tables, the cover relation (Hasse diagram), and height levels by
-longest chain from the bottom.  Finite-group order relations are computed
-from member sets; continuous relations are declared by the builders.  The
-builders make every node with :func:`standard_node`, which attaches its
-kind's sampler and projection map.
+unique bottom (the trivial group) and top (the search group), the cover
+relation (Hasse diagram), and height levels by longest chain from the
+bottom; meets and joins are computed from the order when asked for.
+Finite-group order relations are computed from member sets; continuous
+relations are declared by the builders.  The builders make every node with
+:func:`standard_node`, which attaches its kind's sampler and projection map.
 """
 
 from __future__ import annotations
@@ -49,10 +49,12 @@ class Lattice:
 
     ``leq[i, j]`` means node ``i`` is a subgroup of node ``j``.  The lattice
     alone numbers its nodes: node ``i`` gets ``node_id = i``, its position in
-    ``nodes`` and in ``leq``, whatever id it arrived with.  Construction
-    validates the partial order, unique bottom/top, and that every pair has a
-    unique meet and join inside the node set (for finite nodes these are also
-    checked against element-set intersection and generated closure).
+    ``nodes`` and in ``leq``, whatever id it arrived with, and ``leq`` is the
+    only record of the order.  Construction validates the partial order,
+    unique bottom/top, and that every pair has a unique meet inside the node
+    set, which with the top makes the order a lattice (for finite nodes meets
+    and joins are also checked against element-set intersection and generated
+    closure).
     """
 
     def __init__(self, nodes: Sequence[SubgroupNode], leq: np.ndarray,
@@ -64,6 +66,8 @@ class Lattice:
         self.leq = leq.copy()
         self.leq.setflags(write=False)
         self.action = action
+        self._down = self.leq.sum(axis=0)  # down-set sizes
+        self._up = self.leq.sum(axis=1)  # up-set sizes
         self._covers = self._validate_partial_order()
         self._bottom, self._top = self._find_extremes()
         heights = self._heights_by_longest_chain()
@@ -73,7 +77,7 @@ class Lattice:
         if not (bot.is_finite and bot.order == 1):
             raise LatticeError("lattice bottom must be the trivial group")
         self._validate_finite_order_consistency()
-        self._meet_table, self._join_table = self._build_meet_join()
+        self._validate_meets()
         self._validate_finite_meet_join()
 
     # -- validation helpers ---------------------------------------------------
@@ -106,7 +110,7 @@ class Lattice:
     def _heights_by_longest_chain(self) -> np.ndarray:
         n = len(self.leq)
         heights = np.zeros(n, dtype=np.int64)
-        order = sorted(range(n), key=lambda i: int(self.leq[:, i].sum()))
+        order = sorted(range(n), key=lambda i: int(self._down[i]))
         for v in order:
             below = np.flatnonzero(self._covers[:, v])
             if below.size:
@@ -128,52 +132,42 @@ class Lattice:
                     f"declared order between {a.label!r} and {b.label!r} "
                     "contradicts their member sets")
 
-    def _build_meet_join(self) -> tuple[np.ndarray, np.ndarray]:
+    def _validate_meets(self) -> None:
         # Row a at a time.  lower[b, c] marks the common lower bounds c of a and
         # b.  Each one's down-set lies inside that set, so the one with the
-        # largest down-set is the meet exactly when its down-set holds them all;
-        # joins are the dual, with up-sets and common upper bounds.  Every
-        # down-set holds its own node, so a non-bound (score 0) never wins, and
-        # a pair without common bounds fails the size check.
-        leq = self.leq
-        n = len(self.nodes)
-        geq = np.ascontiguousarray(leq.T)
-        down = leq.sum(axis=0)
-        up = leq.sum(axis=1)
-        meet = np.empty((n, n), dtype=np.int64)
-        join = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
+        # largest down-set is the meet exactly when its down-set holds them all.
+        # Every down-set holds its own node, so a non-bound (score 0) never
+        # wins, and a pair without common bounds fails the size check.  With
+        # the top checked, meets make a lattice: a pair's join is the meet of
+        # its common upper bounds.
+        geq = np.ascontiguousarray(self.leq.T)
+        down = self._down
+        for a in range(len(self.nodes)):
             lower = geq & geq[a]
-            meet[a] = (lower * down).argmax(axis=1)
-            meet_ok = down[meet[a]] == np.count_nonzero(lower, axis=1)
-            upper = leq & leq[a]
-            join[a] = (upper * up).argmax(axis=1)
-            join_ok = up[join[a]] == np.count_nonzero(upper, axis=1)
-            bad = np.flatnonzero(~(meet_ok & join_ok))
+            meet = (lower * down).argmax(axis=1)
+            bad = np.flatnonzero(down[meet] != np.count_nonzero(lower, axis=1))
             if bad.size:
-                b = int(bad[0])
-                which = "meet" if not meet_ok[b] else "join"
-                raise LatticeError(f"nodes {a} and {b} lack a unique {which}")
-        return meet, join
+                raise LatticeError(f"nodes {a} and {int(bad[0])} lack a unique meet")
 
     def _validate_finite_meet_join(self) -> None:
+        # a comparable pair's meet and join are its own nodes
         for a, b in self._finite_pairs():
+            i, j = a.node_id, b.node_id
+            if i >= j or self.leq[i, j] or self.leq[j, i]:
+                continue
             ga, gb = a.group, b.group
-            m = self.nodes[self._meet_table[a.node_id, b.node_id]].group
+            m = self.nodes[self.meet(i, j)].group
             if m.members != (ga.members & gb.members):
                 raise LatticeError(
                     f"meet of {a.label!r}, {b.label!r} is not the member intersection")
-            j = self.nodes[self._join_table[a.node_id, b.node_id]].group
-            if j.is_finite and j.table is ga.table:
+            g = self.nodes[self.join(i, j)].group
+            if g.is_finite and g.table is ga.table:
                 generated = ga.table.closure(ga.members | gb.members)
-                if j.members != generated:
+                if g.members != generated:
                     raise LatticeError(
                         f"join of {a.label!r}, {b.label!r} is not the generated subgroup")
 
     # -- queries ----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     @property
     def bottom(self) -> int:
@@ -196,11 +190,13 @@ class Lattice:
                 return node
         raise LatticeError(f"no node labelled {label!r}")
 
-    def meet(self, a: int, b: int) -> int:
-        return int(self._meet_table[a, b])
+    def meet(self, *ids: int) -> int:
+        """The common lower bound of ``ids`` with the largest down-set."""
+        return int((self.leq[:, list(ids)].all(axis=1) * self._down).argmax())
 
-    def join(self, a: int, b: int) -> int:
-        return int(self._join_table[a, b])
+    def join(self, *ids: int) -> int:
+        """The common upper bound of ``ids`` with the largest up-set."""
+        return int((self.leq[list(ids)].all(axis=0) * self._up).argmax())
 
     def enumerate_by_height(self) -> list[list[int]]:
         """Level i holds the nodes of height i, in node-id order."""

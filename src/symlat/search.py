@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,10 +163,6 @@ class OracleTester:
         rejected = set(labels)
         return cls(lambda lat, node: node.label not in rejected)
 
-    @classmethod
-    def accept_all(cls) -> "OracleTester":
-        return cls(lambda lat, node: True)
-
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
         ok = self.accept(lattice, node)
@@ -193,7 +188,7 @@ def _greedy_skippable(lattice: Lattice, node: SubgroupNode,
                       prev_level_alive: set[int]) -> bool:
     """True when the node is the join of >= 2 surviving previous-level nodes."""
     below = [u for u in prev_level_alive if lattice.leq[u, node.node_id]]
-    return len(below) >= 2 and reduce(lattice.join, below) == node.node_id
+    return len(below) >= 2 and lattice.join(*below) == node.node_id
 
 
 def _resolve_and_pack(lattice: Lattice, statuses: dict[int, str],
@@ -297,10 +292,7 @@ def resolve_tilde(tilde: Sequence[int], lattice: Lattice, rule: str,
     if rule == UNIFORM_RANDOM:
         return int(tilde[int(rng.integers(0, len(tilde)))])
     if rule == MEET_OF_MAXIMA:
-        acc = tilde[0]
-        for v in tilde[1:]:
-            acc = lattice.meet(acc, v)
-        return int(acc)
+        return lattice.meet(*tilde)
     raise SymlatError(f"unknown tie rule {rule!r}")
 
 

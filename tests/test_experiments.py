@@ -386,8 +386,8 @@ dim = 2
     paths = run_experiment(cfg, tmp_path / "out")
     lat, result = paths["lattice"], paths["result"]
     assert result.estimate == lat.top
-    statuses = [result.statuses[i] for i in range(len(lat))]
-    assert statuses.count("accepted") == len(lat)
+    statuses = [result.statuses[i] for i in range(len(lat.nodes))]
+    assert statuses.count("accepted") == len(lat.nodes)
 
 
 def test_single_search_on_idx_images(tmp_path):
@@ -518,7 +518,7 @@ SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
 def test_shipped_configs_load_and_build(path):
     cfg = load_config(path)
-    assert len(build_lattice(cfg.lattice)) >= 2
+    assert len(build_lattice(cfg.lattice).nodes) >= 2
 
 
 # ---------------------------------------------------------------------------

