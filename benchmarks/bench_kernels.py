@@ -25,7 +25,10 @@ the T = 20 threshold probabilities of the default grid of
 ``gaussian_noise(0.01)``, at counts of 2 (below the mode of every
 probability's binomial) and of 565 (past it for the 6 smallest).
 ``so3_axes_lattice`` is built on 499 Fibonacci axes of the upper hemisphere
-(501 nodes), the cost that bounds how fine a grid of axes a search can use.
+(501 nodes), the cost that bounds how fine a grid of axes a search can use,
+and ``run_search`` runs breadth-first over that lattice with an oracle that
+accepts every node but the top, leaving 499 surviving maxima: the search
+layer's own cost, with no statistical test in it.
 Each figure is the fastest of several repeats after one warm-up call, with
 BLAS pinned to one thread as in ``perfbench/run.py``.  Next to each LOO,
 permutation-test and lattice-build time stands the peak of memory that
@@ -64,7 +67,7 @@ from symlat.regression import (  # noqa: E402
     _feature_scales,
 )
 from symlat.scenarios import make_scenario  # noqa: E402
-from symlat.search import PermutationTester  # noqa: E402
+from symlat.search import OracleTester, PermutationTester, SearchConfig, run_search  # noqa: E402
 
 # (training rows n, queries q, dimension d) of the normal-data problems
 SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5))
@@ -182,6 +185,10 @@ def main():
     peak = traced_peak(so3_axes_lattice, axes)
     print(f"{'so3_axes_lattice':<28} {f'K={LATTICE_AXES} axes':<18} "
           f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
+    lattice = so3_axes_lattice(axes)
+    all_but_top = OracleTester(lambda lat, node: node.node_id != lat.top)
+    t = bench(run_search, lattice, all_but_top, SearchConfig())
+    print(f"{'run_search (breadth)':<28} {f'K={LATTICE_AXES} axes':<18} {t * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -279,6 +279,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [search] test: kind {kind!r} reads [test] types instead")
     if search.get("test") == "oracle" and kind != "search":
         raise ConfigError(f"{path}: [search] test: 'oracle' needs kind = search")
+    if "oracle_reject" in search and search.get("test") != "oracle":
+        raise ConfigError(f"{path}: [search] oracle_reject: read only with test = oracle")
     # the key still parses, so configs that say ``batch = false`` load
     if search.pop("batch", False):
         raise ConfigError(f"{path}: [search] batch: batch mode was removed; "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_lattice
 from .data import RegressionDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, LatticeError
 from .ingest import ingest
 from .invariance import gaussian_noise, known_bound, order_bound
 from .plotting import Series, write_svg
@@ -325,6 +325,11 @@ def run_single_search(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
         raise DataError(f"dataset dimension {data.dim} does not match the lattice's "
                         f"ambient action dimension {lattice.action.dim}")
     if cfg.search.test == "oracle":
+        try:
+            for label in cfg.search.oracle_reject:
+                lattice.node_by_label(label)
+        except LatticeError as exc:
+            raise ConfigError(f"[search] oracle_reject: {exc}") from None
         tester = OracleTester.reject_labels(cfg.search.oracle_reject)
     else:
         tester = _tester(cfg, cfg.search.test, data, gaussian_noise(sigma))

@@ -250,7 +250,6 @@ class TestOutcome:
     thresholds: np.ndarray | None = None
     exceed_counts: np.ndarray | None = None
     threshold_p: np.ndarray | None = None
-    replicate_quantiles: np.ndarray | None = None
     replicate_m: np.ndarray | None = None
     baseline_quantile: float | None = None
     warnings: tuple[str, ...] = ()
@@ -519,5 +518,4 @@ def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
     baseline = float(quantiles[B])
     p = float(np.sum(quantiles[:B] <= baseline)) / float(B)
     return _finish(p, alpha, effective_m=int(kept_m[B]), statistics=quantiles[:B],
-                   replicate_quantiles=quantiles[:B], replicate_m=kept_m[:B],
-                   baseline_quantile=baseline)
+                   replicate_m=kept_m[:B], baseline_quantile=baseline)

@@ -216,11 +216,11 @@ class Lattice:
 
     def frontier(self, gmax: int) -> set[int]:
         """Nodes just outside the invariant region below ``gmax``: not below
-        gmax, all their strict subnodes below gmax, and covering one of them."""
+        gmax, with all their strict subnodes below it.  Such a node is not the
+        bottom, so it covers one of them."""
         inv = self.leq[:, gmax]
         lt = self.leq & ~np.eye(len(self.nodes), dtype=bool)
-        out = ~inv & ~(lt & ~inv[:, None]).any(axis=0) \
-            & (self._covers & inv[:, None]).any(axis=0)
+        out = ~inv & ~(lt & ~inv[:, None]).any(axis=0)
         return set(np.flatnonzero(out).tolist())
 
 

@@ -1,12 +1,16 @@
 """Lattice search for the maximal invariant subgroup.
 
 Three strategies share a pluggable per-node invariance test: breadth-first
-(test every surviving node level by level, deleting everything above a
-rejection), its greedy variant (skip a node that is the lattice join of two
-or more surviving nodes of the previous level), and depth-first (follow the
-first acceptance upward).  Per-node random streams are spawned from the master
-seed and the node id, so outcomes are independent of test order within a
-level.
+(test every surviving node level by level, pruning everything above a
+rejection), its greedy variant (skip a node that lies above two or more
+surviving nodes of the previous level: nodes sit at their longest-chain
+height, so any two of those are incomparable and their join is the node
+itself), and depth-first (follow the first acceptance upward).  All three
+test a node through one step that records its outcome and status, and
+return through one packer that derives the surviving maxima, the estimate
+and the counts from those records.  Per-node random streams are spawned
+from the master seed and the node id, so outcomes are independent of test
+order within a level.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from .data import NeighborIndex, RegressionDataset
 from .errors import SymlatError
 from .groups import GroupAction, SamplerSpec
 from .invariance import (
-    ACCEPT,
-    REJECT,
     NoiseModel,
     PairingTables,
     TestOutcome,
@@ -186,22 +188,35 @@ def _units(node: SubgroupNode) -> int:
 
 def _greedy_skippable(lattice: Lattice, node: SubgroupNode,
                       prev_level_alive: set[int]) -> bool:
-    """True when the node is the join of >= 2 surviving previous-level nodes."""
-    below = [u for u in prev_level_alive if lattice.leq[u, node.node_id]]
-    return len(below) >= 2 and lattice.join(*below) == node.node_id
+    """True when >= 2 surviving previous-level nodes lie below the node.
+
+    Nodes sit at their longest-chain height, so two such nodes are
+    incomparable and their join lies strictly above one of them, at the
+    node's height or higher, yet at most the node: the join is the node."""
+    return np.count_nonzero(lattice.leq[list(prev_level_alive), node.node_id]) >= 2
+
+
+def _test(lattice: Lattice, tester, config: SearchConfig, v: int,
+          statuses: dict[int, str], outcomes: dict[int, TestOutcome]) -> str:
+    """Test node ``v`` on its own stream; record and return its status."""
+    outcome = tester.test_node(lattice, lattice.node(v), config.alpha,
+                               _node_rng(config.seed, v))
+    outcomes[v] = outcome
+    statuses[v] = REJECTED if outcome.rejected else ACCEPTED
+    return statuses[v]
 
 
 def _resolve_and_pack(lattice: Lattice, statuses: dict[int, str],
-                      outcomes: dict[int, TestOutcome], tests: int, units: int,
+                      outcomes: dict[int, TestOutcome],
                       config: SearchConfig) -> SearchResult:
-    alive = [i for i, s in statuses.items() if s in (ACCEPTED, SKIPPED_GREEDY)]
-    tilde = [v for v in alive
-             if not any(u != v and lattice.leq[v, u] for u in alive)]
-    tilde = tuple(sorted(tilde))
+    # statuses run in node-id order, so the maxima come out sorted
+    alive = np.array([v for v, s in statuses.items() if s in (ACCEPTED, SKIPPED_GREEDY)])
+    maximal = lattice.leq[np.ix_(alive, alive)].sum(axis=1) == 1
+    tilde = tuple(alive[maximal].tolist())
     estimate = resolve_tilde(tilde, lattice, config.tie_rule, _tie_rng(config.seed))
     return SearchResult(estimate=estimate, tilde_set=tilde, statuses=statuses,
-                        outcomes=outcomes, tests_performed=tests,
-                        computation_units=units)
+                        outcomes=outcomes, tests_performed=len(outcomes),
+                        computation_units=sum(_units(lattice.node(v)) for v in outcomes))
 
 
 def breadth_first_estimate(lattice: Lattice, tester, config: SearchConfig,
@@ -209,34 +224,20 @@ def breadth_first_estimate(lattice: Lattice, tester, config: SearchConfig,
     statuses = {n.node_id: UNTESTED for n in lattice.nodes}
     statuses[lattice.bottom] = ACCEPTED
     outcomes: dict[int, TestOutcome] = {}
-    tests = 0
-    units = 0
     levels = lattice.enumerate_by_height()
-    for level_i in range(1, len(levels)):
-        prev_alive = {v for v in levels[level_i - 1]
-                      if statuses[v] in (ACCEPTED, SKIPPED_GREEDY)}
-        candidates = [v for v in levels[level_i] if statuses[v] == UNTESTED]
-        rejected_now = []
-        for v in candidates:
-            node = lattice.node(v)
-            if greedy and _greedy_skippable(lattice, node, prev_alive):
-                statuses[v] = SKIPPED_GREEDY
+    for prev, level in zip(levels, levels[1:]):
+        prev_alive = {v for v in prev if statuses[v] in (ACCEPTED, SKIPPED_GREEDY)}
+        # pruning marks only greater heights, so it never reaches this level
+        for v in level:
+            if statuses[v] != UNTESTED:
                 continue
-            outcome = tester.test_node(lattice, node, config.alpha,
-                                       _node_rng(config.seed, v))
-            outcomes[v] = outcome
-            tests += 1
-            units += _units(node)
-            if outcome.decision == REJECT:
-                statuses[v] = REJECTED
-                rejected_now.append(v)
-            else:
-                statuses[v] = ACCEPTED
-        for v in rejected_now:
-            for w in lattice.above(v):
-                if w != v and statuses[w] == UNTESTED:
-                    statuses[w] = PRUNED
-    return _resolve_and_pack(lattice, statuses, outcomes, tests, units, config)
+            if greedy and _greedy_skippable(lattice, lattice.node(v), prev_alive):
+                statuses[v] = SKIPPED_GREEDY
+            elif _test(lattice, tester, config, v, statuses, outcomes) == REJECTED:
+                for w in lattice.above(v):
+                    if statuses[w] == UNTESTED:
+                        statuses[w] = PRUNED
+    return _resolve_and_pack(lattice, statuses, outcomes, config)
 
 
 def breadth_first_greedy_estimate(lattice: Lattice, tester,
@@ -246,31 +247,19 @@ def breadth_first_greedy_estimate(lattice: Lattice, tester,
 
 def depth_first_estimate(lattice: Lattice, tester, config: SearchConfig) -> SearchResult:
     """Test the covers of the last accepted node in id order and climb to the
-    first one accepted; the estimate is the node whose covers all reject."""
+    first one accepted; the estimate is the node whose covers all reject.
+    The accepted nodes form a chain, so it is their only maximum."""
     statuses = {n.node_id: UNTESTED for n in lattice.nodes}
     statuses[lattice.bottom] = ACCEPTED
     outcomes: dict[int, TestOutcome] = {}
-    tests = 0
-    units = 0
     current = lattice.bottom
     while True:
         for v in np.flatnonzero(lattice.covers[current]).tolist():
-            node = lattice.node(v)
-            outcome = tester.test_node(lattice, node, config.alpha,
-                                       _node_rng(config.seed, v))
-            outcomes[v] = outcome
-            tests += 1
-            units += _units(node)
-            if outcome.decision == ACCEPT:
-                statuses[v] = ACCEPTED
+            if _test(lattice, tester, config, v, statuses, outcomes) == ACCEPTED:
                 current = v
                 break
-            statuses[v] = REJECTED
         else:
-            break
-    return SearchResult(estimate=current, tilde_set=(current,), statuses=statuses,
-                        outcomes=outcomes, tests_performed=tests,
-                        computation_units=units)
+            return _resolve_and_pack(lattice, statuses, outcomes, config)
 
 
 def run_search(lattice: Lattice, tester, config: SearchConfig) -> SearchResult:

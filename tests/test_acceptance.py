@@ -403,7 +403,7 @@ def test_criterion_8_property_suites(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _same_outcome(got, want):
-    for field in ("statistics", "exceed_counts", "replicate_quantiles"):
+    for field in ("statistics", "exceed_counts"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a is None and b is None) or np.array_equal(a, b), field
     assert got.p_value == want.p_value

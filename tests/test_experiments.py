@@ -363,6 +363,49 @@ dim = 2
     assert "pruned" in text and "rejected" in text
 
 
+ORACLE_SEARCH = """
+[experiment]
+kind = search
+seed = 5
+[lattice]
+builder = d4
+dim = 2
+[search]
+test = oracle
+oracle_reject = <h> <v>
+[data]
+source = scenario
+n = 30
+[scenario]
+id = fd-rotation
+dim = 2
+"""
+
+
+def test_oracle_reject_labels_must_name_lattice_nodes(tmp_path, capsys):
+    # a label the lattice lacks used to reject nothing, so every node passed
+    path = _write(tmp_path, "s.ini",
+                  ORACLE_SEARCH.replace("<h> <v>", "<typo> <nothere>"))
+    with pytest.raises(ConfigError, match=r"\[search\] oracle_reject: .*'<typo>'"):
+        run_experiment(load_config(path), tmp_path / "out")
+    capsys.readouterr()
+    assert cli_main(["search", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+    assert "[search] oracle_reject" in capsys.readouterr().err
+
+
+def test_oracle_reject_needs_the_oracle_test(tmp_path, capsys):
+    # the key used to be read under no test but the oracle, and ignored
+    for test in ("test = exceedance\n", ""):
+        path = _write(tmp_path, "s.ini", ORACLE_SEARCH.replace("test = oracle\n", test))
+        with pytest.raises(ConfigError,
+                           match=r"\[search\] oracle_reject: read only with test = oracle"):
+            load_config(path)
+    capsys.readouterr()
+    assert cli_main(["search", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+    assert "[search] oracle_reject" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
 def test_single_search_all_accept_reaches_top(tmp_path):
     config_text = """
 [experiment]

@@ -466,7 +466,7 @@ def test_perm_b1_end_to_end():
     out = ratio_permutation_test(data, rotation, sampler, order_bound(), rng,
                                  m=50, B=1)
     assert out.p_value in (0.0, 1.0)
-    assert out.p_value == float(out.replicate_quantiles[0] <= out.baseline_quantile)
+    assert out.p_value == float(out.statistics[0] <= out.baseline_quantile)
     assert out.rejected == (out.p_value == 0.0)
     # duplicated rows: pairs pass over reference rows at the point's own
     # location instead of failing, however small B is
@@ -476,7 +476,7 @@ def test_perm_b1_end_to_end():
         out = ratio_permutation_test(dup, rotation, sampler, order_bound(),
                                      np.random.default_rng(seed), m=40, B=1)
         assert out.p_value in (0.0, 1.0)
-        assert np.isfinite(out.replicate_quantiles).all()
+        assert np.isfinite(out.statistics).all()
 
 
 def test_perm_trivial_action_rejection_rate():
@@ -503,7 +503,7 @@ def test_perm_determinism():
     b = ratio_permutation_test(data, rotation, sampler, order_bound(),
                                np.random.default_rng(11), m=60, B=30)
     assert a.p_value == b.p_value
-    assert np.array_equal(a.replicate_quantiles, b.replicate_quantiles)
+    assert np.array_equal(a.statistics, b.statistics)
     assert a.baseline_quantile == b.baseline_quantile
 
 
@@ -562,10 +562,10 @@ def test_perm_replicates_match_brute_force_pairing():
         rng = np.random.default_rng(9)
         for k in range(B):
             want = _replay_replicate(data, action, sampler, rng, m, q, transform=True)
-            assert math.isclose(out.replicate_quantiles[k], want, rel_tol=1e-12)
+            assert math.isclose(out.statistics[k], want, rel_tol=1e-12)
         want = _replay_replicate(data, action, sampler, rng, m, q, transform=False)
         assert math.isclose(out.baseline_quantile, want, rel_tol=1e-12)
-        assert out.p_value == np.mean(out.replicate_quantiles <= out.baseline_quantile)
+        assert out.p_value == np.mean(out.statistics <= out.baseline_quantile)
 
 
 def test_perm_heavily_duplicated_features():
@@ -581,7 +581,7 @@ def test_perm_heavily_duplicated_features():
             data = _lattice_data(rng, 60, invariant)
             out = ratio_permutation_test(data, rotation, sampler, order_bound(), rng,
                                          m=60, B=40)
-            assert np.isfinite(out.replicate_quantiles).all()
+            assert np.isfinite(out.statistics).all()
             rejected[invariant] += out.rejected
     assert rejected[False] == 30
     assert rejected[True] <= 6
@@ -595,7 +595,7 @@ def test_perm_redraws_zero_denominators():
     rotation, _, sampler = quarter_turn_actions(2)
     out = ratio_permutation_test(data, rotation, sampler, order_bound(),
                                  np.random.default_rng(1), m=40, B=10)
-    assert np.isfinite(out.replicate_quantiles).all()
+    assert np.isfinite(out.statistics).all()
 
 
 def test_perm_degenerate_metric_raises():
@@ -648,7 +648,7 @@ def test_perm_raises_when_a_replicate_draws_only_unpaired_rows():
                                np.random.default_rng(0), m=1, B=20)
     out = ratio_permutation_test(data, rotation, identity, order_bound(),
                                  np.random.default_rng(0), m=40, B=20)
-    assert np.isfinite(out.replicate_quantiles).all()
+    assert np.isfinite(out.statistics).all()
     assert (out.replicate_m > 0).all() and (out.replicate_m < 40).any()
 
 
@@ -742,7 +742,7 @@ def test_blocked_pass_matches_replicate_loop(case, seed, n, block, past, m, q, l
         out = ratio_permutation_test(data, action, sampler, bound,
                                      np.random.default_rng(seed), m, B, q=q)
     quantiles, counts, baseline, baseline_m = want
-    assert np.array_equal(out.replicate_quantiles, quantiles)
+    assert np.array_equal(out.statistics, quantiles)
     assert np.array_equal(out.replicate_m, counts)
     assert out.baseline_quantile == baseline
     # the counting rule: the share of replicates at or below the identity
@@ -821,7 +821,7 @@ def test_perm_tester_ranks_each_shared_element_once():
         got = shared.test_node(chain, node, 0.05, np.random.default_rng(7))
         want = fresh.test_node(chain, node, 0.05, np.random.default_rng(7))
         assert got.p_value == want.p_value
-        assert np.array_equal(got.replicate_quantiles, want.replicate_quantiles)
+        assert np.array_equal(got.statistics, want.statistics)
         assert np.array_equal(got.replicate_m, want.replicate_m)
         assert got.baseline_quantile == want.baseline_quantile
     assert ranked.count(invariance._RANKED) == 3

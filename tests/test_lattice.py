@@ -29,7 +29,18 @@ from symlat.groups import (
     cyclic_table,
 )
 from symlat.lattice import Lattice, SubgroupNode, lattice_from_member_sets, order_from_covers
-from symlat.search import OracleTester, SearchConfig, breadth_first_greedy_estimate
+from symlat.search import (
+    ACCEPTED,
+    ALGORITHMS,
+    BREADTH_GREEDY,
+    DEPTH,
+    PRUNED,
+    SKIPPED_GREEDY,
+    OracleTester,
+    SearchConfig,
+    breadth_first_greedy_estimate,
+    run_search,
+)
 
 
 def brute_closure(table, seed):
@@ -358,6 +369,37 @@ def test_greedy_statuses_match_a_pairwise_join_skip_rule(leq, accepted):
     with mock.patch.object(search, "_greedy_skippable", skippable):
         want = breadth_first_greedy_estimate(lat, tester, SearchConfig(seed=0))
     assert got.statuses == want.statuses
+
+
+def _mixed_order_lattice(leq):
+    """``leq`` as a lattice whose even nodes are finite, node i the cyclic
+    group of order i + 1 on a table of its own (so no two are compared by
+    members), and whose odd nodes are SL3-kind."""
+    groups = [GroupDescriptor("finite", f"G{i}", table=cyclic_table(i + 1)) if i % 2 == 0
+              else GroupDescriptor(SL3, f"G{i}") for i in range(len(leq))]
+    nodes = [SubgroupNode(i, g) for i, g in enumerate(groups)]
+    return Lattice(nodes, leq, cyclic_chain_lattice([1, 2]).action)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_orders(), st.sets(st.integers(0, 10)), st.sampled_from(ALGORITHMS))
+@example(DIAMOND, {1, 2}, BREADTH_GREEDY)
+def test_search_results_are_packed_from_the_tested_nodes(leq, accepted, algorithm):
+    try:
+        lat = _mixed_order_lattice(leq)
+    except LatticeError:
+        return
+    tester = OracleTester(lambda lattice, node: node.node_id in accepted)
+    result = run_search(lat, tester, SearchConfig(algorithm=algorithm, seed=0))
+    assert result.tests_performed == len(result.outcomes)
+    assert result.computation_units == sum(
+        lat.node(v).group.order for v in result.outcomes if lat.node(v).group.is_finite)
+    assert not any(result.statuses[v] in (PRUNED, SKIPPED_GREEDY) for v in result.outcomes)
+    alive = [v for v, s in result.statuses.items() if s in (ACCEPTED, SKIPPED_GREEDY)]
+    maxima = [v for v in alive if not any(u != v and leq[v, u] for u in alive)]
+    assert result.tilde_set == tuple(sorted(maxima))
+    if algorithm == DEPTH:
+        assert result.tilde_set == (result.estimate,)
 
 
 def test_invalid_orders_rejected():
