@@ -1,5 +1,6 @@
 """Time the kernel-regression kernels at six problem sizes, one
-permutation test, and the group-action kernel at two workload shapes.
+permutation test, the Haar-SO(3) sampler, and the group-action kernel at
+three workload shapes.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
@@ -16,10 +17,13 @@ second half (the split variant).  The permutation test runs at the shape of
 the ``recovery-perm`` benchmark workload (n = 300, B = 100, m = 300, the C4
 sampler of the non-identity quarter turns), through one
 ``PermutationTester``, so its pairing tables are built once, before the
-timing.  The action kernel is timed as
-``apply_elements`` on 2000 Haar-SO(3) draws of 3-d rows (the batch shape of
-the ``search-sl3`` workload) and as ``apply_to_rows`` of the C4 quarter turn
-on that permutation test's 300 rows (the image each pairing table holds).
+timing.  ``sample_elements`` draws 2000 Haar-SO(3) rotations, and the
+action kernel is timed as ``apply_elements`` on those draws of 3-d rows (the
+batch shape of the ``search-sl3`` workload), as ``apply_elements`` on 1000
+draws of the D4 sampler of ``d4_pixel_lattice(28)`` on 784-pixel rows (a
+permutation action at the size of an MNIST image), and as ``apply_to_rows``
+of the C4 quarter turn on that permutation test's 300 rows (the image each
+pairing table holds).
 ``binom_tail`` is timed at the shape of one ``search-sl3`` test: m = 2000 and
 the T = 20 threshold probabilities of the default grid of
 ``gaussian_noise(0.01)``, at counts of 2 (below the mode of every
@@ -49,6 +53,7 @@ import numpy as np  # noqa: E402
 from symlat import _kernels  # noqa: E402
 from symlat.builders import (  # noqa: E402
     cyclic_chain_lattice,
+    d4_pixel_lattice,
     sl3_extended_lattice,
     so3_axes_lattice,
 )
@@ -167,9 +172,16 @@ def main():
     print(f"{'permutation test (C4)':<28} {'n=300 B=100 m=300':<18} "
           f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
     sl3 = sl3_extended_lattice()
-    draws = sample_elements(sl3.node_by_label("SO3").sampler, rng, 2000)
+    so3 = sl3.node_by_label("SO3").sampler
+    t = bench(sample_elements, so3, np.random.default_rng(2), 2000)
+    print(f"{'sample_elements (haar-so3)':<28} {'m=2000':<18} {t * 1e6:>8.1f}us")
+    draws = sample_elements(so3, rng, 2000)
     t = bench(apply_elements, sl3.action, draws, rng.normal(size=(2000, 3)))
     print(f"{'apply_elements (haar-so3)':<28} {'m=2000 d=3':<18} {t * 1e6:>8.1f}us")
+    pixels = d4_pixel_lattice(28)
+    draws = sample_elements(pixels.node_by_label("D4").sampler, rng, 1000)
+    t = bench(apply_elements, pixels.action, draws, rng.normal(size=(1000, 784)))
+    print(f"{'apply_elements (d4-pixels)':<28} {'m=1000 d=784':<18} {t * 1e6:>8.1f}us")
     quarter = FiniteElement(chain.action.group.table, 1)
     t = bench(apply_to_rows, chain.action, quarter, data.X)
     print(f"{'apply_to_rows (C4 quarter)':<28} {'n=300 d=2':<18} {t * 1e6:>8.1f}us")

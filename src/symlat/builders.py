@@ -16,8 +16,6 @@ from .groups import (
     SO3,
     S1_AXIS,
     TWO_PI,
-    ACTION_MATRIX,
-    ACTION_PERMUTATION,
     CayleyTable,
     GroupAction,
     GroupDescriptor,
@@ -96,8 +94,7 @@ def d4_action(dim: int = 2, table: CayleyTable | None = None) -> GroupAction:
     """
     table = d4_table() if table is None else table
     group = GroupDescriptor(FINITE, "D4", table=table)
-    return GroupAction(group, dim, ACTION_MATRIX,
-                       matrices=_embed_matrices(d4_matrices(), dim))
+    return GroupAction(group, dim, matrices=_embed_matrices(d4_matrices(), dim))
 
 
 def d4_pixel_action(side: int, table: CayleyTable | None = None) -> GroupAction:
@@ -114,7 +111,7 @@ def d4_pixel_action(side: int, table: CayleyTable | None = None) -> GroupAction:
         cols = np.rint(src[:, 0] + half).astype(np.int64)
         rows = np.rint(half - src[:, 1]).astype(np.int64)
         perms[k] = rows * side + cols
-    return GroupAction(group, side * side, ACTION_PERMUTATION, perms=perms)
+    return GroupAction(group, side * side, perms=perms)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def cyclic_chain_lattice(orders: Sequence[int], dim: int = 2,
     table = cyclic_table(top)
     mats = [planar_rotation_matrix(a, plane, dim) for a in TWO_PI * np.arange(top) / top]
     group = GroupDescriptor(FINITE, f"C{top}", table=table)
-    action = GroupAction(group, dim, ACTION_MATRIX, matrices=mats)
+    action = GroupAction(group, dim, matrices=mats)
     member_sets = [frozenset(range(0, top, top // k)) for k in orders]
     labels = ["I" if k == 1 else f"C{k}" for k in orders]
     return lattice_from_member_sets(table, member_sets, labels, action)
@@ -224,7 +221,7 @@ def c2xc2_lattice(dim: int = 2) -> Lattice:
     group = GroupDescriptor(FINITE, "C2xC2", table=table)
     flips = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
     mats = _embed_matrices(np.stack([np.diag(f) for f in flips]), dim)
-    action = GroupAction(group, dim, ACTION_MATRIX, matrices=mats)
+    action = GroupAction(group, dim, matrices=mats)
     return full_subgroup_lattice(table, action, "C2xC2")
 
 
@@ -263,7 +260,7 @@ def _axes_lattice(axes: np.ndarray, angle_std: float | None,
         raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
     k = len(axes)
     upper = [GroupDescriptor(kind, kind.upper()) for kind in chain]
-    action = GroupAction(upper[0], 3, ACTION_MATRIX)
+    action = GroupAction(upper[0], 3)
     groups = ([GroupDescriptor(FINITE, "I", table=cyclic_table(1, ["e"]))]
               + [GroupDescriptor(S1_AXIS, f"S1_u{i + 1}", axis=u) for i, u in enumerate(axes)]
               + upper)

@@ -110,7 +110,6 @@ def run_power_curve(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     """Rejection rates of both tests under the rotation (power) and half-turn
     (size) actions, per sample size."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.scenario_id != "fd-rotation":
         raise ConfigError("power-curve needs the fd-rotation scenario "
                           "(it defines both an invariant and a non-invariant action)")
@@ -173,7 +172,6 @@ def _recovery_task(args) -> int:
 def run_group_recovery(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     """Proportion of replicates estimating each lattice node, per sample size."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lattice = build_lattice(cfg.lattice)
     scenario = make_scenario(cfg.scenario_id, cfg.scenario_dim, cfg.scenario_sigma)
     if lattice.action.dim != scenario.dim:
@@ -248,7 +246,6 @@ def run_estimator_comparison(cfg: ExperimentConfig, out_dir: Path) -> dict[str, 
     """Held-out MSPE of the plain, full-data symmetrised, and split-data
     symmetrised estimators, per sample size and replicate."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.scenario_id not in ("1", "2", "3", "4"):
         raise ConfigError("estimator-compare needs scenario id 1, 2, 3, or 4")
     lattice = build_lattice(cfg.lattice)
@@ -308,7 +305,6 @@ def plot_estimator_comparison(csv_path, means_path, svg_path) -> None:
 def run_single_search(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     """One lattice search over generated or ingested data, with per-node report."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lattice = build_lattice(cfg.lattice)
     rng = _rng_for(cfg, 0, 0)
     if cfg.data.source == "scenario":
@@ -334,6 +330,7 @@ def run_single_search(cfg: ExperimentConfig, out_dir: Path) -> dict[str, Path]:
     else:
         tester = _tester(cfg, cfg.search.test, data, gaussian_noise(sigma))
     result = run_search(lattice, tester, _search_config(cfg, _child_seed(rng)))
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "search_result.csv"
     write_result_csv(result, lattice, csv_path)
     annotation_path = out_dir / "hasse_annotation.txt"
@@ -352,8 +349,6 @@ def _read_csv(path) -> list[dict[str, str]]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.kind == "power-curve":
         return run_power_curve(cfg, out_dir)
     if cfg.kind == "group-recovery":

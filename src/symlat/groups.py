@@ -2,21 +2,25 @@
 
 A group element is either a ``FiniteElement``, an index into a Cayley table,
 or a ``MatrixElement``, a square real matrix with determinant 1.  Finite
-groups are stored as explicit Cayley tables with labelled elements, and their
-elements act through an action's per-element matrices or coordinate
-permutations.  Subgroups of a finite group are index sets into the ambient
-table.  Every continuous group (a circle about an axis, SO(3), SL(3)) acts on
-R^3 by its elements' matrices.  Products of rotations are re-orthonormalised
-once numerical drift exceeds ``ORTHO_TOL``; other matrix products are
-rescaled to determinant 1.
+groups are stored as explicit Cayley tables with labelled elements.
+Subgroups of a finite group are index sets into the ambient table.  Every
+continuous group (a circle about an axis, SO(3), SL(3)) acts on R^3 by its
+elements' matrices.  Products of rotations are re-orthonormalised once
+numerical drift exceeds ``ORTHO_TOL``; other matrix products are rescaled to
+determinant 1.
+
+An action realises an element through one lookup: a permutation action
+(one given ``perms``) as a coordinate permutation, any other action as a
+matrix.  One mover applies a realisation, or one per row, to feature rows:
+a gather for permutations, one einsum for matrices.  So a row moves to the
+same bits alone or in a batch.
 
 There are four sampler kinds: uniform over a support of elements (a
 one-element support is a point mass), Haar on a circle about an axis,
 Gaussian angles about an axis, and Haar on SO(3).  Samplers draw an
 ``ElementBatch``: one parameter array for all draws (support positions,
 circle angles or a rotation stack), applied to feature rows as a whole.
-Indexing a batch builds its scalar elements.  Every matrix acts through one
-einsum, so a row moves to the same bits alone or in a batch.
+Indexing a batch builds its scalar elements.
 """
 
 from __future__ import annotations
@@ -217,14 +221,6 @@ class MatrixElement:
 GroupElement = Union[FiniteElement, MatrixElement]
 
 
-def _check_rotations(m: np.ndarray) -> None:
-    """Raise unless every 3x3 matrix in ``m`` is orthogonal with determinant 1."""
-    if not np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3)) <= ORTHO_TOL):
-        raise InvalidGroupError("matrix is not orthogonal within tolerance")
-    if not np.all(np.abs(np.linalg.det(m) - 1.0) <= DET_TOL):
-        raise InvalidGroupError("matrix determinant must be 1")
-
-
 def _is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     return bool(np.max(np.abs(m.T @ m - np.eye(len(m)))) <= tol)
 
@@ -411,38 +407,35 @@ def elements_of(group: GroupDescriptor) -> list[GroupElement]:
 # Actions
 # ---------------------------------------------------------------------------
 
-ACTION_MATRIX = "matrix"
-ACTION_PERMUTATION = "permutation"
-ACTION_KINDS = (ACTION_MATRIX, ACTION_PERMUTATION)
-
-
 @dataclass(frozen=True, eq=False)
 class GroupAction:
     """How group elements transform feature vectors in R^dim.
 
-    A matrix action realises a finite element by its ``matrices`` entry and a
-    matrix element by its own matrix; a permutation action realises a finite
-    element by its ``perms`` entry, a coordinate permutation.  The element of
-    a one-element table acts as the identity under either kind.  Distinct
-    actions of the same abstract group are just distinct realisation tables.
+    An action with ``perms`` is a permutation action: it realises each finite
+    element of its table by a coordinate permutation.  Any other action is a
+    matrix action: it realises a finite element by its ``matrices`` entry and
+    a matrix element by its own matrix, so a continuous group's action needs
+    neither table.  The element of a one-element table acts as the identity
+    under either.  Distinct actions of the same abstract group are just
+    distinct realisation tables.
     """
 
     group: GroupDescriptor
     dim: int
-    kind: str
     matrices: np.ndarray | None = None      # (N, dim, dim), indexed by table index
-    perms: np.ndarray | None = None         # (N, dim) int, permutation kind
+    perms: np.ndarray | None = None         # (N, dim) int, indexed by table index
 
     def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
-            raise InvalidGroupError(f"unknown action kind {self.kind!r}")
-        if self.kind == ACTION_MATRIX and self.matrices is not None:
+        if self.matrices is not None and self.perms is not None:
+            raise InvalidGroupError("an action realises its elements by matrices "
+                                    "or by permutations, not both")
+        if self.matrices is not None:
             m = np.array(self.matrices, dtype=float)
             if m.shape != (self.group.table.size, self.dim, self.dim):
                 raise DimensionMismatchError("matrix realisation has wrong shape")
             m.setflags(write=False)
             object.__setattr__(self, "matrices", m)
-        if self.kind == ACTION_PERMUTATION and self.perms is not None:
+        if self.perms is not None:
             p = np.array(self.perms, dtype=np.int64)
             if p.shape != (self.group.table.size, self.dim):
                 raise DimensionMismatchError("permutation realisation has wrong shape")
@@ -450,42 +443,45 @@ class GroupAction:
             object.__setattr__(self, "perms", p)
 
 
-def _realize_matrix(action: GroupAction, g: GroupElement) -> np.ndarray:
-    """The dim x dim matrix by which ``g`` acts (matrix kind)."""
+def _realize(action: GroupAction, g: GroupElement) -> np.ndarray:
+    """The dim x dim matrix by which ``g`` acts, or its coordinate
+    permutation under a permutation action."""
     d = action.dim
     if isinstance(g, MatrixElement):
+        if action.perms is not None:
+            raise IncompatibleElementsError(f"{g!r} has no permutation realisation")
         if g.matrix.shape != (d, d):
             raise DimensionMismatchError(f"{len(g.matrix)}x{len(g.matrix)} matrix element "
                                          f"in a {d}-d action")
         return g.matrix
     if g.table.size == 1:
-        return np.eye(d)
-    if action.matrices is not None and g.table is action.group.table:
-        return action.matrices[g.index]
+        return np.eye(d) if action.perms is None else np.arange(d)
+    table = action.matrices if action.perms is None else action.perms
+    if table is not None and g.table is action.group.table:
+        return table[g.index]
     raise IncompatibleElementsError(f"finite element {g!r} has no realisation under this action")
+
+
+def _move(action: GroupAction, realized: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Move ``rows`` by one realisation from ``_realize`` or by one per row."""
+    if action.perms is not None:
+        if realized.dtype.kind != "i":
+            raise IncompatibleElementsError("matrix draws have no permutation realisation")
+        return rows[np.arange(len(rows))[:, None], realized]
+    try:
+        return np.einsum("...ij,...j->...i", realized, rows)
+    except ValueError:      # continuous draws' matrices that do not fit the rows
+        raise DimensionMismatchError(f"{realized.shape[-1]}x{realized.shape[-1]} matrix "
+                                     f"elements in a {action.dim}-d action") from None
 
 
 def _realizations_match(action: GroupAction, a: GroupElement, b: GroupElement,
                         tol: float) -> bool:
-    if action.kind == ACTION_MATRIX:
-        try:
-            ma = _realize_matrix(action, a)
-            mb = _realize_matrix(action, b)
-        except (IncompatibleElementsError, DimensionMismatchError):
-            return False
-        return bool(np.max(np.abs(ma - mb)) <= tol)
-    pa = _realize_perm(action, a)
-    pb = _realize_perm(action, b)
-    return pa is not None and pb is not None and np.array_equal(pa, pb)
-
-
-def _realize_perm(action: GroupAction, g: GroupElement) -> np.ndarray | None:
-    if isinstance(g, FiniteElement):
-        if g.table.size == 1:
-            return np.arange(action.dim)
-        if action.perms is not None and g.table is action.group.table:
-            return action.perms[g.index]
-    return None
+    try:
+        ra, rb = _realize(action, a), _realize(action, b)
+    except (IncompatibleElementsError, DimensionMismatchError):
+        return False
+    return bool(np.max(np.abs(ra - rb)) <= tol)
 
 
 def act(action: GroupAction, g: GroupElement, x: np.ndarray) -> np.ndarray:
@@ -501,12 +497,7 @@ def apply_to_rows(action: GroupAction, g: GroupElement, rows: np.ndarray) -> np.
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != action.dim:
         raise DimensionMismatchError(f"expected rows of dimension {action.dim}")
-    if action.kind == ACTION_PERMUTATION:
-        p = _realize_perm(action, g)
-        if p is None:
-            raise IncompatibleElementsError(f"{g!r} has no permutation realisation")
-        return rows[:, p]
-    return np.einsum("ij,kj->ki", _realize_matrix(action, g), rows)
+    return _move(action, _realize(action, g), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -624,29 +615,20 @@ def apply_elements(action: GroupAction, elements: ElementBatch,
                    rows: np.ndarray) -> np.ndarray:
     """Apply ``elements[k]`` to ``rows[k]`` for each k (the sampling hot path).
 
-    A support's elements are realised once each, as matrices or permutations,
-    and gathered by the batch's positions; circle and ``haar-so3`` draws carry
-    their own matrices.  Matrices act through ``apply_to_rows``' einsum, so a
-    row moves to the same bits on either path.
+    A support's elements are realised once each and gathered by the batch's
+    positions; circle and ``haar-so3`` draws carry their own matrices.  Both
+    move the rows through ``apply_to_rows``' mover, so a row moves to the
+    same bits on either path.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.shape != (len(elements), action.dim):
         raise DimensionMismatchError(f"expected one row of dimension {action.dim} per element")
     support = elements.spec.elements
-    if action.kind == ACTION_PERMUTATION:
-        perms = [_realize_perm(action, g) for g in support]
-        if not perms or any(p is None for p in perms):
-            raise IncompatibleElementsError(
-                f"{elements.spec.kind} draws have no permutation realisation")
-        return np.take_along_axis(rows, np.stack(perms)[elements.params], axis=1)
     if support:
-        mats = np.stack([_realize_matrix(action, g) for g in support])[elements.params]
+        realized = np.stack([_realize(action, g) for g in support])[elements.params]
     else:
-        mats = elements._matrices()
-    if mats.shape[1:] != (action.dim, action.dim):
-        raise DimensionMismatchError(f"{mats.shape[1]}x{mats.shape[2]} matrix elements "
-                                     f"in a {action.dim}-d action")
-    return np.einsum("kij,kj->ki", mats, rows)
+        realized = elements._matrices()
+    return _move(action, realized, rows)
 
 
 def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> ElementBatch:
@@ -659,9 +641,7 @@ def sample_elements(spec: SamplerSpec, rng: np.random.Generator, m: int) -> Elem
     if spec.kind == HAAR_SO3:
         q = rng.normal(size=(m, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        mats = _quaternions_to_matrices(q)
-        _check_rotations(mats)
-        return ElementBatch(spec, mats)
+        return ElementBatch(spec, _quaternions_to_matrices(q))
     if spec.kind == HAAR_CIRCLE:
         return ElementBatch(spec, rng.uniform(0.0, TWO_PI, size=m))
     return ElementBatch(spec, rng.normal(0.0, spec.std, size=m))

@@ -263,11 +263,6 @@ class TestOutcome:
         return self.decision == REJECT
 
 
-def _finish(p_value: float, alpha: float, **kw) -> TestOutcome:
-    p_value = float(min(1.0, max(0.0, p_value)))
-    return TestOutcome(p_value=p_value, alpha=alpha, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Exceedance test (known variation bound + noise concentration)
 # ---------------------------------------------------------------------------
@@ -305,9 +300,9 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
     pts = np.array([noise.p_exceed(float(t)) for t in thresholds])
     counts = m - np.searchsorted(np.sort(excess), thresholds, side="left")
     pvals = binom_tail(m, counts, pts)
-    return _finish(float(pvals.min()), alpha, effective_m=m, statistics=excess,
-                   thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
-                   warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())
+    return TestOutcome(float(pvals.min()), alpha, effective_m=m, statistics=excess,
+                       thresholds=thresholds, exceed_counts=counts, threshold_p=pts,
+                       warnings=("all-thresholds-vacuous",) if np.all(pts >= 1.0) else ())
 
 
 # ---------------------------------------------------------------------------
@@ -517,5 +512,5 @@ def ratio_permutation_test(data: RegressionDataset, action: GroupAction,
             _row_quantiles(ratios[drawn], drawn_live, q)
     baseline = float(quantiles[B])
     p = float(np.sum(quantiles[:B] <= baseline)) / float(B)
-    return _finish(p, alpha, effective_m=int(kept_m[B]), statistics=quantiles[:B],
-                   replicate_m=kept_m[:B], baseline_quantile=baseline)
+    return TestOutcome(p, alpha, effective_m=int(kept_m[B]), statistics=quantiles[:B],
+                       replicate_m=kept_m[:B], baseline_quantile=baseline)

@@ -18,7 +18,6 @@ import numpy as np
 from .data import RegressionDataset
 from .errors import ConfigError
 from .groups import (
-    ACTION_MATRIX,
     FINITE,
     TWO_PI,
     GroupAction,
@@ -103,7 +102,7 @@ def quarter_turn_actions(dim: int) -> tuple[GroupAction, GroupAction, SamplerSpe
     group = GroupDescriptor(FINITE, "C4", table=table)
     base = TWO_PI * np.arange(4) / 4.0
     rotation, half_turn = (
-        GroupAction(group, dim, ACTION_MATRIX,
+        GroupAction(group, dim,
                     matrices=[planar_rotation_matrix(a, (0, 1), dim) for a in angles])
         for angles in (base, (2.0 * base) % TWO_PI))
     return rotation, half_turn, non_identity_sampler(group)

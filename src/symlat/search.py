@@ -31,7 +31,6 @@ from .invariance import (
     VariationBound,
     exceedance_test,
     ratio_permutation_test,
-    _finish,
 )
 from .lattice import Lattice, SubgroupNode
 
@@ -168,8 +167,7 @@ class OracleTester:
     def test_node(self, lattice: Lattice, node: SubgroupNode, alpha: float,
                   rng: np.random.Generator) -> TestOutcome:
         ok = self.accept(lattice, node)
-        return _finish(1.0 if ok else 0.0, alpha, effective_m=0,
-                       statistics=np.empty(0))
+        return TestOutcome(1.0 if ok else 0.0, alpha, effective_m=0, statistics=np.empty(0))
 
 
 def _require_sampler(node: SubgroupNode):

@@ -406,6 +406,34 @@ def test_oracle_reject_needs_the_oracle_test(tmp_path, capsys):
     assert not (tmp_path / "cli").exists()
 
 
+# a config refused once its run starts: an unknown oracle label, axes the
+# lattice builder refuses, a lattice of the wrong dimension, and a runner
+# given a scenario it cannot use
+REFUSED_RUNS = {
+    "oracle-typo": (ORACLE_SEARCH.replace("<h> <v>", "<typo>"),
+                    r"\[search\] oracle_reject: .*'<typo>'"),
+    "lattice-axes": (ORACLE_SEARCH.replace("builder = d4\ndim = 2",
+                                           "builder = so3-axes\naxes = 0 0 1; 0 0 1")
+                     .replace("oracle_reject = <h> <v>", "oracle_reject ="),
+                     r"\[lattice\] so3-axes: .*collinear"),
+    "recovery-dim": (MINI_RECOVERY.replace("orders = 1 2 4\ndim = 2", "orders = 1 2 4\ndim = 3"),
+                     "lattice dimension 3 does not match scenario dimension 2"),
+    "power-scenario": (MINI_POWER.replace("id = fd-rotation\ndim = 2", "id = 1"),
+                       "power-curve needs the fd-rotation scenario"),
+    "estimator-scenario": (MINI_ESTIMATOR.replace("id = 1", "id = fd-rotation\ndim = 3"),
+                           "estimator-compare needs scenario id 1, 2, 3, or 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RUNS))
+def test_a_refused_run_leaves_no_output_directory(tmp_path, case):
+    text, message = REFUSED_RUNS[case]
+    cfg = load_config(_write(tmp_path, "r.ini", text))
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg, tmp_path / "out" / "nested")
+    assert not (tmp_path / "out").exists()
+
+
 def test_single_search_all_accept_reaches_top(tmp_path):
     config_text = """
 [experiment]

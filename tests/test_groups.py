@@ -201,13 +201,13 @@ def test_element_validation():
         MatrixElement(np.ones((2, 3)))                   # not square
     with pytest.raises(InvalidGroupError):
         FiniteElement(cyclic_table(3), 3)                # index outside the table
-    # descriptors and actions take only the kinds the library realises
+    # descriptors take only the kinds the library realises, and an action
+    # realises its elements through one table
     with pytest.raises(InvalidGroupError, match="unknown group kind 's1-plane'"):
         GroupDescriptor("s1-plane", "P")
     c2 = GroupDescriptor("finite", "C2", table=cyclic_table(2))
-    for kind in ("bogus", "planar", "trivial"):
-        with pytest.raises(InvalidGroupError, match=f"unknown action kind '{kind}'"):
-            GroupAction(c2, 2, kind)
+    with pytest.raises(InvalidGroupError, match="not both"):
+        GroupAction(c2, 2, matrices=[np.eye(2), -np.eye(2)], perms=[[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +226,8 @@ def test_planar_rotation_action_quarter_turn():
 def test_permutation_action_rejects_matrix_draws_on_every_path():
     # a matrix draw has no permutation realisation, even where its matrix
     # would fit the rows
-    from symlat.groups import ACTION_PERMUTATION, GroupAction
     table = cyclic_table(2)
-    action = GroupAction(GroupDescriptor("finite", "C2", table=table), 3, ACTION_PERMUTATION,
+    action = GroupAction(GroupDescriptor("finite", "C2", table=table), 3,
                          perms=[[0, 1, 2], [1, 0, 2]])
     rows = np.ones((4, 3))
     for sampler in (SamplerSpec("haar-so3"), uniform_sampler(default_sl3_generators())):
@@ -237,6 +236,18 @@ def test_permutation_action_rejects_matrix_draws_on_every_path():
             apply_elements(action, batch, rows)
         with pytest.raises(IncompatibleElementsError):
             apply_to_rows(action, batch[0], rows)
+
+
+def test_matrix_draws_must_fit_the_action():
+    # a 3x3 draw, from a support or from a continuous sampler, cannot move
+    # the rows of a 2-d action
+    rows = np.ones((4, 2))
+    for sampler in (SamplerSpec("haar-so3"), uniform_sampler(default_sl3_generators())):
+        batch = sample_elements(sampler, np.random.default_rng(0), 4)
+        with pytest.raises(DimensionMismatchError, match="3x3 matrix element"):
+            apply_elements(d4_action(2), batch, rows)
+        with pytest.raises(DimensionMismatchError, match="3x3 matrix element"):
+            apply_to_rows(d4_action(2), batch[0], rows)
 
 
 def test_foreign_finite_element_is_named_in_the_error():
@@ -282,8 +293,8 @@ def test_action_compatibility_finite_and_continuous():
         lhs = act(action, g, act(action, h, x))
         rhs = act(action, compose(g, h), x)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
-    from symlat.groups import ACTION_MATRIX, GroupAction, SO3
-    so3 = GroupAction(GroupDescriptor(SO3, "SO3"), 3, ACTION_MATRIX)
+    from symlat.groups import SO3
+    so3 = GroupAction(GroupDescriptor(SO3, "SO3"), 3)
     for _ in range(100):
         g, h = random_rotation(rng), random_rotation(rng)
         x = rng.normal(size=3)
@@ -562,6 +573,24 @@ def _rotate_plane(rows, angle, plane):
     return out
 
 
+def _reference_move(action, g, x):
+    """``g`` moves the row ``x``, without the library's realisation lookup or
+    mover: a coordinate permutation indexes the row, and a matrix sums its
+    columns' products coordinate by coordinate."""
+    if isinstance(g, MatrixElement):
+        matrix = g.matrix
+    elif g.table.size == 1:
+        return x.copy()
+    elif action.perms is not None:
+        return x[action.perms[g.index]]
+    else:
+        matrix = action.matrices[g.index]
+    out = np.zeros(action.dim)
+    for j in range(action.dim):
+        out = out + matrix[:, j] * x[j]
+    return out
+
+
 def _path_cases():
     """(action, sampler) for every node sampler of every builder lattice and
     for both quarter-turn actions; then (action, angles) for each action
@@ -594,6 +623,13 @@ def test_one_element_moves_a_row_to_the_same_bits_on_every_path(seed, m):
         for k, g in enumerate(batch):
             assert np.array_equal(apply_to_rows(action, g, X)[k], moved[k])
             assert np.array_equal(act(action, g, X[k]), moved[k])
+            # a permutation moves the row to the reference's bits; the
+            # einsum adds a matrix's products in its own order
+            want = _reference_move(action, g, X[k])
+            if action.perms is not None:
+                assert np.array_equal(moved[k], want)
+            else:
+                assert np.max(np.abs(moved[k] - want)) <= 1e-12
     for action, angles in PLANAR_CASES:
         X = rng.normal(size=(m, action.dim))
         for i, angle in enumerate(angles):

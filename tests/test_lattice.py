@@ -88,13 +88,13 @@ def test_small_group_brute_force_lattices_validate(table_builder):
     # construction itself checks the partial order and meets/joins against
     # member intersections/closures
     table = table_builder()
-    from symlat.groups import ACTION_MATRIX, GroupAction, planar_rotation_matrix
+    from symlat.groups import GroupAction, planar_rotation_matrix
     angles = 2.0 * np.pi * np.arange(table.size) / table.size
     if table is None:
         return
     if table.size in (12, 16):
         group = GroupDescriptor("finite", "C", table=table)
-        action = GroupAction(group, 2, ACTION_MATRIX,
+        action = GroupAction(group, 2,
                              matrices=[planar_rotation_matrix(a, (0, 1), 2) for a in angles])
     else:
         action = d4_action(table=table)

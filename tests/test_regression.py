@@ -12,7 +12,6 @@ from symlat.builders import (
 from symlat.data import RegressionDataset
 from symlat.errors import SymlatError
 from symlat.groups import (
-    ACTION_MATRIX,
     GroupAction,
     GroupDescriptor,
     SamplerSpec,
@@ -62,7 +61,7 @@ def test_orbit_canonical_lexicographic_minimum():
     table = cyclic_table(2)
     group = GroupDescriptor("finite", "C2", table=table)
     mats = np.stack([np.eye(3), np.diag([-1.0, -1.0, 1.0])])
-    action = GroupAction(group, 3, ACTION_MATRIX, matrices=mats)
+    action = GroupAction(group, 3, matrices=mats)
     elements = [FiniteElement(table, 0), FiniteElement(table, 1)]
     proj = orbit_canonical_projection(action, elements)
     out, _ = proj.apply(np.array([[1.0, -2.0, 3.0]]))
@@ -75,7 +74,7 @@ def test_colatitude_invariance_and_zero_flagging():
     proj = colatitude_projection(u)
     rng = np.random.default_rng(0)
     sampler = SamplerSpec("haar-circle", axis=u)
-    action = GroupAction(GroupDescriptor("so3", "SO3"), 3, ACTION_MATRIX)
+    action = GroupAction(GroupDescriptor("so3", "SO3"), 3)
     X = rng.normal(size=(100, 3))
     base, _ = proj.apply(X)
     for g in sample_elements(sampler, rng, 100):

@@ -20,7 +20,7 @@ from symlat.builders import (
 )
 from symlat.data import RegressionDataset
 from symlat.errors import SymlatError
-from symlat.groups import (ACTION_MATRIX, GroupAction, GroupDescriptor, cyclic_table,
+from symlat.groups import (GroupAction, GroupDescriptor, cyclic_table,
                            direct_product_table)
 from symlat.invariance import NoiseModel, gaussian_noise, known_bound, order_bound
 from symlat.scenarios import make_scenario
@@ -179,7 +179,7 @@ def c2xc4_lattice():
             m[1:, 1:] = [[c, -s], [s, c]]
             flips.append(m)
     group = GroupDescriptor("finite", "C2xC4", table=table)
-    action = GroupAction(group, 3, ACTION_MATRIX, matrices=np.stack(flips))
+    action = GroupAction(group, 3, matrices=np.stack(flips))
     return full_subgroup_lattice(table, action, top_label="C2xC4")
 
 
@@ -229,7 +229,7 @@ def _abstract_lattice(table):
     """All subgroups of ``table`` under a matrix action without realisation
     (enough for the greedy rule, which never samples)."""
     group = GroupDescriptor("finite", "G", table=table)
-    return full_subgroup_lattice(table, GroupAction(group, 2, ACTION_MATRIX))
+    return full_subgroup_lattice(table, GroupAction(group, 2))
 
 
 def _circle_pair_facts(k, top):
