@@ -429,6 +429,9 @@ class GroupAction:
         if self.matrices is not None and self.perms is not None:
             raise InvalidGroupError("an action realises its elements by matrices "
                                     "or by permutations, not both")
+        if (self.matrices is not None or self.perms is not None) and not self.group.is_finite:
+            raise InvalidGroupError(f"{self.group.label!r} is a continuous group: "
+                                    "its action takes no table")
         if self.matrices is not None:
             m = np.array(self.matrices, dtype=float)
             if m.shape != (self.group.table.size, self.dim, self.dim):

@@ -66,11 +66,10 @@ class Lattice:
         self.leq = leq.copy()
         self.leq.setflags(write=False)
         self.action = action
-        self._down = self.leq.sum(axis=0)  # down-set sizes
+        self._down = self.leq.sum(axis=0, dtype=np.int32)  # down-set sizes
         self._up = self.leq.sum(axis=1)  # up-set sizes
-        self._covers = self._validate_partial_order()
+        self._covers, heights = self._validate_partial_order()
         self._bottom, self._top = self._find_extremes()
-        heights = self._heights_by_longest_chain()
         self.nodes = [replace(node, node_id=i, height=int(heights[i]))
                       for i, node in enumerate(nodes)]
         bot = self.nodes[self._bottom].group
@@ -82,21 +81,32 @@ class Lattice:
 
     # -- validation helpers ---------------------------------------------------
 
-    def _validate_partial_order(self) -> np.ndarray:
-        """Check that ``leq`` is a partial order and return its covers."""
+    def _validate_partial_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check that ``leq`` is a partial order; return its covers and heights.
+
+        One pass by down-set size, which puts a node's strict subnodes first.
+        ``beneath``, column v of ``lt @ lt``, must lie below v; the rest of
+        v's strict subnodes are its covers, and its height tops theirs by 1."""
         leq = self.leq
+        n = len(leq)
         if not np.all(np.diag(leq)):
             raise LatticeError("leq must be reflexive")
-        lt = leq & ~np.eye(len(leq), dtype=bool)
+        lt = leq & ~np.eye(n, dtype=bool)
         if np.any(lt & lt.T):
             raise LatticeError("leq must be antisymmetric")
-        # with leq reflexive, leq @ leq is I | lt | lt @ lt
-        two = lt @ lt
-        if np.any(two & ~leq):
-            raise LatticeError("leq must be transitive")
-        covers = lt & ~two
+        below = np.ascontiguousarray(lt.T)  # below[v]: the nodes strictly below v
+        covers = np.zeros((n, n), dtype=bool)
+        heights = np.zeros(n, dtype=np.int64)
+        for v in np.argsort(self._down, kind="stable").tolist():
+            strict = below[v]
+            beneath = below[strict].any(axis=0)
+            if (beneath > strict).any():
+                raise LatticeError("leq must be transitive")
+            cover = beneath ^ strict  # beneath lies inside strict
+            covers[:, v] = cover
+            heights[v] = heights[cover].max(initial=-1) + 1
         covers.setflags(write=False)
-        return covers
+        return covers, heights
 
     def _find_extremes(self) -> tuple[int, int]:
         bottoms = np.flatnonzero(self.leq.all(axis=1))
@@ -106,16 +116,6 @@ class Lattice:
         if len(tops) != 1:
             raise LatticeError(f"lattice needs a unique top, found {len(tops)}")
         return int(bottoms[0]), int(tops[0])
-
-    def _heights_by_longest_chain(self) -> np.ndarray:
-        n = len(self.leq)
-        heights = np.zeros(n, dtype=np.int64)
-        order = sorted(range(n), key=lambda i: int(self._down[i]))
-        for v in order:
-            below = np.flatnonzero(self._covers[:, v])
-            if below.size:
-                heights[v] = heights[below].max() + 1
-        return heights
 
     def _finite_pairs(self):
         """Pairs of finite nodes on one Cayley table, in row-major order."""
@@ -133,19 +133,18 @@ class Lattice:
                     "contradicts their member sets")
 
     def _validate_meets(self) -> None:
-        # Row a at a time.  lower[b, c] marks the common lower bounds c of a and
-        # b.  Each one's down-set lies inside that set, so the one with the
-        # largest down-set is the meet exactly when its down-set holds them all.
-        # Every down-set holds its own node, so a non-bound (score 0) never
-        # wins, and a pair without common bounds fails the size check.  With
-        # the top checked, meets make a lattice: a pair's join is the meet of
-        # its common upper bounds.
-        geq = np.ascontiguousarray(self.leq.T)
-        down = self._down
+        # Row a at a time, over a's down-set d: lower[b, j] marks the j-th
+        # node of d as a common lower bound of a and b.  Each one's down-set
+        # lies inside that set, so the pair has a meet exactly when the
+        # largest such down-set holds them all; a non-bound scores 0, below
+        # every bound, and a pair without common bounds fails the size check.
+        # With the top checked, meets make a lattice: a pair's join is the
+        # meet of its common upper bounds.
+        down = self._down  # int32, so the n x |d| scores take 4 bytes each
         for a in range(len(self.nodes)):
-            lower = geq & geq[a]
-            meet = (lower * down).argmax(axis=1)
-            bad = np.flatnonzero(down[meet] != np.count_nonzero(lower, axis=1))
+            d = self.leq[:, a]
+            lower = self.leq[d].T
+            bad = np.flatnonzero((lower * down[d]).max(axis=1) != lower.sum(axis=1))
             if bad.size:
                 raise LatticeError(f"nodes {a} and {int(bad[0])} lack a unique meet")
 
@@ -216,11 +215,11 @@ class Lattice:
 
     def frontier(self, gmax: int) -> set[int]:
         """Nodes just outside the invariant region below ``gmax``: not below
-        gmax, with all their strict subnodes below it.  Such a node is not the
-        bottom, so it covers one of them."""
+        gmax, with all their strict subnodes below it.  The region is a
+        down-set, so that holds when all of a node's covers lie in it; such
+        a node is not the bottom, so it covers one of them."""
         inv = self.leq[:, gmax]
-        lt = self.leq & ~np.eye(len(self.nodes), dtype=bool)
-        out = ~inv & ~(lt & ~inv[:, None]).any(axis=0)
+        out = ~inv & ~(self._covers & ~inv[:, None]).any(axis=0)
         return set(np.flatnonzero(out).tolist())
 
 

@@ -41,7 +41,7 @@ class KernelRegressor:
         h = np.asarray(self.bandwidths, dtype=float)
         if h.shape != (self.X.shape[1],):
             raise SymlatError("one bandwidth per feature dimension is required")
-        if np.any(h <= 0):
+        if not np.all(h > 0):  # a NaN is not positive either
             raise SymlatError("bandwidths must be positive")
         object.__setattr__(self, "bandwidths", h)
 

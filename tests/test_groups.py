@@ -208,6 +208,12 @@ def test_element_validation():
     c2 = GroupDescriptor("finite", "C2", table=cyclic_table(2))
     with pytest.raises(InvalidGroupError, match="not both"):
         GroupAction(c2, 2, matrices=[np.eye(2), -np.eye(2)], perms=[[0, 1], [1, 0]])
+    # a continuous group's elements realise themselves, with neither table
+    so3 = GroupDescriptor("so3", "SO3")
+    for table in ({"matrices": np.eye(3)[None]}, {"perms": [[0, 1, 2]]}):
+        with pytest.raises(InvalidGroupError, match="^'SO3' is a continuous group: "
+                                                    "its action takes no table$"):
+            GroupAction(so3, 3, **table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -422,6 +423,77 @@ def test_invalid_orders_rejected():
     # a cyclic cover list orders two distinct nodes both ways
     with pytest.raises(LatticeError, match="leq must be antisymmetric"):
         Lattice(nodes, order_from_covers(3, [(0, 1), (1, 2), (2, 1)]), nodes_action.action)
+
+
+@st.composite
+def relations(draw):
+    """An n x n relation, n from 1 to 8: arbitrary entries which drawn flags
+    keep to pairs going up a ranking with node 0 lowest and node n - 1
+    highest, make reflexive, give node 0 as a bottom and node n - 1 as a top,
+    and close under composition, so that every check can fail first."""
+    n = draw(st.integers(1, 8))
+    leq = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                   dtype=bool).reshape(n, n)
+    upward, reflexive, bounded, closed = draw(st.tuples(*[st.booleans()] * 4))
+    inner = [1 + r for r in draw(st.permutations(range(max(n - 2, 0))))]
+    rank = np.array(([0] + inner + [n - 1])[:n])
+    if upward:
+        leq &= rank[:, None] <= rank[None, :]
+    if reflexive:
+        leq |= np.eye(n, dtype=bool)
+    if bounded:
+        leq[0] = leq[:, n - 1] = True
+    if closed:
+        for _ in range(n.bit_length()):
+            leq |= leq @ leq
+    return leq
+
+
+def dense_order_reference(leq):
+    """Covers and heights of ``_order_lattice(leq)`` from the dense product
+    ``lt @ lt`` and from longest chains found by brute force; raises the
+    LatticeError that ``Lattice`` raises first."""
+    n = len(leq)
+    if not np.all(np.diag(leq)):
+        raise LatticeError("leq must be reflexive")
+    lt = leq & ~np.eye(n, dtype=bool)
+    if np.any(lt & lt.T):
+        raise LatticeError("leq must be antisymmetric")
+    two = lt @ lt
+    if np.any(two & ~leq):
+        raise LatticeError("leq must be transitive")
+    for name, extremes in (("bottom", leq.all(axis=1)), ("top", leq.all(axis=0))):
+        if extremes.sum() != 1:
+            raise LatticeError(f"lattice needs a unique {name}, found {extremes.sum()}")
+    if not leq[0].all():  # node 0 is the one finite, trivial node
+        raise LatticeError("lattice bottom must be the trivial group")
+    pairwise_meet_join(leq)
+    heights = []
+    for v in range(n):
+        strict = np.flatnonzero(lt[:, v])
+        heights.append(max(k for k in range(len(strict) + 1)
+                           for chain in combinations(strict, k)
+                           if all(leq[a, b] or leq[b, a] for a, b in combinations(chain, 2))))
+    return lt & ~two, heights
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+@example(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool))  # not transitive
+@example(order_from_covers(4, [(0, 2), (2, 1), (1, 3)]))  # heights out of id order
+@example(DIAMOND)
+@example(DOUBLE_BOWTIE)
+def test_order_checks_match_dense_reference(leq):
+    try:
+        covers, heights = dense_order_reference(leq)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as err:
+            _order_lattice(leq)
+        assert str(err.value) == str(exc)
+        return
+    lat = _order_lattice(leq)
+    assert np.array_equal(lat.covers, covers)
+    assert [node.height for node in lat.nodes] == heights
 
 
 def test_order_from_covers_closes_long_chains():

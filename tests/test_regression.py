@@ -154,6 +154,11 @@ def test_fit_lce_validation():
         fit_lce(data, bandwidth=[-1.0, 1.0])
     with pytest.raises(SymlatError):
         fit_lce(data, bandwidth=[1.0])
+    # a NaN bandwidth is not positive; an infinite one fits the mean response
+    for h in (np.nan, [1.0, np.nan]):
+        with pytest.raises(SymlatError, match="bandwidths must be positive"):
+            fit_lce(data, bandwidth=h)
+    assert np.array_equal(fit_lce(data, bandwidth=np.inf).predict(np.ones((2, 2))), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
