@@ -28,6 +28,13 @@ pairing table holds).
 the T = 20 threshold probabilities of the default grid of
 ``gaussian_noise(0.01)``, at counts of 2 (below the mode of every
 probability's binomial) and of 565 (past it for the 6 smallest).
+Two rows time data whose every point has 15 exact copies, which no
+benchmark workload has: there every moved point's nearest row ties with its
+copies, and most query rows of a permutation replicate find no reference
+row among their 12 nearest.  They are a breadth-first exceedance search over
+``sl3_extended_lattice`` (scenario 1, n = m = 2000, the ``search-sl3``
+bound and noise) and the C4 permutation test above on its data copied the
+same way; each is timed on its fastest of two runs.
 ``so3_axes_lattice`` is built on 499 and on 1999 Fibonacci axes of the upper
 hemisphere (501 and 2001 nodes), the cost that bounds how fine a grid of
 axes a search can use, and ``run_search`` runs breadth-first over the first
@@ -58,13 +65,14 @@ from symlat.builders import (  # noqa: E402
     sl3_extended_lattice,
     so3_axes_lattice,
 )
+from symlat.data import RegressionDataset  # noqa: E402
 from symlat.groups import (  # noqa: E402
     FiniteElement,
     apply_elements,
     apply_to_rows,
     sample_elements,
 )
-from symlat.invariance import binom_tail, gaussian_noise, order_bound  # noqa: E402
+from symlat.invariance import binom_tail, gaussian_noise, known_bound, order_bound  # noqa: E402
 from symlat.projections import radial_projection  # noqa: E402
 from symlat.regression import (  # noqa: E402
     BANDWIDTH_GRID_SIZE,
@@ -73,7 +81,13 @@ from symlat.regression import (  # noqa: E402
     _feature_scales,
 )
 from symlat.scenarios import make_scenario  # noqa: E402
-from symlat.search import OracleTester, PermutationTester, SearchConfig, run_search  # noqa: E402
+from symlat.search import (  # noqa: E402
+    ExceedanceTester,
+    OracleTester,
+    PermutationTester,
+    SearchConfig,
+    run_search,
+)
 
 # (training rows n, queries q, dimension d) of the normal-data problems
 SIZES = ((200, 200, 3), (500, 1000, 3), (2000, 2000, 5))
@@ -83,6 +97,8 @@ FIT_QUERIES = 200
 SEARCH_M, SEARCH_SIGMA = 2000, 0.01
 # axes of the timed lattice builds; the search runs on the first
 LATTICE_AXES = (499, 1999)
+# copies of each point in the tie-heavy rows
+COPIES = 15
 
 
 def bench(fn, *args, repeat=10):
@@ -135,6 +151,14 @@ def fibonacci_axes(k):
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def copied(data, rng):
+    """``data`` with its first rows repeated ``COPIES`` times each, shuffled,
+    at the same size."""
+    n = data.n
+    rows = rng.permutation(np.repeat(np.arange(-(-n // COPIES)), COPIES)[:n])
+    return RegressionDataset(data.X[rows], data.Y[rows])
+
+
 def problems(rng):
     """(training rows, responses, scales, queries) of each timed size."""
     for n, q, d in SIZES:
@@ -173,6 +197,13 @@ def main():
     print(f"{'permutation test (C4)':<28} {'n=300 B=100 m=300':<18} "
           f"{t * 1e3:>8.2f}ms {peak / 2 ** 20:>8.2f}MB")
     sl3 = sl3_extended_lattice()
+    tied = copied(make_scenario("1", 3, SEARCH_SIGMA).sample_train(rng, SEARCH_M), rng)
+    tester = ExceedanceTester(tied, known_bound(1.0), gaussian_noise(SEARCH_SIGMA), SEARCH_M)
+    t = bench(run_search, sl3, tester, SearchConfig(seed=1), repeat=2)
+    print(f"{'exceedance search (copies)':<28} {f'n={SEARCH_M} x{COPIES}':<18} {t * 1e3:>8.2f}ms")
+    tester = PermutationTester(copied(data, rng), order_bound(), m=300, B=100)
+    t = bench(lambda: tester.test_node(chain, c4, 0.05, np.random.default_rng(1)), repeat=2)
+    print(f"{'permutation test (copies)':<28} {f'n=300 x{COPIES} B=100':<18} {t * 1e3:>8.2f}ms")
     so3 = sl3.node_by_label("SO3").sampler
     t = bench(sample_elements, so3, np.random.default_rng(2), 2000)
     print(f"{'sample_elements (haar-so3)':<28} {'m=2000':<18} {t * 1e6:>8.1f}us")

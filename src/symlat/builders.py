@@ -254,11 +254,13 @@ def _axes_lattice(axes: np.ndarray, angle_std: float | None,
     norms = np.linalg.norm(axes, axis=1)
     if np.max(np.abs(norms - 1.0)) > 1e-9:
         raise LatticeError("axes must be unit vectors")
-    collinear = np.argwhere(np.triu(np.abs(axes @ axes.T) > 1.0 - 1e-9, k=1))
-    if len(collinear):
-        i, j = collinear[0]
-        raise LatticeError(f"axes {i} and {j} are collinear (duplicate node)")
     k = len(axes)
+    step = max(1, (1 << 16) // k)   # row blocks bound the K x K products
+    for s in range(0, k, step):
+        pairs = np.argwhere(np.triu(np.abs(axes[s:s + step] @ axes.T) > 1.0 - 1e-9, k=s + 1))
+        if len(pairs):
+            i, j = pairs[0]
+            raise LatticeError(f"axes {s + i} and {j} are collinear (duplicate node)")
     upper = [GroupDescriptor(kind, kind.upper()) for kind in chain]
     action = GroupAction(upper[0], 3)
     groups = ([GroupDescriptor(FINITE, "I", table=cyclic_table(1, ["e"]))]

@@ -70,9 +70,10 @@ class NeighborIndex:
     """k-d tree over feature rows whose queries match a brute-force scan.
 
     Queries return exactly the argmin of float64 squared Euclidean distance,
-    with ties broken by the smallest row index: the tree supplies the nearest
-    distance, candidates within a hair of it are re-scored exactly, and the
-    lowest qualifying index wins.
+    with ties broken by the smallest row index: the tree supplies nearest
+    distances, and ``nearest_among`` settles near-ties and the nearest point
+    of a subset by one masked argmin over exact distances.  Points whose
+    squared distances could overflow raise ``DataError``.
     """
 
     def __init__(self, points: np.ndarray):
@@ -80,35 +81,54 @@ class NeighborIndex:
         if points.ndim != 2 or points.shape[0] < 1:
             raise DataError("index needs a non-empty 2-d point array")
         self._points = points
-        self._tree = cKDTree(points)
+        self._tree = cKDTree(self._checked(points))
 
-    @classmethod
-    def from_dataset(cls, data: RegressionDataset) -> "NeighborIndex":
-        return cls(data.X)
+    def _checked(self, rows: np.ndarray) -> np.ndarray:
+        rows, d = np.asarray(rows, dtype=float), self._points.shape[1]
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise DimensionMismatchError(f"queries must be (m, {d}), got {rows.shape}")
+        # below an eighth of the largest float no squared distance overflows
+        if _sq_dists(rows, 0.0).max(initial=0.0) >= np.finfo(float).max / 8:
+            raise DataError("features too large: their squared distances overflow float64")
+        return rows
 
-    @property
-    def dim(self) -> int:
-        return self._points.shape[1]
+    def _cand_sq(self, queries: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """Squared distances from each query to its candidates, a bounded block at a time."""
+        sq = np.empty(cands.shape)
+        step = max(1, _CHUNK_FLOATS // (cands.shape[1] * self._points.shape[1]))
+        for s in range(0, len(queries), step):
+            sq[s:s + step] = _sq_dists(self._points[cands[s:s + step]],
+                                       queries[s:s + step, None, :])
+        return sq
 
     def query_many(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"queries must be (m, {self.dim}), got {queries.shape}")
-        # the second-nearest distance shows which rows may hold a tie; only
-        # those go through the exact re-scoring
+        queries = self._checked(queries)
+        # a row whose two nearest distances nearly tie re-scores its near ball
         dist, idx = self._tree.query(queries, k=2)
         out = idx[:, 0].astype(np.int64)
         radii = dist[:, 0] * (1.0 + 1e-9) + 1e-300
         tied = np.flatnonzero(dist[:, 1] <= radii)
         if tied.size:
-            pts = self._points
-            cand_lists = self._tree.query_ball_point(queries[tied], radii[tied])
-            for row, cands in zip(tied, cand_lists):
-                cands = sorted(cands)
-                sq = _sq_dists(pts[cands], queries[row])
-                out[row] = cands[int(np.argmin(sq))]
+            balls = self._tree.query_ball_point(queries[tied], radii[tied], return_sorted=True)
+            sizes = np.fromiter(map(len, balls), np.int64, len(balls))
+            held = np.arange(sizes.max()) < sizes[:, None]
+            cands = np.full(held.shape, -1)
+            cands[held] = np.concatenate(balls)
+            out[tied] = self.nearest_among(queries[tied], cands, held)
         return out
+
+    def nearest_among(self, queries: np.ndarray, cands: np.ndarray, allowed: np.ndarray,
+                      away: bool = False) -> np.ndarray:
+        """Each query's allowed candidate at the least float64 squared
+        distance, the lowest index on ties, or -1 when none is allowed.  Row
+        r of ``cands`` lists query r's candidates in ascending order (-1 pads
+        it) and ``allowed`` masks them; ``away`` also passes over points at
+        the query's own location, by ``ranked``'s rule."""
+        sq = self._cand_sq(queries, cands)
+        if away:
+            allowed = allowed & (sq > _SAME_POINT_RTOL ** 2 * _sq_dists(queries, 0.0)[:, None])
+        rows, best = np.arange(len(queries)), np.where(allowed, sq, np.inf).argmin(axis=1)
+        return np.where(allowed[rows, best], cands[rows, best], -1)
 
     def ranked(self, queries: np.ndarray, k: int) -> np.ndarray:
         """Each query's nearest indexed points away from its own location.
@@ -123,24 +143,13 @@ class NeighborIndex:
         index on ties, and with ``k`` at least the number of points no row
         misses one.
         """
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"queries must be (m, {self.dim}), got {queries.shape}")
+        queries = self._checked(queries)
         n = self._points.shape[0]
         k = min(k, n)
-        if k < n:
-            dist, idx = self._tree.query(queries, k=k)
-            dist = dist.reshape(len(queries), k)
-            idx = idx.reshape(len(queries), k).astype(np.int64)
-        else:
-            # every point is listed, so the sort below alone fixes the order
-            idx = np.broadcast_to(np.arange(n), (len(queries), n))
-        sq = np.empty(idx.shape)
-        step = max(1, _CHUNK_FLOATS // (k * self.dim))   # bounds the gathered block
-        for s in range(0, len(queries), step):
-            sq[s:s + step] = _sq_dists(self._points[idx[s:s + step]],
-                                       queries[s:s + step, None, :])
+        dist, idx = self._tree.query(queries, k=k)
+        dist = dist.reshape(len(queries), k)
+        idx = idx.reshape(len(queries), k).astype(np.int64)
+        sq = self._cand_sq(queries, idx)
         order = np.lexsort((idx, sq), axis=-1)
         idx = np.take_along_axis(idx, order, axis=-1)
         sq = np.take_along_axis(sq, order, axis=-1)

@@ -291,7 +291,7 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
             and thresholds[-1] < np.inf):
         raise SymlatError("thresholds must be positive, finite and strictly increasing")
     if index is None:
-        index = NeighborIndex.from_dataset(data)
+        index = NeighborIndex(data.X)
     elements = sample_elements(sampler, rng, m)
     picks = rng.integers(0, data.n, size=m)
     gx = apply_elements(action, elements, data.X[picks])
@@ -310,7 +310,7 @@ def exceedance_test(data: RegressionDataset, action: GroupAction, sampler: Sampl
 # ---------------------------------------------------------------------------
 
 # Length of the neighbour lists that pairs are taken from; a point whose list
-# holds no reference row is ranked against every row.
+# holds no reference row takes its nearest one among all rows.
 _RANKED = 12
 # Replicates are paired in blocks of about this many query-row slots
 # (replicates x n), which bounds the working memory of one test.
@@ -330,7 +330,7 @@ class PairingTables:
 
     def __init__(self, data: RegressionDataset):
         self.data = data
-        self.index = NeighborIndex.from_dataset(data)
+        self.index = NeighborIndex(data.X)
         self.lists = self.index.ranked(data.X, _RANKED)
         self._images: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -356,11 +356,11 @@ class _RatioDraws:
 
     Pairs come from ranked neighbour lists over all rows
     (``NeighborIndex.ranked``): the first list entry in the reference half,
-    searched one list column at a time over the rows still unpaired; rows
-    whose lists hold no reference row are ranked against every row, about
-    ``_PERM_BLOCK_FLOATS / n`` rows at a time.  The
-    rows' own lists, and the images of the rows under each element of a
-    uniform sampler with at most ``B / 2`` elements, come from
+    searched one list column at a time over the rows still unpaired.  Rows
+    whose lists hold no reference row take the nearest one among all rows
+    (``NeighborIndex.nearest_among``), about ``_PERM_BLOCK_FLOATS / n`` rows
+    at a time.  The rows' own lists, and the images of the rows under each
+    element of a uniform sampler with at most ``B / 2`` elements, come from
     the ``PairingTables``; other samplers move and rank a block's rows in
     one call each.
     """
@@ -411,15 +411,14 @@ class _RatioDraws:
             todo = todo[~hit]
             if not todo.size:
                 break
-        # rows left are ranked against every row, a block's budget of list
-        # entries at a time: on duplicated data that is nearly every row
-        chunk = max(1, _PERM_BLOCK_FLOATS // n)
+        # rows left choose among every row, a block's budget of candidates at
+        # a time: on duplicated data that is nearly every row
+        chunk, every = max(1, _PERM_BLOCK_FLOATS // n), np.arange(n)
         for s in range(0, todo.size, chunk):
             part = todo[s:s + chunk]
-            full = self.tables.index.ranked(points.take(look.take(part), axis=0), n)
-            hits = in_ref.take(base.take(part)[:, None] + full)
-            found = np.flatnonzero(hits.any(axis=1))
-            nbr[part[found]] = full[found, hits[found].argmax(axis=1)]
+            nbr[part] = self.tables.index.nearest_among(
+                points.take(look.take(part), axis=0), np.broadcast_to(every, (part.size, n)),
+                in_ref.take(base.take(part)[:, None] + every), away=True)
         paired = np.flatnonzero(nbr >= 0)
         den = self.bound(points.take(look.take(paired), axis=0),
                          X.take(nbr.take(paired), axis=0))

@@ -111,7 +111,7 @@ class ExceedanceTester:
         self.noise = noise
         self.m = m
         self.thresholds = noise.default_thresholds() if thresholds is None else thresholds
-        self.index = NeighborIndex.from_dataset(data)
+        self.index = NeighborIndex(data.X)
 
     def test(self, action: GroupAction, sampler: SamplerSpec, alpha: float,
              rng: np.random.Generator) -> TestOutcome:

@@ -99,13 +99,52 @@ def test_neighbor_index_property(n, d, seed):
                 assert lists[r, hits.argmax()] == near[brute_nearest(pts[near], q[None])[0]]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_query_many_on_copied_points(distinct, d, seed):
+    # every point occurs 2-20 times in shuffled rows, so each query at or near
+    # a point ties among its copies, and the lowest of them must win
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.normal(size=(distinct, d)), 1)
+    pts = np.repeat(base, rng.integers(2, 21, size=distinct), axis=0)
+    pts = pts[rng.permutation(len(pts))]
+    queries = np.vstack([np.round(rng.normal(size=(10, d)), 1), pts[rng.integers(0, len(pts), 10)],
+                         (base[:, None] + base[None]).reshape(-1, d) / 2.0])
+    assert np.array_equal(NeighborIndex(pts).query_many(queries), brute_nearest(pts, queries))
+
+
+def test_nearest_among_masks_candidates():
+    # the least distance among the allowed candidates, lowest index on ties,
+    # -1 for a row with none; away passes over points at the query itself
+    pts = np.array([[0.0], [1.0], [1.0], [3.0]])
+    index = NeighborIndex(pts)
+    cands = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, -1], [0, 3, -1, -1]])
+    allowed = np.array([[1, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, 0], [0, 0, 0, 0]], dtype=bool)
+    queries = np.array([[1.0], [1.0], [2.0], [0.0]])
+    assert index.nearest_among(queries, cands, allowed).tolist() == [1, 2, 1, -1]
+    assert index.nearest_among(queries, cands, allowed, away=True).tolist() == [0, 0, 1, -1]
+
+
+def test_features_whose_squared_distances_overflow_raise():
+    # the tree reports a neighbour past an infinite distance as index n, which
+    # used to escape as an IndexError or as scipy's ValueError
+    with pytest.raises(DataError, match="overflow"):
+        NeighborIndex(np.array([[1e154, 0.0], [-1e154, 0.0]]))
+    index = NeighborIndex(np.array([[1e153, 0.0], [-1e153, 0.0]]))
+    assert index.query_many(np.array([[2e153, 0.0]])).tolist() == [0]
+    for query in (index.query_many, lambda q: index.ranked(q, 2)):
+        with pytest.raises(DataError, match="overflow"):
+            query(np.array([[0.0, 1e155]]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=0, max_value=3))
-def test_full_ranking_skips_the_tree(n, d, seed, extra):
-    # asked for every point, ranked starts each row from all indices instead
-    # of querying the tree; the (distance, index) order makes the lists equal
-    # to the tree's k = n neighbours in that order, duplicated rows included
+def test_full_ranking_lists_every_point(n, d, seed, extra):
+    # asked for every point, ranked lists all of them in (distance, index)
+    # order, which is the tree's k = n neighbours in that order, duplicated
+    # rows included, with no entry cut at the last tree distance
     rng = np.random.default_rng(seed)
     pts = np.round(rng.normal(size=(n, d)), 1)
     pts = np.vstack([pts, pts[rng.integers(0, n, size=extra)]])

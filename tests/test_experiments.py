@@ -742,6 +742,33 @@ path = {csv_file}
     capsys.readouterr()
 
 
+def test_cli_overflowing_features_exit_code(tmp_path, capsys):
+    # features whose squared distances overflow are a data error -> 2; the
+    # index error they used to raise was a runtime failure -> 3
+    csv_file = tmp_path / "huge.csv"
+    rows = (np.random.default_rng(0).normal(size=(20, 2)) * 1e154).tolist()
+    csv_file.write_text("x0,x1,y\n" + "".join(f"{a!r},{b!r},{i}\n"
+                                               for i, (a, b) in enumerate(rows)))
+    config_text = f"""
+[experiment]
+kind = search
+seed = 1
+[lattice]
+builder = cyclic-chain
+orders = 1 2 4
+dim = 2
+[search]
+test = permutation
+[data]
+source = csv
+path = {csv_file}
+"""
+    cfg_path = _write(tmp_path, "s.ini", config_text)
+    assert cli_main(["search", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "squared distances overflow" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "symlat.cli", "--help"],
                           capture_output=True, text=True)

@@ -14,7 +14,7 @@ from scipy.special import gammaln, logsumexp
 from symlat import invariance
 from symlat.builders import cyclic_chain_lattice, sl3_extended_lattice, so3_axes_lattice
 from symlat.data import NeighborIndex, RegressionDataset
-from symlat.errors import DegenerateMetricError, SymlatError
+from symlat.errors import DataError, DegenerateMetricError, SymlatError
 from symlat.groups import (
     FiniteElement,
     apply_elements,
@@ -623,6 +623,22 @@ def test_perm_raises_when_ratios_overflow():
                                np.random.default_rng(2), m=200, B=20)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e155])
+def test_overflowing_features_raise_data_error(scale):
+    # squared distances past the largest float made the permutation test
+    # raise IndexError (the tree's index n for a neighbour at infinity) and
+    # the exceedance test leak scipy's ValueError
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    data = RegressionDataset(X * scale, np.linalg.norm(X, axis=1))
+    rotation, _, sampler = quarter_turn_actions(2)
+    with pytest.raises(DataError, match="squared distances overflow"):
+        ratio_permutation_test(data, rotation, sampler, order_bound(),
+                               np.random.default_rng(1), m=20, B=5)
+    with pytest.raises(DataError, match="squared distances overflow"):
+        exceedance_test(data, rotation, sampler, known_bound(1.0), gaussian_noise(0.1),
+                        np.random.default_rng(1), m=20)
+
+
 def test_perm_validation():
     data = _toy_invariant_data(np.random.default_rng(0))
     rotation, _, sampler = quarter_turn_actions(2)
@@ -661,7 +677,7 @@ def _replicate_loop(data, action, sampler, bound, rng, m, B, q):
     replicate's points, its ratios, its m drawn positions (a position on an
     unpaired row dropped) and the quantile of the rest.  Returns the
     replicate quantiles and counts, then the identity replicate's."""
-    index = NeighborIndex.from_dataset(data)
+    index = NeighborIndex(data.X)
     X, Y, n = data.X, data.Y, data.n
     qs, ms = [], []
     for k in range(B + 1):

@@ -534,6 +534,22 @@ def test_collinear_axes_rejected():
         so3_axes_lattice(axes)
 
 
+def test_collinear_axes_found_across_row_blocks():
+    # 400 axes are checked in blocks of rows; the first collinear pair in
+    # row-major order is named, as a full K x K check names it
+    i = np.arange(400) + 0.5
+    z, phi = 1.0 - i / 400, i * np.pi * (3.0 - np.sqrt(5.0))
+    axes = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], 1)
+    for pairs, named in (([(250, 300)], "250 and 300"), ([(250, 300), (20, 390)], "20 and 390")):
+        bad = axes.copy()
+        for a, b in pairs:
+            bad[b] = -bad[a]
+        full = np.argwhere(np.triu(np.abs(bad @ bad.T) > 1.0 - 1e-9, k=1))
+        assert f"{full[0, 0]} and {full[0, 1]}" == named
+        with pytest.raises(LatticeError, match=f"^axes {named} are collinear"):
+            so3_axes_lattice(bad)
+
+
 def _d4_sub_lattice(labels):
     """The D4 subgroups named by ``labels``, ordered by inclusion."""
     full = d4_lattice()
